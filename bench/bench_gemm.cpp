@@ -17,11 +17,16 @@
 // on at least two shapes or the arena-backed trainer path does not reach
 // >= 1.2x on at least one trainer shape. (On AVX2-only hosts the arena
 // contributes only allocation reuse, a few percent; the series is still
-// recorded but not gated.)
+// recorded but not gated.) A skinny-output series times the 10-class head
+// from one row to full batches on every arm (repeated trials, host core
+// count recorded); on avx512f hosts the full run also fails if the
+// skinny-output path is slower than the AVX2 packed tiles at any of its
+// shapes.
 #include <algorithm>
 #include <cstdio>
 #include <iostream>
 #include <string>
+#include <thread>
 #include <vector>
 
 #include "record.hpp"
@@ -222,6 +227,30 @@ double gflops(const Fn& run, std::size_t m, std::size_t k, std::size_t n, std::s
     return best / 1e9;
 }
 
+/// Repeated trials of one product: per-call time median/min/max over
+/// `trials` timed batches, and the median's GFLOP/s.
+struct Trials {
+    double median_us, min_us, max_us, gflops;
+};
+
+template <typename Fn>
+Trials time_trials(const Fn& run, std::size_t m, std::size_t k, std::size_t n,
+                   std::size_t trials) {
+    const double flops = 2.0 * static_cast<double>(m) * static_cast<double>(k) *
+                         static_cast<double>(n);
+    const std::size_t inner = std::max<std::size_t>(1, static_cast<std::size_t>(5e7 / flops));
+    run();  // warm
+    std::vector<double> us;
+    for (std::size_t r = 0; r < trials; ++r) {
+        WallTimer timer;
+        for (std::size_t i = 0; i < inner; ++i) run();
+        us.push_back(timer.seconds() * 1e6 / static_cast<double>(inner));
+    }
+    std::sort(us.begin(), us.end());
+    const double median = us[us.size() / 2];
+    return {median, us.front(), us.back(), flops / median * 1e-3};
+}
+
 }  // namespace
 
 int main(int argc, char** argv) {
@@ -255,8 +284,10 @@ int main(int argc, char** argv) {
         };
 
         ThreadPool pool;
+        const unsigned cores = std::max(1u, std::thread::hardware_concurrency());
         bench::BenchRecorder rec("gemm", "paper-shape GEMMs, kernel vs PR-1 baseline, best-of-" +
-                                             std::to_string(reps));
+                                             std::to_string(reps) + "; host with " +
+                                             std::to_string(cores) + " cores");
         Table table({"Shape", "PR-1 GF/s", "Kernel GF/s", "Speedup", "Pooled GF/s"});
         bool pass = true;
 
@@ -372,6 +403,75 @@ int main(int argc, char** argv) {
             pass = false;
             std::cout << "FAIL: AVX-512 >= 1.3x over AVX2 on only " << avx512_wins
                       << " shapes (target >= 2)\n";
+        }
+
+        // ---- skinny-output series -------------------------------------------
+        //
+        // The 10-class head at the row counts the serving path issues: one
+        // screened query (m = 1), coalesced flushes, and full batches, plus
+        // the transpose-swapped trainer gradient (m = 784, n = 10, k = 32).
+        // On the AVX-512 arm every one of these (9 <= n <= 16) runs the
+        // skinny-output kernel; AVX2 and portable run the packed tiles. Per
+        // arm: repeated trials of the per-call time (median, min, max) and
+        // the host core count, so the selection rule — the skinny path only
+        // where it is no slower than the packed tiles — is checked here.
+        const std::size_t trials = cli.boolean("smoke") ? 3 : 15;
+        std::vector<Shape> skinny;
+        for (const std::size_t m : {1, 4, 8, 16, 32, 128, 2048}) {
+            skinny.push_back({"skinny m=" + std::to_string(m) + " n=10 k=784", false, m, 784, 10,
+                              Op::None, Op::None});
+        }
+        skinny.push_back({"skinny trainer gradient m=784 n=10 k=32 (A transposed)", false, 784, 32,
+                          10, Op::Transpose, Op::None});
+        Table stable({"Shape", "Portable us", "AVX2 us", "AVX-512 us", "AVX2/AVX-512"});
+        std::size_t skinny_slower = 0;
+        for (const Shape& s : skinny) {
+            Rng rng(s.m * 13 + s.k * 5 + s.n);
+            const Matrix A = Matrix::random_normal(rng, s.opA == Op::None ? s.m : s.k,
+                                                   s.opA == Op::None ? s.k : s.m);
+            const Matrix B = Matrix::random_normal(rng, s.k, s.n);
+            Matrix C(s.m, s.n, 0.0);
+            rec.begin(s.label);
+            rec.add("m", static_cast<long long>(s.m));
+            rec.add("k", static_cast<long long>(s.k));
+            rec.add("n", static_cast<long long>(s.n));
+            rec.add("cores", static_cast<long long>(cores));
+            rec.add("trials", static_cast<long long>(trials));
+            stable.begin_row();
+            stable.add(s.label);
+            double us_avx2 = 0.0, us_avx512 = 0.0;
+            for (const KernelVariant v : variants) {
+                tensor::set_kernel_variant(v);
+                const Trials t = time_trials(
+                    [&] { tensor::gemm(1.0, A, s.opA, B, s.opB, 0.0, C); }, s.m, s.k, s.n, trials);
+                const std::string arm = tensor::to_string(v);
+                rec.add("us_median_" + arm, t.median_us);
+                rec.add("us_min_" + arm, t.min_us);
+                rec.add("us_max_" + arm, t.max_us);
+                rec.add("gflops_" + arm, t.gflops);
+                stable.add(t.median_us, 3);
+                if (v == KernelVariant::Avx2) us_avx2 = t.median_us;
+                if (v == KernelVariant::Avx512) us_avx512 = t.median_us;
+            }
+            tensor::set_kernel_variant(entry_variant);
+            if (!tensor::kernel_variant_available(KernelVariant::Avx2)) stable.add("-");
+            if (!has_avx512) {
+                stable.add("-");
+                stable.add("-");
+            } else {
+                const double ratio = us_avx2 / us_avx512;
+                rec.add("speedup_avx512_vs_avx2", ratio);
+                stable.add(ratio, 2);
+                if (ratio < 1.0) ++skinny_slower;
+            }
+        }
+        std::cout << "\n## Skinny-output series (n = 10; " << trials << " trials, median us, "
+                  << cores << " cores)\n\n"
+                  << stable;
+        if (!cli.boolean("smoke") && has_avx512 && skinny_slower > 0) {
+            pass = false;
+            std::cout << "FAIL: the skinny-output path is slower than the AVX2 packed tiles on "
+                      << skinny_slower << " shapes (it must be no slower wherever it is picked)\n";
         }
 
         // ---- trainer hot loop: seed (fresh allocations, pre-PR kernel) vs

@@ -13,6 +13,7 @@
 #pragma once
 
 #include <cstdint>
+#include <span>
 #include <vector>
 
 #include "xbarsec/common/threadpool.hpp"
@@ -55,6 +56,15 @@ double surrogate_power(const nn::SingleLayerNet& surrogate, const tensor::Vector
 
 /// Batch variant: implied power for each row of U.
 tensor::Vector surrogate_power_batch(const tensor::Matrix& W, const tensor::Matrix& U);
+
+/// Adds Eq. 9's power-term gradient to `grad`: grad_ij += λ·sign(w_ij)·q_j,
+/// where a zero weight contributes nothing. One call per λ > 0 minibatch
+/// step of train_surrogate. The sign is applied arithmetically rather than
+/// by branching on it (weights of random sign mispredict such a branch on
+/// about half the elements); the result is the same bits as the branchy
+/// update.
+void add_power_sign_gradient(const tensor::Matrix& W, std::span<const double> q, double lambda,
+                             tensor::Matrix& grad);
 
 /// Fits a linear (Linear+Mse) surrogate to the query data with Eq. 9's
 /// loss via minibatch SGD. Throws ConfigError on shape mismatches.

@@ -123,15 +123,7 @@ SurrogateTrainResult train_surrogate(const QueryDataset& queries, const Surrogat
                 // ∂L_power/∂w_ij = λ·sign(w_ij)·q_j.
                 e *= 2.0 * inv_b;
                 const tensor::Vector q = tensor::matvec_transposed(xb, e);
-                tensor::Matrix& W = net.weights();
-                for (std::size_t i = 0; i < n_outputs; ++i) {
-                    auto wrow = W.row_span(i);
-                    auto grow = grad_w.row_span(i);
-                    for (std::size_t j = 0; j < n_inputs; ++j) {
-                        if (wrow[j] > 0.0) grow[j] += lambda * q[j];
-                        else if (wrow[j] < 0.0) grow[j] -= lambda * q[j];
-                    }
-                }
+                add_power_sign_gradient(net.weights(), q.span(), lambda, grad_w);
             }
 
             optimizer->step(w_slot, {net.weights().data(), net.weights().size()},
@@ -147,6 +139,22 @@ SurrogateTrainResult train_surrogate(const QueryDataset& queries, const Surrogat
         }
     }
     return result;
+}
+
+void add_power_sign_gradient(const tensor::Matrix& W, std::span<const double> q, double lambda,
+                             tensor::Matrix& grad) {
+    XS_EXPECTS(grad.rows() == W.rows() && grad.cols() == W.cols());
+    XS_EXPECTS(q.size() == W.cols());
+    for (std::size_t i = 0; i < W.rows(); ++i) {
+        const double* __restrict w = W.row_span(i).data();
+        double* __restrict g = grad.row_span(i).data();
+        for (std::size_t j = 0; j < q.size(); ++j) {
+            // The sign enters as a multiply by ±1 (exact), and g + (−x) is
+            // g − x bit for bit. Only zero (and NaN) weights take the
+            // branch, which is rare enough to predict.
+            if (std::fabs(w[j]) > 0.0) g[j] += std::copysign(1.0, w[j]) * (lambda * q[j]);
+        }
+    }
 }
 
 nn::SingleLayerNet fit_least_squares_surrogate(const QueryDataset& queries, double lambda_ridge,

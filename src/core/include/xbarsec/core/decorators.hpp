@@ -28,6 +28,7 @@
 #include <cstdint>
 #include <memory>
 #include <mutex>
+#include <span>
 #include <vector>
 
 #include "xbarsec/core/oracle.hpp"
@@ -368,8 +369,9 @@ public:
     /// Scores the input; counts it (and, when blocking, throws
     /// QueryRefused) if the detector flags it. Returns whether this row
     /// was flagged (the attribution layer records per-row verdicts);
-    /// the batch form returns how many of the rows were flagged.
-    bool screen(const tensor::Vector& u);
+    /// the batch form returns how many of the rows were flagged. Rows are
+    /// scored in place (no copy, no allocation).
+    bool screen(std::span<const double> u);
     std::size_t screen_batch(const tensor::Matrix& U);
 
     std::uint64_t screened() const { return screened_.load(std::memory_order_relaxed); }

@@ -253,7 +253,7 @@ double DetectorScreen::flagged_fraction() const {
     return n == 0 ? 0.0 : static_cast<double>(std::min(f, n)) / static_cast<double>(n);
 }
 
-bool DetectorScreen::screen(const tensor::Vector& u) {
+bool DetectorScreen::screen(std::span<const double> u) {
     screened_.fetch_add(1, std::memory_order_seq_cst);
     if (detector_->is_adversarial(u)) {
         flagged_.fetch_add(1, std::memory_order_seq_cst);
@@ -268,7 +268,7 @@ bool DetectorScreen::screen(const tensor::Vector& u) {
 std::size_t DetectorScreen::screen_batch(const tensor::Matrix& U) {
     std::size_t flagged = 0;
     for (std::size_t r = 0; r < U.rows(); ++r) {
-        if (screen(U.row(r))) ++flagged;
+        if (screen(U.row_span(r))) ++flagged;
     }
     return flagged;
 }

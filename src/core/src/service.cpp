@@ -437,7 +437,7 @@ bool screen(SessionState& s, QueryKind kind, const tensor::Matrix& U) {
     for (std::size_t r = 0; r < U.rows(); ++r) {
         const auto row = U.row_span(r);
         bool flagged = false;
-        if (kind != QueryKind::Power && s.screen != nullptr) flagged = s.screen->screen(U.row(r));
+        if (kind != QueryKind::Power && s.screen != nullptr) flagged = s.screen->screen(row);
         attrib::Observation obs;
         obs.session = s.id;
         obs.source = s.config.source;

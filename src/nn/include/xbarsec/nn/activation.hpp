@@ -6,6 +6,7 @@
 // elementwise.
 #pragma once
 
+#include <span>
 #include <string>
 
 #include "xbarsec/tensor/matrix.hpp"
@@ -23,6 +24,10 @@ Activation activation_from_string(const std::string& name);
 
 /// Applies the activation to a pre-activation vector.
 tensor::Vector apply_activation(Activation a, const tensor::Vector& s);
+
+/// apply_activation in place over one sample's pre-activations (no
+/// allocation; the same bits as apply_activation).
+void apply_activation_inplace(Activation a, std::span<double> s);
 
 /// Row-wise application for a batch (each row is one sample's
 /// pre-activation).

@@ -48,24 +48,24 @@ tensor::Vector softmax(const tensor::Vector& s) {
 }
 
 tensor::Vector apply_activation(Activation a, const tensor::Vector& s) {
+    tensor::Vector out = s;
+    apply_activation_inplace(a, out.span());
+    return out;
+}
+
+void apply_activation_inplace(Activation a, std::span<double> s) {
     switch (a) {
-        case Activation::Linear: return s;
-        case Activation::Softmax: return softmax(s);
-        case Activation::Sigmoid: {
-            tensor::Vector out(s.size());
-            for (std::size_t i = 0; i < s.size(); ++i) out[i] = 1.0 / (1.0 + std::exp(-s[i]));
-            return out;
-        }
-        case Activation::Relu: {
-            tensor::Vector out(s.size());
-            for (std::size_t i = 0; i < s.size(); ++i) out[i] = std::max(0.0, s[i]);
-            return out;
-        }
-        case Activation::Tanh: {
-            tensor::Vector out(s.size());
-            for (std::size_t i = 0; i < s.size(); ++i) out[i] = std::tanh(s[i]);
-            return out;
-        }
+        case Activation::Linear: return;
+        case Activation::Softmax: softmax_row(s.data(), s.data(), s.size()); return;
+        case Activation::Sigmoid:
+            for (double& x : s) x = 1.0 / (1.0 + std::exp(-x));
+            return;
+        case Activation::Relu:
+            for (double& x : s) x = std::max(0.0, x);
+            return;
+        case Activation::Tanh:
+            for (double& x : s) x = std::tanh(x);
+            return;
     }
     throw ConfigError("unhandled activation");
 }

@@ -20,6 +20,7 @@
 #pragma once
 
 #include <cstdint>
+#include <span>
 #include <vector>
 
 #include "xbarsec/data/dataset.hpp"
@@ -64,7 +65,7 @@ public:
 
     /// True when the input's current signature is anomalous for the class
     /// the network assigns it.
-    bool is_adversarial(const tensor::Vector& u) const;
+    bool is_adversarial(std::span<const double> u) const;
 
     /// The decision statistic: the worst per-component *envelope
     /// exceedance*. For each component the enrolment fits a class-
@@ -74,7 +75,20 @@ public:
     /// (ink / no ink), so range-based scoring is far more robust than
     /// z-scores here — and it matches the physics: a clean input can
     /// never draw more than v_max·G_j on line j.
-    double anomaly_score(const tensor::Vector& u) const;
+    ///
+    /// In the default InputLineCurrents mode the score allocates nothing:
+    /// the row is classified through the allocation-free single-row path,
+    /// and each line current is tested against the envelope as it is
+    /// read. Each call takes the same two crossbar measurements as
+    /// classify() followed by input_line_currents(), in that order, so
+    /// read-noise devices answer exactly as anomaly_score_reference does.
+    double anomaly_score(std::span<const double> u) const;
+
+    /// The composed score — classify, the full signature vector, then the
+    /// envelope loop. The other signature modes score through it; for
+    /// InputLineCurrents it is the ground truth the fused anomaly_score is
+    /// pinned against (tests/test_detector.cpp).
+    double anomaly_score_reference(const tensor::Vector& u) const;
 
     /// Fraction of a batch flagged (false-positive rate on clean data,
     /// detection rate on adversarial batches).

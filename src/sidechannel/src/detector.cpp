@@ -6,6 +6,7 @@
 
 #include "xbarsec/common/contracts.hpp"
 #include "xbarsec/stats/descriptive.hpp"
+#include "xbarsec/tensor/ops.hpp"
 
 namespace xbarsec::sidechannel {
 
@@ -113,15 +114,33 @@ CurrentSignatureDetector::CurrentSignatureDetector(const xbar::CrossbarNetwork& 
                        "auto-calibration needs at least ~20 enrolment samples");
         std::vector<double> scores(cal_idx.size());
         for (std::size_t k = 0; k < cal_idx.size(); ++k) {
-            scores[k] = anomaly_score(clean_enrollment.input(cal_idx[k]));
+            scores[k] = anomaly_score(clean_enrollment.inputs().row_span(cal_idx[k]));
         }
         threshold_ = stats::quantile(scores, 1.0 - config_.target_false_positive_rate);
     }
 }
 
-double CurrentSignatureDetector::anomaly_score(const tensor::Vector& u) const {
+double CurrentSignatureDetector::anomaly_score(std::span<const double> u) const {
     XS_EXPECTS(u.size() == hardware_->inputs());
+    if (config_.mode != SignatureMode::InputLineCurrents) {
+        return anomaly_score_reference(tensor::Vector(std::vector<double>(u.begin(), u.end())));
+    }
     const auto label = static_cast<std::size_t>(hardware_->classify(u));
+    const ClassProfile& p = profiles_[label];
+    const double* __restrict lo = p.lo.data();
+    const double* __restrict hi = p.hi.data();
+    const double* __restrict range = p.range.data();
+    double worst = 0.0;
+    hardware_->crossbar().visit_input_line_currents(u, [&](std::size_t d, double sig) {
+        const double exceed = std::max(sig - hi[d], lo[d] - sig);
+        if (exceed > 0.0) worst = std::max(worst, exceed / range[d]);
+    });
+    return worst;
+}
+
+double CurrentSignatureDetector::anomaly_score_reference(const tensor::Vector& u) const {
+    XS_EXPECTS(u.size() == hardware_->inputs());
+    const auto label = static_cast<std::size_t>(tensor::argmax(hardware_->predict(u)));
     const tensor::Vector sig = signature(u);
     const ClassProfile& p = profiles_[label];
     double worst = 0.0;
@@ -132,7 +151,7 @@ double CurrentSignatureDetector::anomaly_score(const tensor::Vector& u) const {
     return worst;
 }
 
-bool CurrentSignatureDetector::is_adversarial(const tensor::Vector& u) const {
+bool CurrentSignatureDetector::is_adversarial(std::span<const double> u) const {
     return anomaly_score(u) > threshold_;
 }
 
@@ -140,7 +159,7 @@ double CurrentSignatureDetector::flagged_fraction(const tensor::Matrix& inputs) 
     XS_EXPECTS(inputs.rows() > 0);
     std::size_t flagged = 0;
     for (std::size_t i = 0; i < inputs.rows(); ++i) {
-        if (is_adversarial(inputs.row(i))) ++flagged;
+        if (is_adversarial(inputs.row_span(i))) ++flagged;
     }
     return static_cast<double>(flagged) / static_cast<double>(inputs.rows());
 }

@@ -11,14 +11,20 @@
 //   * B's k-slice is packed once per block into register-tile-wide strips,
 //     A's rows are packed (alpha-scaled, transposes folded in) per
 //     micro-panel — the inner loop only ever reads contiguous memory;
-//   * the hot loop updates a 4×4 register tile of C, compiled twice: an
-//     AVX2+FMA version picked at runtime when the CPU supports it, and a
-//     portable baseline. No -march flags are required.
+//   * the hot loop updates a register tile of C, compiled at several ISA
+//     levels and picked at runtime (see the kernel-variant dispatch
+//     below). No -march flags are required;
+//   * outputs 9 to 16 wide (the paper's 10-class heads) take a
+//     skinny-output path on AVX-512 instead: lanes run over the outputs,
+//     A is broadcast in place and only a transposed B is packed, with the
+//     packed tiles' exact accumulation chain.
 //
 // Passing a ThreadPool shards the output over row panels. Each C element
 // accumulates in the same order regardless of the partition, so the
 // parallel product is bit-identical to the serial one (tested).
 #pragma once
+
+#include <span>
 
 #include "xbarsec/common/threadpool.hpp"
 #include "xbarsec/tensor/matrix.hpp"
@@ -32,10 +38,11 @@ enum class Op { None, Transpose };
 //
 // The register-tile micro-kernel is compiled at three ISA levels and picked
 // at runtime: portable 4×4 (plain C++), AVX2+FMA 6×8 / 6×4, and AVX-512F
-// 12×8 / 8×8. `Auto` (the default) selects the widest arm the CPU supports
-// per product shape. The other values force one arm — for conformance
-// testing (ctest -L kernel runs the GEMM property suites once per variant)
-// and for benchmarking the arms against each other. Forcing is also
+// 12×8 / 8×8 plus the skinny-output path for 9 ≤ n ≤ 16. `Auto` (the
+// default) selects the widest arm the CPU supports per product shape. The
+// other values force one arm — for conformance testing (ctest -L kernel
+// runs the GEMM property suites once per variant) and for benchmarking the
+// arms against each other. Forcing is also
 // available without code via the XBARSEC_FORCE_KERNEL environment variable
 // (auto | portable | avx2 | avx512), read once at first use; a
 // set_kernel_variant() call overrides the environment.
@@ -77,6 +84,15 @@ void gemm(double alpha, const Matrix& A, Op opA, const Matrix& B, Op opB, double
 /// prefer plain gemm() everywhere throughput is the only requirement.
 void gemm_rowstable(double alpha, const Matrix& A, Op opA, const Matrix& B, Op opB, double beta,
                     Matrix& C, ThreadPool* pool = nullptr);
+
+/// One row of gemm_rowstable over spans: c = alpha · a · op(B) + beta · c,
+/// with `a` of length k and `c` of length n (k×n = op(B)'s shape). The
+/// result is bit-identical to the matching row of any gemm_rowstable call
+/// with the same B, and the call never touches the heap (any packing
+/// scratch comes off the thread arena) — the allocation-free path a
+/// per-query caller such as the crossbar's single-row read uses.
+void gemm_row(double alpha, std::span<const double> a, const Matrix& B, Op opB, double beta,
+              std::span<double> c);
 
 /// Convenience: returns A·B.
 Matrix matmul(const Matrix& A, const Matrix& B);

@@ -126,6 +126,7 @@ public:
     Matrix& operator+=(const Matrix& rhs);
     Matrix& operator-=(const Matrix& rhs);
     Matrix& operator*=(double s);
+    Matrix& operator/=(double s);
 
     void fill(double value);
 

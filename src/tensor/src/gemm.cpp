@@ -1,10 +1,12 @@
 #include "xbarsec/tensor/gemm.hpp"
 
 #include <algorithm>
+#include <array>
 #include <atomic>
 #include <cstddef>
 #include <cstdlib>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "xbarsec/common/arena.hpp"
@@ -32,6 +34,26 @@ constexpr std::size_t kRowsPerPanel = 64;
 
 /// Smallest 2·m·n·k worth sharding (task dispatch costs microseconds).
 constexpr double kMinParallelFlops = 4.0e6;
+
+/// A stored row-major operand: element (i, j) is data[i·ld + j]. Matrix
+/// operands and gemm_row's spans both reduce to this.
+struct Operand {
+    const double* data;
+    std::size_t ld;
+};
+
+/// The output C, row-major with row stride ld.
+struct Output {
+    double* data;
+    std::size_t ld;
+};
+
+/// Whether an m×n×k product is worth sharding over `pool`'s workers.
+bool sharded(ThreadPool* pool, std::size_t m, std::size_t n, std::size_t k) {
+    return pool != nullptr && m > kRowsPerPanel &&
+           2.0 * static_cast<double>(m) * static_cast<double>(n) * static_cast<double>(k) >=
+               kMinParallelFlops;
+}
 
 // ---- micro-kernels ----------------------------------------------------------
 //
@@ -213,6 +235,65 @@ __attribute__((target("avx512f"))) void tile_avx512_12x8(const double* __restric
     }
 }
 
+// The skinny-output kernel (9 ≤ n ≤ 16, AVX-512) turns the tile around:
+// lanes run over the outputs — columns 0–7 in one zmm, columns 8..n−1 in
+// a masked zmm — and each of MR ≤ 12 rows owns one such pair. Every
+// k-step loads one row of op(B) (two loads, the second masked) and
+// broadcasts one alpha-scaled element per row of op(A) straight from the
+// operand, at row stride a_rs and k stride a_ps (either layout), so
+// nothing on the A side is packed. The packed tiles at n = 10 fill 10 of
+// 24 (AVX2 6×4) or 16 (AVX-512 8-wide strips) lanes per row and repack A
+// every micro-panel; here a 1-row product is two FMA chains and no copy.
+//
+// Per output element this is the packed tiles' chain exactly: a fused
+// multiply-add over p ascending from a zero accumulator, alpha applied to
+// the A element first, and the k-block's sum added into C at the end —
+// so the two paths agree bit for bit (pinned against forced AVX2 by
+// tests/test_kernel_variants.cpp).
+
+template <std::size_t MR, bool kScaled>
+__attribute__((target("avx512f"))) void skinny_avx512(const double* __restrict a, std::size_t a_rs,
+                                                      std::size_t a_ps, double alpha,
+                                                      const double* __restrict b, std::size_t bs,
+                                                      std::size_t kc, unsigned tail,
+                                                      double* __restrict c, std::size_t ldc) {
+    const __mmask8 mask = static_cast<__mmask8>(tail);
+    __m512d lo[MR], hi[MR];
+#pragma GCC unroll 12
+    for (std::size_t r = 0; r < MR; ++r) lo[r] = hi[r] = _mm512_setzero_pd();
+    for (std::size_t p = 0; p < kc; ++p) {
+        const __m512d b0 = _mm512_loadu_pd(b + p * bs);
+        const __m512d b1 = _mm512_maskz_loadu_pd(mask, b + p * bs + 8);
+        const double* ap = a + p * a_ps;
+#pragma GCC unroll 12
+        for (std::size_t r = 0; r < MR; ++r) {
+            const __m512d x = _mm512_set1_pd(kScaled ? alpha * ap[r * a_rs] : ap[r * a_rs]);
+            lo[r] = _mm512_fmadd_pd(x, b0, lo[r]);
+            hi[r] = _mm512_fmadd_pd(x, b1, hi[r]);
+        }
+    }
+#pragma GCC unroll 12
+    for (std::size_t r = 0; r < MR; ++r) {
+        double* crow = c + r * ldc;
+        _mm512_storeu_pd(crow, _mm512_add_pd(_mm512_loadu_pd(crow), lo[r]));
+        _mm512_mask_storeu_pd(crow + 8, mask,
+                              _mm512_add_pd(_mm512_maskz_loadu_pd(mask, crow + 8), hi[r]));
+    }
+}
+
+using SkinnyFn = void (*)(const double* __restrict, std::size_t, std::size_t, double,
+                          const double* __restrict, std::size_t, std::size_t, unsigned,
+                          double* __restrict, std::size_t);
+
+/// skinny_avx512 for every row count 1..12: entry mr − 1.
+template <bool kScaled, std::size_t... R>
+constexpr std::array<SkinnyFn, sizeof...(R)> skinny_kernels(std::index_sequence<R...>) {
+    return {&skinny_avx512<R + 1, kScaled>...};
+}
+constexpr std::size_t kSkinnyMaxRows = 12;
+constexpr auto kSkinnyScaled = skinny_kernels<true>(std::make_index_sequence<kSkinnyMaxRows>{});
+constexpr auto kSkinnyUnscaled = skinny_kernels<false>(std::make_index_sequence<kSkinnyMaxRows>{});
+
 bool avx2_available() {
     static const bool available = [] {
         __builtin_cpu_init();
@@ -238,10 +319,12 @@ bool avx512_available() { return false; }
 
 /// The tile function plus the geometry it was compiled for.
 struct KernelConfig {
-    TileFn tile;
+    TileFn tile;  ///< null: the skinny-output path (no register tile)
     std::size_t mr;
     std::size_t nr;
 };
+
+constexpr KernelConfig kSkinnyPath{nullptr, 0, 0};
 
 /// A set_kernel_variant() override; kVariantUnset defers to the
 /// environment (read once, below), which defers to Auto.
@@ -263,10 +346,10 @@ KernelVariant env_variant() {
 }
 
 KernelConfig pick_avx2(std::size_t n);
-KernelConfig pick_avx512(std::size_t m);
+KernelConfig pick_avx512(std::size_t m, std::size_t n);
 
-/// Picks the register tile for one product. Auto takes the widest arm the
-/// CPU supports, with narrower-NR geometry for skinny outputs (the paper's
+/// Picks the kernel for one product. Auto takes the widest arm the CPU
+/// supports, with narrower geometry for skinny outputs (the paper's
 /// 10-class heads) where a wide strip would waste most of its lanes on
 /// padding; a forced variant stays inside its own arm at every shape.
 ///
@@ -281,20 +364,18 @@ KernelConfig pick_kernel(std::size_t m, std::size_t n) {
         case KernelVariant::Avx2:
             return pick_avx2(n);
         case KernelVariant::Avx512:
-            return pick_avx512(m);
+            return pick_avx512(m, n);
 #endif
         default:
             break;
     }
 #ifdef XS_GEMM_HAVE_AVX2_VARIANT
-    // The 8-wide AVX-512 strips only pay for themselves when the output
-    // fills them (n ≥ 12, the same threshold as the AVX2 narrow/wide
-    // split) — at the paper's 10-class heads a 16-lane strip pair is 62%
-    // padding and the AVX2 6×4 tile measures ~15% faster for minibatch
-    // row counts. Tall outputs are the exception: with m ≥ 64 the 12-row
-    // tile amortises each padded strip load over twice the rows and wins
-    // ~20% even at n = 10 (the transpose-swapped gradient GEMMs).
-    if (avx512_available() && (n >= 12 || (n >= 8 && m >= 64))) return pick_avx512(m);
+    // On avx512f hosts 9 ≤ n ≤ 16 takes the skinny-output path at every m
+    // (2–6× the packed tiles from one row to 2048 rows in bench_gemm's
+    // skinny series) and n ≥ 17 the 12×8 / 8×8 tiles. Narrower outputs
+    // keep the AVX2 6×4 tile unless the output is tall: at n = 8 with
+    // m ≥ 64 the 12-row tile amortises each strip load over twice the rows.
+    if (avx512_available() && (n >= 9 || (n >= 8 && m >= 64))) return pick_avx512(m, n);
     if (avx2_available()) return pick_avx2(n);
 #endif
     (void)m;
@@ -308,7 +389,8 @@ KernelConfig pick_avx2(std::size_t n) {
     return {tile_avx2_6x4, 6, 4};
 }
 
-KernelConfig pick_avx512(std::size_t m) {
+KernelConfig pick_avx512(std::size_t m, std::size_t n) {
+    if (n >= 9 && n <= 16) return kSkinnyPath;
     if (m >= 12) return {tile_avx512_12x8, 12, 8};
     return {tile_avx512_8x8, 8, 8};
 }
@@ -319,14 +401,14 @@ KernelConfig pick_avx512(std::size_t m) {
 /// Packs rows [i0, i0+mr) of op(A)'s k-slice [k0, k1) into an alpha-scaled,
 /// p-major, MR-interleaved micro-panel. Rows beyond mr pad with zeros so
 /// the micro-kernel never branches on the row count.
-void pack_a(const Matrix& A, Op op, double alpha, std::size_t i0, std::size_t mr, std::size_t MR,
+void pack_a(const Operand& A, Op op, double alpha, std::size_t i0, std::size_t mr, std::size_t MR,
             std::size_t k0, std::size_t k1, double* __restrict ap) {
     const std::size_t kc = k1 - k0;
-    const std::size_t lda = A.cols();
+    const std::size_t lda = A.ld;
     if (op == Op::None) {
         for (std::size_t r = 0; r < MR; ++r) {
             if (r < mr) {
-                const double* __restrict src = A.data() + (i0 + r) * lda + k0;
+                const double* __restrict src = A.data + (i0 + r) * lda + k0;
                 for (std::size_t p = 0; p < kc; ++p) ap[p * MR + r] = alpha * src[p];
             } else {
                 for (std::size_t p = 0; p < kc; ++p) ap[p * MR + r] = 0.0;
@@ -336,12 +418,12 @@ void pack_a(const Matrix& A, Op op, double alpha, std::size_t i0, std::size_t mr
         // op(A)(i, p) = A(p, i): the stored k-rows are contiguous.
         if (mr == MR) {
             for (std::size_t p = 0; p < kc; ++p) {
-                const double* __restrict src = A.data() + (k0 + p) * lda + i0;
+                const double* __restrict src = A.data + (k0 + p) * lda + i0;
                 for (std::size_t r = 0; r < MR; ++r) ap[p * MR + r] = alpha * src[r];
             }
         } else {
             for (std::size_t p = 0; p < kc; ++p) {
-                const double* __restrict src = A.data() + (k0 + p) * lda + i0;
+                const double* __restrict src = A.data + (k0 + p) * lda + i0;
                 for (std::size_t r = 0; r < MR; ++r) {
                     ap[p * MR + r] = r < mr ? alpha * src[r] : 0.0;
                 }
@@ -352,18 +434,18 @@ void pack_a(const Matrix& A, Op op, double alpha, std::size_t i0, std::size_t mr
 
 /// Packs op(B)'s k-slice [k0, k1) into NR-wide strips (the tail strip is
 /// zero-padded). Strip s holds op(B)(k0..k1, s·NR..s·NR+NR) p-major.
-void pack_b(const Matrix& B, Op op, std::size_t n, std::size_t NR, std::size_t k0, std::size_t k1,
+void pack_b(const Operand& B, Op op, std::size_t n, std::size_t NR, std::size_t k0, std::size_t k1,
             double* __restrict bp) {
     const std::size_t kc = k1 - k0;
     const std::size_t strips = (n + NR - 1) / NR;
-    const std::size_t ldb = B.cols();
+    const std::size_t ldb = B.ld;
     if (op == Op::None) {
         for (std::size_t s = 0; s < strips; ++s) {
             const std::size_t j0 = s * NR;
             const std::size_t w = std::min(NR, n - j0);
             double* __restrict dst = bp + s * kc * NR;
             for (std::size_t p = 0; p < kc; ++p) {
-                const double* __restrict src = B.data() + (k0 + p) * ldb + j0;
+                const double* __restrict src = B.data + (k0 + p) * ldb + j0;
                 for (std::size_t j = 0; j < NR; ++j) dst[p * NR + j] = j < w ? src[j] : 0.0;
             }
         }
@@ -375,7 +457,7 @@ void pack_b(const Matrix& B, Op op, std::size_t n, std::size_t NR, std::size_t k
             for (std::size_t jj = 0; jj < NR; ++jj) {
                 const std::size_t j = j0 + jj;
                 if (j < n) {
-                    const double* __restrict src = B.data() + j * ldb + k0;
+                    const double* __restrict src = B.data + j * ldb + k0;
                     for (std::size_t p = 0; p < kc; ++p) dst[p * NR + jj] = src[p];
                 } else {
                     for (std::size_t p = 0; p < kc; ++p) dst[p * NR + jj] = 0.0;
@@ -388,13 +470,13 @@ void pack_b(const Matrix& B, Op op, std::size_t n, std::size_t NR, std::size_t k
 /// Packs the single (ragged) strip of an untransposed B starting at column
 /// j0 — the tail the direct-B path cannot read in place without running
 /// past the row end.
-void pack_b_strip(const Matrix& B, std::size_t n, std::size_t NR, std::size_t j0, std::size_t k0,
+void pack_b_strip(const Operand& B, std::size_t n, std::size_t NR, std::size_t j0, std::size_t k0,
                   std::size_t k1, double* __restrict bp) {
     const std::size_t kc = k1 - k0;
-    const std::size_t ldb = B.cols();
+    const std::size_t ldb = B.ld;
     const std::size_t w = n - j0;
     for (std::size_t p = 0; p < kc; ++p) {
-        const double* __restrict src = B.data() + (k0 + p) * ldb + j0;
+        const double* __restrict src = B.data + (k0 + p) * ldb + j0;
         for (std::size_t j = 0; j < NR; ++j) bp[p * NR + j] = j < w ? src[j] : 0.0;
     }
 }
@@ -414,12 +496,12 @@ struct BView {
 /// Runs the micro-kernel over C rows [row0, row1) against one B k-block.
 /// Each worker packs its own A micro-panels (thread-local buffer); the B
 /// panel is shared read-only.
-void gemm_rows(const KernelConfig& cfg, double alpha, const Matrix& A, Op opA, const BView& bview,
+void gemm_rows(const KernelConfig& cfg, double alpha, const Operand& A, Op opA, const BView& bview,
                std::size_t n, std::size_t k0, std::size_t k1, std::size_t row0, std::size_t row1,
-               Matrix& C) {
+               const Output& C) {
     const std::size_t kc = k1 - k0;
     const std::size_t strips = (n + cfg.nr - 1) / cfg.nr;
-    const std::size_t ldc = C.cols();
+    const std::size_t ldc = C.ld;
 
     // The A micro-panel is per-worker scratch: each worker bumps its own
     // thread arena, and the Scope rewinds it on exit, so nested pooled
@@ -445,15 +527,74 @@ void gemm_rows(const KernelConfig& cfg, double alpha, const Matrix& A, Op opA, c
                 bp = bview.tail;
                 bs = cfg.nr;
             }
-            cfg.tile(ap, bp, bs, kc, C.data() + i * ldc + j0, ldc, mr, std::min(cfg.nr, n - j0));
+            cfg.tile(ap, bp, bs, kc, C.data + i * ldc + j0, ldc, mr, std::min(cfg.nr, n - j0));
         }
     }
 }
 
+/// The skinny-output path (see skinny_avx512): C += alpha·op(A)·op(B) for
+/// 9 ≤ n ≤ 16. Rows run through the kernel twelve at a time against one
+/// k-block of op(B) — read in place when untransposed, else transposed
+/// into a kc×n block first — and row panels shard over the pool like the
+/// packed path's.
+#ifdef XS_GEMM_HAVE_AVX2_VARIANT
+void gemm_skinny(double alpha, const Operand& A, Op opA, const Operand& B, Op opB,
+                 const Output& C, std::size_t m, std::size_t n, std::size_t kA,
+                 ThreadPool* pool) {
+    const unsigned tail = (1u << (n - 8)) - 1;
+    const std::size_t a_rs = opA == Op::None ? A.ld : 1;
+    const std::size_t a_ps = opA == Op::None ? 1 : A.ld;
+    const auto& kernels = alpha == 1.0 ? kSkinnyUnscaled : kSkinnyScaled;
+
+    Arena& arena = thread_arena();
+    const Arena::Scope scratch(arena);
+    double* const bblock =
+        opB == Op::None ? nullptr : arena.alloc<double>(std::min(kBlockK, kA) * n).data();
+
+    const bool shard = sharded(pool, m, n, kA);
+    for (std::size_t k0 = 0; k0 < kA; k0 += kBlockK) {
+        const std::size_t kc = std::min(k0 + kBlockK, kA) - k0;
+        const double* b = B.data + k0 * B.ld;
+        std::size_t bs = B.ld;
+        if (opB == Op::Transpose) {
+            for (std::size_t j = 0; j < n; ++j) {
+                const double* __restrict src = B.data + j * B.ld + k0;
+                for (std::size_t p = 0; p < kc; ++p) bblock[p * n + j] = src[p];
+            }
+            b = bblock;
+            bs = n;
+        }
+        auto rows = [&](std::size_t row0, std::size_t row1) {
+            for (std::size_t i = row0; i < row1; i += kSkinnyMaxRows) {
+                const std::size_t mr = std::min(kSkinnyMaxRows, row1 - i);
+                kernels[mr - 1](A.data + i * a_rs + k0 * a_ps, a_rs, a_ps, alpha, b, bs, kc, tail,
+                                C.data + i * C.ld, C.ld);
+            }
+        };
+        if (shard) {
+            const std::size_t panels = (m + kRowsPerPanel - 1) / kRowsPerPanel;
+            parallel_for(*pool, panels, [&](std::size_t t) {
+                const std::size_t r0 = t * kRowsPerPanel;
+                rows(r0, std::min(r0 + kRowsPerPanel, m));
+            });
+        } else {
+            rows(0, m);
+        }
+    }
+}
+#endif
+
 /// C += alpha·op(A)·op(B), shapes already validated, beta already applied.
-void gemm_dispatch(double alpha, const Matrix& A, Op opA, const Matrix& B, Op opB, Matrix& C,
-                   std::size_t m, std::size_t n, std::size_t kA, ThreadPool* pool) {
+void gemm_dispatch(double alpha, const Operand& A, Op opA, const Operand& B, Op opB,
+                   const Output& C, std::size_t m, std::size_t n, std::size_t kA,
+                   ThreadPool* pool) {
     const KernelConfig cfg = pick_kernel(m, n);
+#ifdef XS_GEMM_HAVE_AVX2_VARIANT
+    if (cfg.tile == nullptr) {
+        gemm_skinny(alpha, A, opA, B, opB, C, m, n, kA, pool);
+        return;
+    }
+#endif
 
     // Skip the full B repack when the operand is already row-major and m is
     // too small to amortise it (the 10-output gradient GEMMs): the tiles
@@ -471,16 +612,13 @@ void gemm_dispatch(double alpha, const Matrix& A, Op opA, const Matrix& B, Op op
         direct_b ? kc_max * cfg.nr : strips * kc_max * cfg.nr;
     const std::span<double> bpanel = arena.alloc<double>(panel_doubles);
 
-    const bool shard = pool != nullptr && m > kRowsPerPanel &&
-                       2.0 * static_cast<double>(m) * static_cast<double>(n) *
-                               static_cast<double>(kA) >=
-                           kMinParallelFlops;
+    const bool shard = sharded(pool, m, n, kA);
     for (std::size_t k0 = 0; k0 < kA; k0 += kBlockK) {
         const std::size_t k1 = std::min(k0 + kBlockK, kA);
         BView bview;
         if (direct_b) {
-            bview.direct = B.data() + k0 * B.cols();
-            bview.ldb = B.cols();
+            bview.direct = B.data + k0 * B.ld;
+            bview.ldb = B.ld;
             if (n % cfg.nr != 0) {
                 const std::size_t tail_j0 = (n / cfg.nr) * cfg.nr;
                 pack_b_strip(B, n, cfg.nr, tail_j0, k0, k1, bpanel.data());
@@ -500,6 +638,15 @@ void gemm_dispatch(double alpha, const Matrix& A, Op opA, const Matrix& B, Op op
         } else {
             gemm_rows(cfg, alpha, A, opA, bview, n, k0, k1, 0, m, C);
         }
+    }
+}
+
+/// C = beta·C over `count` contiguous elements (0 clears, 1 keeps).
+void scale_output(double beta, double* c, std::size_t count) {
+    if (beta == 0.0) {
+        std::fill(c, c + count, 0.0);
+    } else if (beta != 1.0) {
+        for (std::size_t i = 0; i < count; ++i) c[i] *= beta;
     }
 }
 
@@ -565,12 +712,11 @@ static void gemm_impl(double alpha, const Matrix& A, Op opA, const Matrix& B, Op
     XS_EXPECTS_MSG(C.rows() == m && C.cols() == n, "gemm output shape mismatch");
     XS_EXPECTS_MSG(C.data() != A.data() && C.data() != B.data(), "gemm output aliases an input");
 
-    if (beta == 0.0) {
-        C.fill(0.0);
-    } else if (beta != 1.0) {
-        C *= beta;
-    }
+    scale_output(beta, C.data(), C.size());
     if (alpha == 0.0 || m == 0 || n == 0 || kA == 0) return;
+
+    const Operand a{A.data(), A.cols()};
+    const Operand b{B.data(), B.cols()};
 
     // Wide-and-flat products (the 10-output weight-gradient GEMMs) are
     // packing-bound: the kc×n panel repack costs more than the arithmetic
@@ -583,7 +729,7 @@ static void gemm_impl(double alpha, const Matrix& A, Op opA, const Matrix& B, Op
         Matrix ct(n, m, 0.0);
         const Op opAt = opB == Op::None ? Op::Transpose : Op::None;
         const Op opBt = opA == Op::None ? Op::Transpose : Op::None;
-        gemm_dispatch(alpha, B, opAt, A, opBt, ct, n, m, kA, pool);
+        gemm_dispatch(alpha, b, opAt, a, opBt, {ct.data(), m}, n, m, kA, pool);
         for (std::size_t i = 0; i < m; ++i) {
             double* __restrict crow = C.data() + i * n;
             const double* __restrict src = ct.data() + i;
@@ -592,7 +738,7 @@ static void gemm_impl(double alpha, const Matrix& A, Op opA, const Matrix& B, Op
         return;
     }
 
-    gemm_dispatch(alpha, A, opA, B, opB, C, m, n, kA, pool);
+    gemm_dispatch(alpha, a, opA, b, opB, {C.data(), n}, m, n, kA, pool);
 }
 
 void gemm(double alpha, const Matrix& A, Op opA, const Matrix& B, Op opB, double beta, Matrix& C,
@@ -609,6 +755,20 @@ void gemm_rowstable(double alpha, const Matrix& A, Op opA, const Matrix& B, Op o
     // each C row's accumulation chain depends only on (k, n) and row
     // content, never on m or the pool partition (pinned by test_gemm).
     gemm_impl(alpha, A, opA, B, opB, beta, C, pool, /*allow_swap=*/false);
+}
+
+void gemm_row(double alpha, std::span<const double> a, const Matrix& B, Op opB, double beta,
+              std::span<double> c) {
+    const std::size_t k = opB == Op::None ? B.rows() : B.cols();
+    const std::size_t n = opB == Op::None ? B.cols() : B.rows();
+    XS_EXPECTS_MSG(a.size() == k, "gemm_row inner dimensions disagree");
+    XS_EXPECTS_MSG(c.size() == n, "gemm_row output length mismatch");
+    XS_EXPECTS_MSG(c.data() != a.data() && c.data() != B.data(), "gemm_row output aliases an input");
+
+    scale_output(beta, c.data(), n);
+    if (alpha == 0.0 || n == 0 || k == 0) return;
+    gemm_dispatch(alpha, {a.data(), k}, Op::None, {B.data(), B.cols()}, opB, {c.data(), n}, 1, n, k,
+                  nullptr);
 }
 
 Matrix matmul(const Matrix& A, const Matrix& B) { return matmul(A, Op::None, B, Op::None); }

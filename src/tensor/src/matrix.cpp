@@ -100,6 +100,12 @@ Matrix& Matrix::operator*=(double s) {
     return *this;
 }
 
+Matrix& Matrix::operator/=(double s) {
+    XS_EXPECTS(s != 0.0);
+    for (auto& x : data_) x /= s;
+    return *this;
+}
+
 void Matrix::fill(double value) {
     std::fill(data_.begin(), data_.end(), value);
 }

@@ -21,6 +21,7 @@
 
 #include <atomic>
 #include <cstdint>
+#include <span>
 #include <utility>
 
 #include "xbarsec/common/rng.hpp"
@@ -121,13 +122,21 @@ public:
     const NonIdealityConfig& nonideality() const { return nonideal_; }
 
     /// Output currents i_s for input voltages v (Eq. 3), amperes.
-    /// Runs as a one-row batch so the result is bit-identical to the
-    /// corresponding row of any output_currents_batch call.
+    /// Runs as one row of the batch GEMM (tensor::gemm_row), so the result
+    /// is bit-identical to the corresponding row of any
+    /// output_currents_batch call.
     tensor::Vector output_currents(const tensor::Vector& v) const;
+
+    /// output_currents(v) written into `out` (rows() values): the same
+    /// measurement, noise coordinates and bits, with no heap allocation.
+    void output_currents_into(std::span<const double> v, std::span<double> out) const;
 
     /// Normalised matrix-vector product: output_currents / weight_scale,
     /// i.e. Ŵ·v in weight units (Eq. 4's s vector).
     tensor::Vector mvm(const tensor::Vector& v) const;
+
+    /// mvm(v) written into `out` (rows() values) with no heap allocation.
+    void mvm_into(std::span<const double> v, std::span<double> out) const;
 
     /// Total steady-state supply current (Eq. 5), amperes.
     double total_current(const tensor::Vector& v) const;
@@ -155,6 +164,32 @@ public:
     /// DetectX instrumentation model) observes exactly these; they sum to
     /// total_current(v).
     tensor::Vector input_line_currents(const tensor::Vector& v) const;
+
+    /// input_line_currents(v) streamed instead of stored: calls
+    /// visit(j, current_j) for every input line j in ascending order with
+    /// the bits input_line_currents would hold at j. Reserves the same one
+    /// measurement and allocates nothing — the detector folds its envelope
+    /// test into this single pass. (input_line_currents keeps its own
+    /// loop as the reference this one is pinned against.)
+    template <typename Visit>
+    void visit_input_line_currents(std::span<const double> v, Visit&& visit) const {
+        XS_EXPECTS(v.size() == cols());
+        const std::uint64_t meas = reserve_measurements(1);
+        const double* __restrict g = g_col_.data();
+        if (nonideal_.read_noise_std == 0.0) {
+            // Noise-free factors are exactly 1.0, so the multiply is
+            // dropped, and there is no branch on the (sparse,
+            // unpredictable) zero pixels: adding +0 turns an undriven
+            // line's ±0 into the +0 the noisy path stores, and leaves
+            // every other value unchanged.
+            for (std::size_t j = 0; j < v.size(); ++j) visit(j, v[j] * g[j] + 0.0);
+        } else {
+            for (std::size_t j = 0; j < v.size(); ++j) {
+                const double vj = v[j];
+                visit(j, vj == 0.0 ? 0.0 : vj * g[j] * noise_factor(meas, j));
+            }
+        }
+    }
 
     /// Static power with outputs at virtual ground: Σ_j v_j²·G_j, watts.
     double static_power(const tensor::Vector& v) const;

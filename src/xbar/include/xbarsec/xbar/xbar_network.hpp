@@ -7,6 +7,7 @@
 // attacker-facing query interface.
 #pragma once
 
+#include <span>
 #include <vector>
 
 #include "xbarsec/data/dataset.hpp"
@@ -34,8 +35,9 @@ public:
     /// Analog inference: ŷ = f(i_s / scale) (Eq. 3 + Eq. 4).
     tensor::Vector predict(const tensor::Vector& u) const;
 
-    /// Argmax class of predict(u).
-    int classify(const tensor::Vector& u) const;
+    /// Argmax class of predict(u), computed without heap allocation (the
+    /// per-query detector screen runs this for every row it scores).
+    int classify(std::span<const double> u) const;
 
     /// Batched analog inference: row r is predict(U.row(r)), computed
     /// through the crossbar's dense GEMM fast path.

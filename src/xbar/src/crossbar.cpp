@@ -94,20 +94,34 @@ std::uint64_t Crossbar::reserve_measurements(std::uint64_t n) const {
 }
 
 tensor::Vector Crossbar::output_currents(const tensor::Vector& v) const {
+    tensor::Vector out(rows());
+    output_currents_into(v.span(), out.span());
+    return out;
+}
+
+void Crossbar::output_currents_into(std::span<const double> v, std::span<double> out) const {
     XS_EXPECTS(v.size() == cols());
-    // One-row batch through the same row-stable GEMM as the batched path,
-    // so a scalar read is bit-identical to the matching batch row.
-    tensor::Matrix V(1, cols());
-    auto dst = V.row_span(0);
-    for (std::size_t j = 0; j < cols(); ++j) dst[j] = v[j];
-    tensor::Matrix out = output_currents_batch(V, nullptr);
-    return out.row(0);
+    XS_EXPECTS(out.size() == rows());
+    // One row of the batch path: the same reservation, the same row-stable
+    // GEMM chain (gemm_row), the same noise coordinates — so a scalar read
+    // is bit-identical to the matching batch row.
+    const std::uint64_t meas = reserve_measurements(1);
+    tensor::gemm_row(1.0, v, g_diff_t_, tensor::Op::None, 0.0, out);
+    if (nonideal_.read_noise_std != 0.0) {
+        for (std::size_t i = 0; i < out.size(); ++i) out[i] *= noise_factor(meas, i);
+    }
 }
 
 tensor::Vector Crossbar::mvm(const tensor::Vector& v) const {
-    tensor::Vector i_s = output_currents(v);
-    i_s /= program_.weight_scale;
-    return i_s;
+    tensor::Vector out(rows());
+    mvm_into(v.span(), out.span());
+    return out;
+}
+
+void Crossbar::mvm_into(std::span<const double> v, std::span<double> out) const {
+    XS_EXPECTS(program_.weight_scale != 0.0);
+    output_currents_into(v, out);
+    for (double& x : out) x /= program_.weight_scale;
 }
 
 double Crossbar::total_current(const tensor::Vector& v) const {
@@ -144,8 +158,10 @@ tensor::Matrix Crossbar::output_currents_batch(const tensor::Matrix& V, ThreadPo
 }
 
 tensor::Matrix Crossbar::mvm_batch(const tensor::Matrix& V, ThreadPool* pool) const {
+    // Divide, as mvm does: multiplying by the rounded reciprocal differs
+    // from the scalar path in the last bit on about half the rows.
     tensor::Matrix S = output_currents_batch(V, pool);
-    S *= 1.0 / program_.weight_scale;
+    S /= program_.weight_scale;
     return S;
 }
 

@@ -1,5 +1,8 @@
 #include "xbarsec/xbar/xbar_network.hpp"
 
+#include <algorithm>
+
+#include "xbarsec/common/arena.hpp"
 #include "xbarsec/tensor/ops.hpp"
 
 namespace xbarsec::xbar {
@@ -26,8 +29,15 @@ tensor::Vector CrossbarNetwork::predict(const tensor::Vector& u) const {
     return nn::apply_activation(activation_, crossbar_.mvm(u));
 }
 
-int CrossbarNetwork::classify(const tensor::Vector& u) const {
-    return static_cast<int>(tensor::argmax(predict(u)));
+int CrossbarNetwork::classify(std::span<const double> u) const {
+    // predict(u) in thread-arena scratch: the same mvm, activation and
+    // first-maximum argmax, so labels equal argmax(predict(u)) exactly.
+    Arena& arena = thread_arena();
+    const Arena::Scope scratch(arena);
+    const std::span<double> s = arena.alloc<double>(outputs());
+    crossbar_.mvm_into(u, s);
+    nn::apply_activation_inplace(activation_, s);
+    return static_cast<int>(std::max_element(s.begin(), s.end()) - s.begin());
 }
 
 tensor::Matrix CrossbarNetwork::predict_batch(const tensor::Matrix& U, ThreadPool* pool) const {

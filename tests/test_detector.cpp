@@ -1,13 +1,33 @@
 // Current-signature detector tests (the DetectX-style defense baseline).
 #include <gtest/gtest.h>
 
+#include <atomic>
+#include <cstdlib>
+#include <cstring>
+#include <new>
+
 #include "xbarsec/attack/fgsm.hpp"
 #include "xbarsec/attack/single_pixel.hpp"
+#include "xbarsec/core/decorators.hpp"
 #include "xbarsec/core/victim.hpp"
 #include "xbarsec/data/synthetic_mnist.hpp"
 #include "xbarsec/sidechannel/detector.hpp"
 #include "xbarsec/sidechannel/probe.hpp"
 #include "xbarsec/tensor/ops.hpp"
+
+// Counts heap allocations so the default-mode score can be pinned
+// allocation-free.
+namespace {
+std::atomic<std::size_t> g_allocations{0};
+}  // namespace
+
+void* operator new(std::size_t size) {
+    g_allocations.fetch_add(1, std::memory_order_relaxed);
+    if (void* p = std::malloc(size == 0 ? 1 : size)) return p;
+    throw std::bad_alloc();
+}
+void operator delete(void* p) noexcept { std::free(p); }
+void operator delete(void* p, std::size_t) noexcept { std::free(p); }
 
 namespace xbarsec::sidechannel {
 namespace {
@@ -151,6 +171,132 @@ TEST_F(DetectorFixture, AutoCalibrationMeetsTheFprBudget) {
     const double fpr = d.flagged_fraction(split_->test.inputs());
     EXPECT_LT(fpr, 0.25);
     EXPECT_GT(d.threshold(), 0.0);
+}
+
+/// Rows the screen equivalence tests score: clean held-out digits,
+/// strength-8 single-pixel hits (flagged), and amplified-uniform probe
+/// rows with exact zeros mixed in (undriven lines).
+tensor::Matrix mixed_rows(const data::Dataset& test, const tensor::Vector& l1) {
+    Rng rng(9);
+    const std::size_t n = 48;
+    tensor::Matrix rows(3 * n, test.input_dim());
+    for (std::size_t i = 0; i < n; ++i) {
+        const tensor::Vector clean = test.input(i);
+        const tensor::Vector hit = attack::attack_single_pixel(
+            attack::SinglePixelMethod::PowerAdd, clean, test.target(i), 8.0, &l1, nullptr, rng);
+        auto probe = rows.row_span(2 * n + i);
+        for (double& x : probe) x = rng.uniform() < 0.3 ? 0.0 : rng.uniform(0.0, 6.0);
+        std::copy(clean.begin(), clean.end(), rows.row_span(i).begin());
+        std::copy(hit.begin(), hit.end(), rows.row_span(n + i).begin());
+    }
+    return rows;
+}
+
+/// Twin deployments built and enrolled identically: each takes the same
+/// measurements in the same order, so one scores through the fused path
+/// and the other through the composed reference at equal noise coordinates.
+struct Twins {
+    xbar::CrossbarNetwork hw_a, hw_b;
+    CurrentSignatureDetector fused, reference;
+    Twins(const nn::SingleLayerNet& net, const xbar::DeviceSpec& spec,
+          const xbar::NonIdealityConfig& nonideal, const data::Dataset& enrol)
+        : hw_a(net, spec, nonideal),
+          hw_b(net, spec, nonideal),
+          fused(hw_a, enrol),
+          reference(hw_b, enrol) {}
+    // The detectors point at the sibling deployments.
+    Twins(const Twins&) = delete;
+    Twins& operator=(const Twins&) = delete;
+};
+
+std::vector<xbar::NonIdealityConfig> screen_devices() {
+    xbar::NonIdealityConfig noisy;
+    noisy.read_noise_std = 0.05;
+    return {xbar::NonIdealityConfig{}, noisy};
+}
+
+TEST_F(DetectorFixture, FusedScoreEqualsComposedReferenceBitForBit) {
+    const tensor::Vector l1 = tensor::column_abs_sums(victim_->net.weights());
+    const tensor::Matrix rows = mixed_rows(split_->test, l1);
+    const core::VictimConfig config = core::VictimConfig::defaults(core::OutputConfig::softmax_ce());
+    for (const xbar::NonIdealityConfig& nonideal : screen_devices()) {
+        Twins t(victim_->net, config.device, nonideal, split_->train.take(600));
+        ASSERT_EQ(t.fused.threshold(), t.reference.threshold());
+        std::size_t flagged = 0;
+        for (std::size_t r = 0; r < rows.rows(); ++r) {
+            const std::uint64_t before = t.hw_a.crossbar().measurement_count();
+            ASSERT_EQ(before, t.hw_b.crossbar().measurement_count());
+            const double fused = t.fused.anomaly_score(rows.row_span(r));
+            const double reference = t.reference.anomaly_score_reference(rows.row(r));
+            ASSERT_EQ(0, std::memcmp(&fused, &reference, sizeof(double)))
+                << "row " << r << " noise " << nonideal.read_noise_std << ": " << fused
+                << " vs " << reference;
+            ASSERT_EQ(t.hw_a.crossbar().measurement_count(), before + 2) << "row " << r;
+            if (fused > t.fused.threshold()) ++flagged;
+        }
+        // The mix exercises both verdicts.
+        EXPECT_GT(flagged, 0u);
+        EXPECT_LT(flagged, rows.rows());
+    }
+}
+
+TEST_F(DetectorFixture, ScreenCountsAndRefusalMatchTheReference) {
+    const tensor::Vector l1 = tensor::column_abs_sums(victim_->net.weights());
+    const tensor::Matrix rows = mixed_rows(split_->test, l1);
+    const core::VictimConfig config = core::VictimConfig::defaults(core::OutputConfig::softmax_ce());
+    for (const xbar::NonIdealityConfig& nonideal : screen_devices()) {
+        // Log-only: every row screened, flagged = reference verdicts.
+        {
+            Twins t(victim_->net, config.device, nonideal, split_->train.take(600));
+            core::DetectorScreen screen(t.fused, /*block_flagged=*/false);
+            const std::size_t flagged = screen.screen_batch(rows);
+            std::size_t expected = 0;
+            for (std::size_t r = 0; r < rows.rows(); ++r) {
+                if (t.reference.anomaly_score_reference(rows.row(r)) > t.reference.threshold()) {
+                    ++expected;
+                }
+            }
+            EXPECT_EQ(flagged, expected);
+            EXPECT_EQ(screen.screened(), rows.rows());
+            EXPECT_EQ(screen.flagged(), expected);
+            EXPECT_EQ(t.hw_a.crossbar().measurement_count(), t.hw_b.crossbar().measurement_count());
+        }
+        // Blocking: the first refused row is the reference's first flag.
+        {
+            Twins t(victim_->net, config.device, nonideal, split_->train.take(600));
+            core::DetectorScreen screen(t.fused, /*block_flagged=*/true);
+            std::size_t refused_at = rows.rows();
+            for (std::size_t r = 0; r < rows.rows() && refused_at == rows.rows(); ++r) {
+                try {
+                    screen.screen(rows.row_span(r));
+                } catch (const core::QueryRefused&) {
+                    refused_at = r;
+                }
+            }
+            std::size_t expected_at = rows.rows();
+            for (std::size_t r = 0; r < rows.rows() && expected_at == rows.rows(); ++r) {
+                if (t.reference.anomaly_score_reference(rows.row(r)) > t.reference.threshold()) {
+                    expected_at = r;
+                }
+            }
+            ASSERT_LT(expected_at, rows.rows());
+            EXPECT_EQ(refused_at, expected_at);
+            EXPECT_EQ(screen.screened(), expected_at + 1);
+            EXPECT_EQ(screen.flagged(), 1u);
+        }
+    }
+}
+
+TEST_F(DetectorFixture, DefaultModeScoreDoesNotAllocate) {
+    const tensor::Matrix rows = split_->test.take(64).inputs();
+    core::DetectorScreen screen(*detector_, /*block_flagged=*/false);
+    (void)detector_->anomaly_score(rows.row_span(0));  // warm the thread arena
+    const std::size_t before = g_allocations.load();
+    double sink = 0.0;
+    for (std::size_t r = 0; r < rows.rows(); ++r) sink += detector_->anomaly_score(rows.row_span(r));
+    (void)screen.screen_batch(rows);
+    EXPECT_EQ(g_allocations.load(), before);
+    EXPECT_GE(sink, 0.0);
 }
 
 TEST_F(DetectorFixture, Validation) {

@@ -13,7 +13,9 @@
 
 #include "xbarsec/common/threadpool.hpp"
 #include "xbarsec/tensor/ops.hpp"
+#include "xbarsec/nn/network.hpp"
 #include "xbarsec/xbar/crossbar.hpp"
+#include "xbarsec/xbar/xbar_network.hpp"
 
 namespace xbarsec::xbar {
 namespace {
@@ -161,6 +163,80 @@ TEST(NonIdealDeterminism, ScalarCallsEqualBatchRows) {
             }
             ++seed;
         }
+    }
+}
+
+TEST(NonIdealDeterminism, NetworkScalarCallsEqualBatchRows) {
+    // The network layer on top: predict/classify (one row, allocation-free)
+    // against the predict_batch/classify_batch rows, bit for bit. Both
+    // paths normalise by weight_scale with a division — a reciprocal
+    // multiply on one side differs in the last bit on about half the rows,
+    // enough to flip a near-tie label between a scalar and a batched query.
+    std::uint64_t seed = 4000;
+    for (const Shape& shape : kShapes) {
+        for (const NonIdealityConfig& c : configs()) {
+            for (const nn::Activation act : {nn::Activation::Linear, nn::Activation::Softmax}) {
+                Rng rng(seed);
+                nn::DenseLayer layer(shape.rows, shape.cols);
+                layer.weights() = tensor::Matrix::random_normal(rng, shape.rows, shape.cols);
+                const nn::SingleLayerNet net(std::move(layer), act,
+                                             act == nn::Activation::Softmax
+                                                 ? nn::Loss::CategoricalCrossentropy
+                                                 : nn::Loss::Mse);
+                const tensor::Matrix V = batch_for(shape, seed + 1, 33);
+                // One device per call sequence, so each side's measurement
+                // counter (and so its noise) starts from the same place.
+                const CrossbarNetwork predict_batched(net, spec(), c);
+                const CrossbarNetwork predict_scalar(net, spec(), c);
+                const CrossbarNetwork classify_batched(net, spec(), c);
+                const CrossbarNetwork classify_scalar(net, spec(), c);
+                const Crossbar mvm_batched(map_weights(net.weights(), spec()), c);
+                const Crossbar mvm_scalar(map_weights(net.weights(), spec()), c);
+
+                const tensor::Matrix P = predict_batched.predict_batch(V);
+                const std::vector<int> labels = classify_batched.classify_batch(V);
+                const tensor::Matrix S = mvm_batched.mvm_batch(V);
+                for (std::size_t r = 0; r < V.rows(); ++r) {
+                    const tensor::Vector p = predict_scalar.predict(V.row(r));
+                    ASSERT_EQ(0, std::memcmp(p.data(), P.row_span(r).data(),
+                                             shape.rows * sizeof(double)))
+                        << nn::to_string(act) << " predict row " << r;
+                    ASSERT_EQ(classify_scalar.classify(V.row_span(r)), labels[r])
+                        << nn::to_string(act) << " classify row " << r;
+                    const tensor::Vector s = mvm_scalar.mvm(V.row(r));
+                    ASSERT_EQ(0, std::memcmp(s.data(), S.row_span(r).data(),
+                                             shape.rows * sizeof(double)))
+                        << "mvm row " << r;
+                }
+                ++seed;
+            }
+        }
+    }
+}
+
+TEST(NonIdealDeterminism, StreamedLineCurrentsEqualTheStoredVector) {
+    // visit_input_line_currents (the detector's allocation-free pass)
+    // against input_line_currents on a twin device, bit for bit — with
+    // undriven lines of both zero signs in the input.
+    std::uint64_t seed = 5000;
+    for (const NonIdealityConfig& c : configs()) {
+        const Crossbar streamed = make({10, 784}, c, seed);
+        const Crossbar stored = make({10, 784}, c, seed);
+        tensor::Matrix V = batch_for({10, 784}, seed + 1, 9);
+        for (std::size_t r = 0; r < V.rows(); ++r) {
+            auto row = V.row_span(r);
+            for (std::size_t j = r; j < row.size(); j += 3) row[j] = (j % 2 == 0) ? 0.0 : -0.0;
+        }
+        for (std::size_t r = 0; r < V.rows(); ++r) {
+            const tensor::Vector expected = stored.input_line_currents(V.row(r));
+            std::vector<double> got(784, 1.0);
+            streamed.visit_input_line_currents(V.row_span(r),
+                                               [&](std::size_t j, double i_j) { got[j] = i_j; });
+            ASSERT_EQ(0, std::memcmp(got.data(), expected.data(), 784 * sizeof(double)))
+                << "row " << r;
+            ASSERT_EQ(streamed.measurement_count(), stored.measurement_count());
+        }
+        ++seed;
     }
 }
 

@@ -3,6 +3,7 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <cstring>
 
 #include "xbarsec/attack/surrogate.hpp"
 #include "xbarsec/common/error.hpp"
@@ -204,6 +205,96 @@ TEST(TrainSurrogate, MinibatchIterationOrderUnchangedByWorkspaceReuse) {
         }
         tensor::gemm(1.0 / static_cast<double>(b), delta, tensor::Op::Transpose, xb,
                      tensor::Op::None, 0.0, grad);
+        opt->step(slot, {ref.weights().data(), ref.weights().size()},
+                  {grad.data(), grad.size()});
+    }
+    EXPECT_EQ(got.surrogate.weights(), ref.weights());
+}
+
+/// The Eq. 9 sign-term update as train_surrogate wrote it before it
+/// became a select: one data-dependent branch per weight.
+void branchy_sign_gradient(const tensor::Matrix& W, const tensor::Vector& q, double lambda,
+                           tensor::Matrix& grad) {
+    for (std::size_t i = 0; i < W.rows(); ++i) {
+        for (std::size_t j = 0; j < W.cols(); ++j) {
+            if (W(i, j) > 0.0) grad(i, j) += lambda * q[j];
+            else if (W(i, j) < 0.0) grad(i, j) -= lambda * q[j];
+        }
+    }
+}
+
+TEST(TrainSurrogate, SignTermSelectEqualsTheBranchyUpdate) {
+    Rng rng(31);
+    tensor::Matrix W = tensor::Matrix::random_normal(rng, 10, 784);
+    // Zero weights of both signs contribute nothing; keep some of each.
+    for (std::size_t j = 0; j < 784; j += 13) W(j % 10, j) = 0.0;
+    for (std::size_t j = 5; j < 784; j += 17) W(j % 10, j) = -0.0;
+    tensor::Vector q = tensor::Vector::random_normal(rng, 784);
+    for (std::size_t j = 0; j < 784; j += 29) q[j] = 0.0;
+    const tensor::Matrix g0 = tensor::Matrix::random_normal(rng, 10, 784);
+    for (const double lambda : {0.002, 0.3, 1.0}) {
+        tensor::Matrix expected = g0;
+        branchy_sign_gradient(W, q, lambda, expected);
+        tensor::Matrix got = g0;
+        add_power_sign_gradient(W, q.span(), lambda, got);
+        ASSERT_EQ(0, std::memcmp(got.data(), expected.data(), got.size() * sizeof(double)))
+            << "lambda " << lambda;
+    }
+    tensor::Matrix wrong(3, 3);
+    EXPECT_THROW(add_power_sign_gradient(W, q.span(), 0.1, wrong), ContractViolation);
+}
+
+TEST(TrainSurrogate, PowerTermEpochMatchesABranchyReplay) {
+    // One λ > 0 epoch replayed by hand with the branchy sign update: the
+    // trainer's weights must come out bit-identical.
+    Rng rng(10);
+    const std::size_t N = 40, M = 4, Q = 37;
+    const tensor::Matrix W = tensor::Matrix::random_normal(rng, M, N);
+    const tensor::Matrix U = tensor::Matrix::random_uniform(rng, Q, N);
+    const QueryDataset q = make_queries(W, U);
+
+    SurrogateConfig c;
+    c.power_loss_weight = 0.01;
+    c.train.epochs = 1;
+    c.train.batch_size = 8;
+    c.train.learning_rate = 0.1;
+    c.train.momentum = 0.0;
+    c.train.optimizer = nn::OptimizerKind::Sgd;
+    const SurrogateTrainResult got = train_surrogate(q, c);
+
+    Rng init(c.init_seed);
+    nn::SingleLayerNet ref(init, N, M, nn::Activation::Linear, nn::Loss::Mse);
+    auto opt = nn::make_optimizer(c.train.optimizer, c.train.learning_rate, c.train.momentum);
+    const std::size_t slot = opt->register_parameter(ref.weights().size());
+    Rng shuffle(c.train.shuffle_seed);
+    std::vector<std::size_t> order(Q);
+    for (std::size_t i = 0; i < Q; ++i) order[i] = i;
+    shuffle.shuffle(order);
+
+    tensor::Matrix grad(M, N, 0.0);
+    for (std::size_t lo = 0; lo < Q; lo += c.train.batch_size) {
+        const std::size_t hi = std::min(lo + c.train.batch_size, Q);
+        const std::size_t b = hi - lo;
+        const double inv_b = 1.0 / static_cast<double>(b);
+        tensor::Matrix xb(b, N), tb(b, M);
+        for (std::size_t r = 0; r < b; ++r) {
+            for (std::size_t j = 0; j < N; ++j) xb(r, j) = q.inputs(order[lo + r], j);
+            for (std::size_t j = 0; j < M; ++j) tb(r, j) = q.outputs(order[lo + r], j);
+        }
+        tensor::Matrix sb(b, M, 0.0);
+        tensor::gemm(1.0, xb, tensor::Op::None, ref.weights(), tensor::Op::Transpose, 0.0, sb);
+        tensor::Matrix delta(b, M);
+        const double out_scale = 2.0 / static_cast<double>(M);
+        for (std::size_t r = 0; r < b; ++r) {
+            for (std::size_t j = 0; j < M; ++j) delta(r, j) = out_scale * (sb(r, j) - tb(r, j));
+        }
+        tensor::gemm(inv_b, delta, tensor::Op::Transpose, xb, tensor::Op::None, 0.0, grad);
+        const tensor::Vector p_hat = surrogate_power_batch(ref.weights(), xb);
+        tensor::Vector e(b);
+        for (std::size_t r = 0; r < b; ++r) e[r] = p_hat[r] - q.power[order[lo + r]];
+        e *= 2.0 * inv_b;
+        branchy_sign_gradient(ref.weights(), tensor::matvec_transposed(xb, e),
+                              c.power_loss_weight, grad);
         opt->step(slot, {ref.weights().data(), ref.weights().size()},
                   {grad.data(), grad.size()});
     }
