@@ -21,7 +21,10 @@
 // from one row to full batches on every arm (repeated trials, host core
 // count recorded); on avx512f hosts the full run also fails if the
 // skinny-output path is slower than the AVX2 packed tiles at any of its
-// shapes.
+// shapes. A last series times the Eq. 9 surrogate fit per minibatch at the
+// extract shapes, train_surrogate against train_surrogate_reference; where
+// the AVX-512 step applies, the full run fails unless it is >= 1.5x the
+// reference at every shape.
 #include <algorithm>
 #include <cstdio>
 #include <iostream>
@@ -30,6 +33,7 @@
 #include <vector>
 
 #include "record.hpp"
+#include "xbarsec/attack/surrogate.hpp"
 #include "xbarsec/common/cli.hpp"
 #include "xbarsec/common/rng.hpp"
 #include "xbarsec/common/table.hpp"
@@ -597,6 +601,95 @@ int main(int argc, char** argv) {
             pass = false;
             std::cout << "FAIL: arena-backed trainer path best speedup "
                       << Table::format_number(best_path_speedup, 2) << "x (target >= 1.2x)\n";
+        }
+
+        // ---- surrogate-training step --------------------------------------
+        //
+        // Per-minibatch time of Eq. 9's surrogate fit at the extract
+        // workload's shapes (784 -> 10, batches of 32, its epoch schedule
+        // for each query budget Q, lambda 0 and 0.002): train_surrogate
+        // (the AVX-512 step where it applies) against the composed
+        // reference loop it must equal bit for bit. Repeated trials of a
+        // whole fit, divided by its minibatch count.
+        struct StepShape {
+            std::size_t queries, epochs;
+            double lambda;
+        };
+        const std::size_t step_trials = cli.boolean("smoke") ? 2 : 15;
+        const std::vector<StepShape> step_shapes = {
+            {256, 150, 0.0}, {256, 150, 0.002}, {1024, 39, 0.0}, {1024, 39, 0.002}};
+        Table sstable({"Shape", "Step us", "Reference us", "Reference/Step"});
+        std::size_t step_misses = 0;
+        bool step_applies = false;
+        for (const StepShape& ss : step_shapes) {
+            Rng rng(ss.queries + 11);
+            const Matrix W = Matrix::random_normal(rng, 10, 784);
+            attack::QueryDataset q;
+            q.inputs = Matrix::random_uniform(rng, ss.queries, 784);
+            q.outputs = Matrix(ss.queries, 10, 0.0);
+            tensor::gemm(1.0, q.inputs, Op::None, W, Op::Transpose, 0.0, q.outputs);
+            q.power = tensor::matvec(q.inputs, tensor::column_abs_sums(W));
+            attack::SurrogateConfig sc;
+            sc.power_loss_weight = ss.lambda;
+            sc.train.epochs = cli.boolean("smoke") ? 2 : ss.epochs;
+            sc.train.batch_size = 32;
+            sc.train.learning_rate = 0.01;
+            sc.train.momentum = 0.9;
+            sc.train.final_lr_fraction = 0.1;
+            const double steps = static_cast<double>(sc.train.epochs * ((ss.queries + 31) / 32));
+            step_applies = attack::avx512_surrogate_step_applies(784, 10, sc.train);
+
+            const auto per_step_us = [&](auto&& fit) {
+                fit();  // warm
+                std::vector<double> us;
+                for (std::size_t t = 0; t < step_trials; ++t) {
+                    WallTimer timer;
+                    fit();
+                    us.push_back(timer.seconds() * 1e6 / steps);
+                }
+                std::sort(us.begin(), us.end());
+                return us;
+            };
+            const std::vector<double> step =
+                per_step_us([&] { (void)attack::train_surrogate(q, sc); });
+            const std::vector<double> ref =
+                per_step_us([&] { (void)attack::train_surrogate_reference(q, sc); });
+            const double step_med = step[step.size() / 2], ref_med = ref[ref.size() / 2];
+            const double ratio = ref_med / step_med;
+            std::string label = "surrogate step 784->10 batch 32 Q=";
+            label += std::to_string(ss.queries);
+            label += " lambda=";
+            label += Table::format_number(ss.lambda, 3);
+            rec.begin(label);
+            rec.add("queries", static_cast<long long>(ss.queries));
+            rec.add("batch_size", 32ll);
+            rec.add("lambda", ss.lambda);
+            rec.add("epochs", static_cast<long long>(sc.train.epochs));
+            rec.add("cores", static_cast<long long>(cores));
+            rec.add("trials", static_cast<long long>(step_trials));
+            rec.add("avx512_step", static_cast<long long>(step_applies));
+            rec.add("us_median_step", step_med);
+            rec.add("us_min_step", step.front());
+            rec.add("us_max_step", step.back());
+            rec.add("us_median_reference", ref_med);
+            rec.add("us_min_reference", ref.front());
+            rec.add("us_max_reference", ref.back());
+            rec.add("speedup_step_vs_reference", ratio);
+            sstable.begin_row();
+            sstable.add(label);
+            sstable.add(step_med, 2);
+            sstable.add(ref_med, 2);
+            sstable.add(ratio, 2);
+            if (ratio < 1.5) ++step_misses;
+        }
+        std::cout << "\n## Surrogate-training step (per minibatch; " << step_trials
+                  << " trials, median us, " << cores << " cores, "
+                  << (step_applies ? "AVX-512 step" : "reference loop on both sides") << ")\n\n"
+                  << sstable;
+        if (!cli.boolean("smoke") && step_applies && step_misses > 0) {
+            pass = false;
+            std::cout << "FAIL: the AVX-512 surrogate step is under 1.5x the reference loop on "
+                      << step_misses << " shapes\n";
         }
 
         const std::string out_path = cli.str("out");

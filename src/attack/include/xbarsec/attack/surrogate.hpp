@@ -61,14 +61,34 @@ tensor::Vector surrogate_power_batch(const tensor::Matrix& W, const tensor::Matr
 /// where a zero weight contributes nothing. One call per λ > 0 minibatch
 /// step of train_surrogate. The sign is applied arithmetically rather than
 /// by branching on it (weights of random sign mispredict such a branch on
-/// about half the elements); the result is the same bits as the branchy
-/// update.
+/// about half the elements), in an AVX-512 loop while that kernel arm is in
+/// effect; the result is the same bits as the branchy update.
 void add_power_sign_gradient(const tensor::Matrix& W, std::span<const double> q, double lambda,
                              tensor::Matrix& grad);
 
 /// Fits a linear (Linear+Mse) surrogate to the query data with Eq. 9's
 /// loss via minibatch SGD. Throws ConfigError on shape mismatches.
+///
+/// Where avx512_surrogate_step_applies, each minibatch runs an AVX-512 step
+/// that reads the batch's rows in place and allocates nothing; everywhere
+/// else it runs train_surrogate_reference. Both give the same weights and
+/// epoch losses bit for bit.
 SurrogateTrainResult train_surrogate(const QueryDataset& queries, const SurrogateConfig& config);
+
+/// train_surrogate's composed loop: per minibatch, gathered copies of the
+/// rows, gemm() products and scalar loops for Eq. 9's power term and the
+/// optimizer step. It is the fit on every host and config without the
+/// AVX-512 step, and the ground truth the step is tested against.
+SurrogateTrainResult train_surrogate_reference(const QueryDataset& queries,
+                                               const SurrogateConfig& config);
+
+/// Whether train_surrogate takes the AVX-512 step for an inputs → outputs
+/// surrogate trained with `train`: the host and the kernel variant in
+/// effect admit tensor::trainer_kernels_apply(outputs, inputs), and the
+/// optimizer is Sgd with momentum > 0. Decided from the host and the
+/// config alone; there is no switch for it.
+bool avx512_surrogate_step_applies(std::size_t inputs, std::size_t outputs,
+                                   const nn::TrainConfig& train);
 
 /// Closed-form baseline for the Q ≥ N regime (Section IV's observation
 /// that W = U†·Ŷ): least-squares fit, ignoring the power channel. Ridge

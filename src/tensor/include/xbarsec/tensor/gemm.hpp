@@ -61,6 +61,11 @@ KernelVariant forced_kernel_variant();
 /// Whether this CPU can run `v` (Auto and Portable are always available).
 bool kernel_variant_available(KernelVariant v);
 
+/// Whether the AVX-512 arm is in effect: forced, or Auto on an avx512f
+/// host (where Auto still gives products up to 8 columns wide the AVX2
+/// tiles). Forcing portable or avx2 turns it off.
+bool avx512_in_effect();
+
 /// Lower-case name, matching the XBARSEC_FORCE_KERNEL spelling.
 const char* to_string(KernelVariant v);
 
@@ -93,6 +98,39 @@ void gemm_rowstable(double alpha, const Matrix& A, Op opA, const Matrix& B, Op o
 /// per-query caller such as the crossbar's single-row read uses.
 void gemm_row(double alpha, std::span<const double> a, const Matrix& B, Op opB, double beta,
               std::span<double> c);
+
+// ---- minibatch-trainer kernels (AVX-512) ------------------------------------
+//
+// A single-layer trainer's two products per minibatch over X, the batch's
+// rows read in place through row pointers (no gathered copy): the forward
+// S = X·Wᵀ and the weight gradient G = alpha·Δᵀ·X. Each output element is
+// produced by exactly the accumulation chain gemm() gives the same product
+// on a gathered copy of X — the forward runs the skinny-output kernel, and
+// the gradient keeps the chain of gemm()'s transpose-swap onto it (alpha
+// applied to the X element, one fused chain per ≤ 256-row block of the
+// batch, blocks added in order into a zeroed G) while running its lanes
+// over the inputs and writing G in W's layout. So the results are
+// bit-identical to those gemm() calls, which is what lets a trainer swap
+// them in (tests/test_surrogate.cpp). Neither call touches the heap.
+
+/// Whether the kernels below run for an outputs×inputs weight matrix on
+/// this host under the kernel variant in effect: the AVX-512 arm (avx512f
+/// under Auto, or forced avx512), 9 ≤ outputs ≤ 12 and inputs ≥ 64 — the
+/// shapes whose gemm() products take the skinny path. Calling them
+/// otherwise is a contract violation.
+bool trainer_kernels_apply(std::size_t outputs, std::size_t inputs);
+
+/// S = X·Wᵀ, with row r of X at rows[r] (W.cols() long) and S row-major
+/// (rows.size() × W.rows()). Bit-identical to
+/// gemm(1.0, X, Op::None, W, Op::Transpose, 0.0, S).
+void gemm_gathered_forward(std::span<const double* const> rows, const Matrix& W,
+                           std::span<double> S);
+
+/// G = alpha·Δᵀ·X, with Δ row-major (rows.size() × G.rows()) and row r of
+/// X at rows[r] (G.cols() long). Bit-identical to
+/// gemm(alpha, Δ, Op::Transpose, X, Op::None, 0.0, G).
+void gemm_gathered_weight_gradient(double alpha, std::span<const double> delta,
+                                   std::span<const double* const> rows, Matrix& G);
 
 /// Convenience: returns A·B.
 Matrix matmul(const Matrix& A, const Matrix& B);

@@ -48,6 +48,17 @@ struct Output {
     std::size_t ld;
 };
 
+/// Whether gemm() computes an m×n product as its transpose: the
+/// wide-and-flat shapes of the 10-output weight gradients (see gemm_impl).
+constexpr std::size_t kSwapMaxRows = 12;
+bool swaps_to_transpose(std::size_t m, std::size_t n) {
+    return m <= kSwapMaxRows && n >= 64 && n >= 4 * m;
+}
+
+/// Whether n outputs take the skinny-output path on the AVX-512 arm.
+constexpr std::size_t kSkinnyMinCols = 9;
+bool skinny_outputs(std::size_t n) { return n >= kSkinnyMinCols && n <= 16; }
+
 /// Whether an m×n×k product is worth sharding over `pool`'s workers.
 bool sharded(ThreadPool* pool, std::size_t m, std::size_t n, std::size_t k) {
     return pool != nullptr && m > kRowsPerPanel &&
@@ -250,10 +261,28 @@ __attribute__((target("avx512f"))) void tile_avx512_12x8(const double* __restric
 // the A element first, and the k-block's sum added into C at the end —
 // so the two paths agree bit for bit (pinned against forced AVX2 by
 // tests/test_kernel_variants.cpp).
+//
+// op(A) reaches the kernel through an accessor for the current row panel
+// and k-block: StridedRows reads a stored operand in either layout,
+// GatheredRows reads rows picked by a minibatch order through row
+// pointers (gemm_gathered_forward), so a trainer never copies them.
 
-template <std::size_t MR, bool kScaled>
-__attribute__((target("avx512f"))) void skinny_avx512(const double* __restrict a, std::size_t a_rs,
-                                                      std::size_t a_ps, double alpha,
+/// Element (r, p) = a[r·rs + p·ps].
+struct StridedRows {
+    const double* a;
+    std::size_t rs, ps;
+    double operator()(std::size_t r, std::size_t p) const { return a[r * rs + p * ps]; }
+};
+
+/// Element (r, p) = rows[r][k0 + p].
+struct GatheredRows {
+    const double* const* rows;
+    std::size_t k0;
+    double operator()(std::size_t r, std::size_t p) const { return rows[r][k0 + p]; }
+};
+
+template <std::size_t MR, bool kScaled, class ARows>
+__attribute__((target("avx512f"))) void skinny_avx512(ARows a, double alpha,
                                                       const double* __restrict b, std::size_t bs,
                                                       std::size_t kc, unsigned tail,
                                                       double* __restrict c, std::size_t ldc) {
@@ -264,10 +293,9 @@ __attribute__((target("avx512f"))) void skinny_avx512(const double* __restrict a
     for (std::size_t p = 0; p < kc; ++p) {
         const __m512d b0 = _mm512_loadu_pd(b + p * bs);
         const __m512d b1 = _mm512_maskz_loadu_pd(mask, b + p * bs + 8);
-        const double* ap = a + p * a_ps;
 #pragma GCC unroll 12
         for (std::size_t r = 0; r < MR; ++r) {
-            const __m512d x = _mm512_set1_pd(kScaled ? alpha * ap[r * a_rs] : ap[r * a_rs]);
+            const __m512d x = _mm512_set1_pd(kScaled ? alpha * a(r, p) : a(r, p));
             lo[r] = _mm512_fmadd_pd(x, b0, lo[r]);
             hi[r] = _mm512_fmadd_pd(x, b1, hi[r]);
         }
@@ -281,18 +309,126 @@ __attribute__((target("avx512f"))) void skinny_avx512(const double* __restrict a
     }
 }
 
-using SkinnyFn = void (*)(const double* __restrict, std::size_t, std::size_t, double,
-                          const double* __restrict, std::size_t, std::size_t, unsigned,
-                          double* __restrict, std::size_t);
+template <class ARows>
+using SkinnyFn = void (*)(ARows, double, const double* __restrict, std::size_t, std::size_t,
+                          unsigned, double* __restrict, std::size_t);
 
 /// skinny_avx512 for every row count 1..12: entry mr − 1.
-template <bool kScaled, std::size_t... R>
-constexpr std::array<SkinnyFn, sizeof...(R)> skinny_kernels(std::index_sequence<R...>) {
-    return {&skinny_avx512<R + 1, kScaled>...};
+template <class ARows, bool kScaled, std::size_t... R>
+constexpr std::array<SkinnyFn<ARows>, sizeof...(R)> skinny_kernels(std::index_sequence<R...>) {
+    return {&skinny_avx512<R + 1, kScaled, ARows>...};
 }
 constexpr std::size_t kSkinnyMaxRows = 12;
-constexpr auto kSkinnyScaled = skinny_kernels<true>(std::make_index_sequence<kSkinnyMaxRows>{});
-constexpr auto kSkinnyUnscaled = skinny_kernels<false>(std::make_index_sequence<kSkinnyMaxRows>{});
+template <class ARows, bool kScaled>
+constexpr auto kSkinny = skinny_kernels<ARows, kScaled>(std::make_index_sequence<kSkinnyMaxRows>{});
+
+/// _mm512_shuffle_f64x2 in its full-mask maskz form: the plain form's
+/// undefined pass-through operand trips GCC 12's -Wmaybe-uninitialized.
+template <int kImm>
+__attribute__((target("avx512f"), always_inline)) inline __m512d lanes(__m512d a, __m512d b) {
+    return _mm512_maskz_shuffle_f64x2(0xFF, a, b, kImm);
+}
+
+/// out[p·n + j] = B[j·ldb + p] for j < n, p < kc: a kc×n block of Bᵀ
+/// (n ≥ 8), eight k-columns at a time through an 8×8 register transpose
+/// of B's first eight rows; rows 8..n−1 and the last kc mod 8 columns are
+/// copied element by element.
+__attribute__((target("avx512f"))) void transpose_block_avx512(const double* __restrict B,
+                                                               std::size_t ldb, std::size_t n,
+                                                               std::size_t kc,
+                                                               double* __restrict out) {
+    constexpr int kEven = 0x88;  // 128-bit lanes 0, 2 of a, then of b
+    constexpr int kOdd = 0xDD;   // lanes 1, 3
+    std::size_t p = 0;
+    for (; p + 8 <= kc; p += 8) {
+        __m512d r[8], t[8];
+        for (std::size_t i = 0; i < 8; ++i) r[i] = _mm512_loadu_pd(B + i * ldb + p);
+        for (std::size_t i = 0; i < 8; i += 2) {
+            t[i] = _mm512_maskz_unpacklo_pd(0xFF, r[i], r[i + 1]);
+            t[i + 1] = _mm512_maskz_unpackhi_pd(0xFF, r[i], r[i + 1]);
+        }
+        // t[0] = (r0[0] r1[0] | r0[2] r1[2] | r0[4] r1[4] | r0[6] r1[6]) and
+        // t[1] the odd columns; two rounds of 128-bit lane shuffles gather
+        // each column's pairs from all eight rows.
+        r[0] = lanes<kEven>(t[0], t[2]);
+        r[1] = lanes<kEven>(t[1], t[3]);
+        r[2] = lanes<kOdd>(t[0], t[2]);
+        r[3] = lanes<kOdd>(t[1], t[3]);
+        r[4] = lanes<kEven>(t[4], t[6]);
+        r[5] = lanes<kEven>(t[5], t[7]);
+        r[6] = lanes<kOdd>(t[4], t[6]);
+        r[7] = lanes<kOdd>(t[5], t[7]);
+        for (std::size_t q = 0; q < 4; ++q) {
+            _mm512_storeu_pd(out + (p + q) * n, lanes<kEven>(r[q], r[q + 4]));
+            _mm512_storeu_pd(out + (p + q + 4) * n, lanes<kOdd>(r[q], r[q + 4]));
+        }
+        for (std::size_t j = 8; j < n; ++j) {
+            const double* __restrict src = B + j * ldb + p;
+            for (std::size_t q = 0; q < 8; ++q) out[(p + q) * n + j] = src[q];
+        }
+    }
+    for (; p < kc; ++p) {
+        for (std::size_t j = 0; j < n; ++j) out[p * n + j] = B[j * ldb + p];
+    }
+}
+
+// The weight-gradient kernel of gemm_gathered_weight_gradient: G = α·Δᵀ·X
+// for an NO-output head (9 ≤ NO ≤ 12), X's rows read through row pointers.
+// Lanes run over inputs: one 16-input tile of every output row is 2·NO
+// zmm accumulators, and each minibatch row costs two loads of X, two
+// α-multiplies and one δ broadcast per output.
+//
+// Per element this is the chain gemm() gives the same product through its
+// wide-and-flat transpose-swap onto the skinny path: α is applied to the
+// input element, the fused chain runs over the rows of one ≤ kBlockK-row
+// block from a zero accumulator, and the block's sum is added into G —
+// into zero for the first block (`first`), so G needs no clearing.
+
+template <std::size_t NO>
+__attribute__((target("avx512f"))) void gradient_tile_avx512(
+    const double* const* rows, std::size_t j, unsigned tile_mask, const double* __restrict delta,
+    std::size_t r0, std::size_t r1, double alpha, bool first, double* __restrict g,
+    std::size_t ldg) {
+    const __mmask8 m0 = static_cast<__mmask8>(tile_mask);
+    const __mmask8 m1 = static_cast<__mmask8>(tile_mask >> 8);
+    const __m512d va = _mm512_set1_pd(alpha);
+    __m512d lo[NO], hi[NO];
+#pragma GCC unroll 12
+    for (std::size_t o = 0; o < NO; ++o) lo[o] = hi[o] = _mm512_setzero_pd();
+    for (std::size_t r = r0; r < r1; ++r) {
+        const double* x = rows[r] + j;
+        const __m512d x0 = _mm512_mul_pd(va, _mm512_maskz_loadu_pd(m0, x));
+        const __m512d x1 = _mm512_mul_pd(va, _mm512_maskz_loadu_pd(m1, x + 8));
+        const double* d = delta + r * NO;
+#pragma GCC unroll 12
+        for (std::size_t o = 0; o < NO; ++o) {
+            const __m512d dv = _mm512_set1_pd(d[o]);
+            lo[o] = _mm512_fmadd_pd(x0, dv, lo[o]);
+            hi[o] = _mm512_fmadd_pd(x1, dv, hi[o]);
+        }
+    }
+#pragma GCC unroll 12
+    for (std::size_t o = 0; o < NO; ++o) {
+        double* grow = g + o * ldg + j;
+        const __m512d c0 = first ? _mm512_setzero_pd() : _mm512_maskz_loadu_pd(m0, grow);
+        const __m512d c1 = first ? _mm512_setzero_pd() : _mm512_maskz_loadu_pd(m1, grow + 8);
+        _mm512_mask_storeu_pd(grow, m0, _mm512_add_pd(c0, lo[o]));
+        _mm512_mask_storeu_pd(grow + 8, m1, _mm512_add_pd(c1, hi[o]));
+    }
+}
+
+using GradientTileFn = void (*)(const double* const*, std::size_t, unsigned,
+                                const double* __restrict, std::size_t, std::size_t, double, bool,
+                                double* __restrict, std::size_t);
+
+/// gradient_tile_avx512 for every output count the trainer kernels cover,
+/// kSkinnyMinCols..kSwapMaxRows: entry NO − kSkinnyMinCols.
+template <std::size_t... R>
+constexpr std::array<GradientTileFn, sizeof...(R)> gradient_kernels(std::index_sequence<R...>) {
+    return {&gradient_tile_avx512<R + kSkinnyMinCols>...};
+}
+constexpr auto kGradientTiles =
+    gradient_kernels(std::make_index_sequence<kSwapMaxRows - kSkinnyMinCols + 1>{});
 
 bool avx2_available() {
     static const bool available = [] {
@@ -390,7 +526,7 @@ KernelConfig pick_avx2(std::size_t n) {
 }
 
 KernelConfig pick_avx512(std::size_t m, std::size_t n) {
-    if (n >= 9 && n <= 16) return kSkinnyPath;
+    if (skinny_outputs(n)) return kSkinnyPath;
     if (m >= 12) return {tile_avx512_12x8, 12, 8};
     return {tile_avx512_8x8, 8, 8};
 }
@@ -533,18 +669,18 @@ void gemm_rows(const KernelConfig& cfg, double alpha, const Operand& A, Op opA, 
 }
 
 /// The skinny-output path (see skinny_avx512): C += alpha·op(A)·op(B) for
-/// 9 ≤ n ≤ 16. Rows run through the kernel twelve at a time against one
-/// k-block of op(B) — read in place when untransposed, else transposed
+/// 9 ≤ n ≤ 16, where `panel(i, k0)` is the accessor for op(A)'s rows from i
+/// on at k-block k0. Rows run through the kernel twelve at a time against
+/// one k-block of op(B) — read in place when untransposed, else transposed
 /// into a kc×n block first — and row panels shard over the pool like the
 /// packed path's.
 #ifdef XS_GEMM_HAVE_AVX2_VARIANT
-void gemm_skinny(double alpha, const Operand& A, Op opA, const Operand& B, Op opB,
-                 const Output& C, std::size_t m, std::size_t n, std::size_t kA,
-                 ThreadPool* pool) {
+template <class PanelAt>
+void gemm_skinny(PanelAt panel, double alpha, const Operand& B, Op opB, const Output& C,
+                 std::size_t m, std::size_t n, std::size_t kA, ThreadPool* pool) {
+    using ARows = decltype(panel(std::size_t{0}, std::size_t{0}));
     const unsigned tail = (1u << (n - 8)) - 1;
-    const std::size_t a_rs = opA == Op::None ? A.ld : 1;
-    const std::size_t a_ps = opA == Op::None ? 1 : A.ld;
-    const auto& kernels = alpha == 1.0 ? kSkinnyUnscaled : kSkinnyScaled;
+    const auto& kernels = alpha == 1.0 ? kSkinny<ARows, false> : kSkinny<ARows, true>;
 
     Arena& arena = thread_arena();
     const Arena::Scope scratch(arena);
@@ -557,18 +693,14 @@ void gemm_skinny(double alpha, const Operand& A, Op opA, const Operand& B, Op op
         const double* b = B.data + k0 * B.ld;
         std::size_t bs = B.ld;
         if (opB == Op::Transpose) {
-            for (std::size_t j = 0; j < n; ++j) {
-                const double* __restrict src = B.data + j * B.ld + k0;
-                for (std::size_t p = 0; p < kc; ++p) bblock[p * n + j] = src[p];
-            }
+            transpose_block_avx512(B.data + k0, B.ld, n, kc, bblock);
             b = bblock;
             bs = n;
         }
         auto rows = [&](std::size_t row0, std::size_t row1) {
             for (std::size_t i = row0; i < row1; i += kSkinnyMaxRows) {
                 const std::size_t mr = std::min(kSkinnyMaxRows, row1 - i);
-                kernels[mr - 1](A.data + i * a_rs + k0 * a_ps, a_rs, a_ps, alpha, b, bs, kc, tail,
-                                C.data + i * C.ld, C.ld);
+                kernels[mr - 1](panel(i, k0), alpha, b, bs, kc, tail, C.data + i * C.ld, C.ld);
             }
         };
         if (shard) {
@@ -591,7 +723,12 @@ void gemm_dispatch(double alpha, const Operand& A, Op opA, const Operand& B, Op 
     const KernelConfig cfg = pick_kernel(m, n);
 #ifdef XS_GEMM_HAVE_AVX2_VARIANT
     if (cfg.tile == nullptr) {
-        gemm_skinny(alpha, A, opA, B, opB, C, m, n, kA, pool);
+        const std::size_t a_rs = opA == Op::None ? A.ld : 1;
+        const std::size_t a_ps = opA == Op::None ? 1 : A.ld;
+        const auto panel = [&](std::size_t i, std::size_t k0) {
+            return StridedRows{A.data + i * a_rs + k0 * a_ps, a_rs, a_ps};
+        };
+        gemm_skinny(panel, alpha, B, opB, C, m, n, kA, pool);
         return;
     }
 #endif
@@ -679,6 +816,11 @@ bool kernel_variant_available(KernelVariant v) {
     return false;
 }
 
+bool avx512_in_effect() {
+    const KernelVariant v = forced_kernel_variant();
+    return v == KernelVariant::Avx512 || (v == KernelVariant::Auto && avx512_available());
+}
+
 const char* to_string(KernelVariant v) {
     switch (v) {
         case KernelVariant::Auto:
@@ -725,8 +867,13 @@ static void gemm_impl(double alpha, const Matrix& A, Op opA, const Matrix& B, Op
     // once, used, and discarded — and makes the small operand the packed
     // panel that every row block reuses. The extra transpose-add touches
     // only m·n elements.
-    if (allow_swap && m <= 12 && n >= 64 && n >= 4 * m) {
-        Matrix ct(n, m, 0.0);
+    // The n×m transpose is zeroed scratch off the thread arena, so the
+    // trainers' per-minibatch gradient products stay off the heap.
+    if (allow_swap && swaps_to_transpose(m, n)) {
+        Arena& arena = thread_arena();
+        const Arena::Scope scratch(arena);
+        const std::span<double> ct = arena.alloc<double>(n * m);
+        std::fill(ct.begin(), ct.end(), 0.0);
         const Op opAt = opB == Op::None ? Op::Transpose : Op::None;
         const Op opBt = opA == Op::None ? Op::Transpose : Op::None;
         gemm_dispatch(alpha, b, opAt, a, opBt, {ct.data(), m}, n, m, kA, pool);
@@ -769,6 +916,48 @@ void gemm_row(double alpha, std::span<const double> a, const Matrix& B, Op opB, 
     if (alpha == 0.0 || n == 0 || k == 0) return;
     gemm_dispatch(alpha, {a.data(), k}, Op::None, {B.data(), B.cols()}, opB, {c.data(), n}, 1, n, k,
                   nullptr);
+}
+
+bool trainer_kernels_apply(std::size_t outputs, std::size_t inputs) {
+    // Both products take the skinny path under the AVX-512 arm; the
+    // gradient reaches it through the transpose-swap.
+    return avx512_in_effect() && skinny_outputs(outputs) && swaps_to_transpose(outputs, inputs);
+}
+
+void gemm_gathered_forward(std::span<const double* const> rows, const Matrix& W,
+                           std::span<double> S) {
+    const std::size_t b = rows.size(), n = W.rows(), k = W.cols();
+    XS_EXPECTS_MSG(trainer_kernels_apply(n, k), "gemm_gathered_forward: kernels not available");
+    XS_EXPECTS_MSG(S.size() == b * n, "gemm_gathered_forward output length mismatch");
+    std::fill(S.begin(), S.end(), 0.0);
+#ifdef XS_GEMM_HAVE_AVX2_VARIANT
+    const auto panel = [&](std::size_t i, std::size_t k0) {
+        return GatheredRows{rows.data() + i, k0};
+    };
+    gemm_skinny(panel, 1.0, {W.data(), k}, Op::Transpose, {S.data(), n}, b, n, k, nullptr);
+#endif
+}
+
+void gemm_gathered_weight_gradient(double alpha, std::span<const double> delta,
+                                   std::span<const double* const> rows, Matrix& G) {
+    const std::size_t b = rows.size(), n = G.rows(), k = G.cols();
+    XS_EXPECTS_MSG(trainer_kernels_apply(n, k),
+                   "gemm_gathered_weight_gradient: kernels not available");
+    XS_EXPECTS_MSG(delta.size() == b * n, "gemm_gathered_weight_gradient delta shape mismatch");
+    if (alpha == 0.0 || b == 0) {
+        G.fill(0.0);
+        return;
+    }
+#ifdef XS_GEMM_HAVE_AVX2_VARIANT
+    const GradientTileFn tile = kGradientTiles[n - kSkinnyMinCols];
+    for (std::size_t j = 0; j < k; j += 16) {
+        const unsigned mask = (1u << std::min<std::size_t>(16, k - j)) - 1;
+        for (std::size_t r0 = 0; r0 < b; r0 += kBlockK) {
+            tile(rows.data(), j, mask, delta.data(), r0, std::min(r0 + kBlockK, b), alpha, r0 == 0,
+                 G.data(), k);
+        }
+    }
+#endif
 }
 
 Matrix matmul(const Matrix& A, const Matrix& B) { return matmul(A, Op::None, B, Op::None); }

@@ -4,8 +4,9 @@
 // moved onto the arena layer (common/arena.hpp raw tier, tensor/workspace.hpp
 // Matrix tier). These tests pin the contracts that move relies on:
 // alignment, reset/reuse without reallocation, LIFO Scope rewind, per-thread
-// disjointness under nested parallel_for, and — the end-to-end invariant —
-// that every trainer produces bit-identical weights with the arena on or off.
+// disjointness under nested parallel_for, and — the end-to-end invariants —
+// that every trainer produces bit-identical weights with the arena on or off,
+// and that with it on a minibatch step makes no heap allocation.
 #include <gtest/gtest.h>
 
 #include <cstdint>
@@ -20,6 +21,10 @@
 #include "xbarsec/nn/mlp_trainer.hpp"
 #include "xbarsec/nn/trainer.hpp"
 #include "xbarsec/tensor/workspace.hpp"
+
+// Counts heap allocations so the trainers' minibatch steps can be pinned
+// allocation-free.
+#include "alloc_counter.hpp"
 
 namespace xbarsec {
 namespace {
@@ -218,6 +223,28 @@ TEST(WorkspaceTrainer, MlpWeightsBitIdenticalArenaOnVsOff) {
     const auto off = run(false);
     ASSERT_EQ(on.size(), off.size());
     for (std::size_t l = 0; l < on.size(); ++l) EXPECT_EQ(on[l], off[l]) << "layer " << l;
+}
+
+TEST(WorkspaceTrainer, RegressionStepsDoNotAllocate) {
+    // 250 rows in batches of 32: eight steps per epoch, the last ragged.
+    // Each step's 10×784 weight gradient is the wide-and-flat product gemm()
+    // computes as its transpose; that scratch comes off the thread arena
+    // too, so four more epochs add 32 steps and no allocation.
+    Rng rng(41);
+    const tensor::Matrix X = tensor::Matrix::random_uniform(rng, 250, 784);
+    const tensor::Matrix Y = tensor::Matrix::random_normal(rng, 250, 10);
+    const auto allocations_of = [&](std::size_t epochs) {
+        nn::TrainConfig tc;
+        tc.epochs = epochs;
+        tc.batch_size = 32;
+        Rng init(1);
+        nn::SingleLayerNet net(init, 784, 10, nn::Activation::Linear, nn::Loss::Mse);
+        const std::size_t before = alloc_counter::allocations();
+        nn::train_regression(net, X, Y, tc);
+        return alloc_counter::allocations() - before;
+    };
+    (void)allocations_of(1);  // grow the thread arena to its steady-state size
+    EXPECT_EQ(allocations_of(6), allocations_of(2));
 }
 
 TEST(WorkspaceTrainer, SurrogateWeightsBitIdenticalArenaOnVsOff) {

@@ -1,10 +1,7 @@
 // Current-signature detector tests (the DetectX-style defense baseline).
 #include <gtest/gtest.h>
 
-#include <atomic>
-#include <cstdlib>
 #include <cstring>
-#include <new>
 
 #include "xbarsec/attack/fgsm.hpp"
 #include "xbarsec/attack/single_pixel.hpp"
@@ -17,17 +14,7 @@
 
 // Counts heap allocations so the default-mode score can be pinned
 // allocation-free.
-namespace {
-std::atomic<std::size_t> g_allocations{0};
-}  // namespace
-
-void* operator new(std::size_t size) {
-    g_allocations.fetch_add(1, std::memory_order_relaxed);
-    if (void* p = std::malloc(size == 0 ? 1 : size)) return p;
-    throw std::bad_alloc();
-}
-void operator delete(void* p) noexcept { std::free(p); }
-void operator delete(void* p, std::size_t) noexcept { std::free(p); }
+#include "alloc_counter.hpp"
 
 namespace xbarsec::sidechannel {
 namespace {
@@ -291,11 +278,11 @@ TEST_F(DetectorFixture, DefaultModeScoreDoesNotAllocate) {
     const tensor::Matrix rows = split_->test.take(64).inputs();
     core::DetectorScreen screen(*detector_, /*block_flagged=*/false);
     (void)detector_->anomaly_score(rows.row_span(0));  // warm the thread arena
-    const std::size_t before = g_allocations.load();
+    const std::size_t before = alloc_counter::allocations();
     double sink = 0.0;
     for (std::size_t r = 0; r < rows.rows(); ++r) sink += detector_->anomaly_score(rows.row_span(r));
     (void)screen.screen_batch(rows);
-    EXPECT_EQ(g_allocations.load(), before);
+    EXPECT_EQ(alloc_counter::allocations(), before);
     EXPECT_GE(sink, 0.0);
 }
 

@@ -1,15 +1,22 @@
 // Surrogate-training tests (Eq. 9): the power term's math, its pull on
-// the surrogate's column 1-norms, and the closed-form Q ≥ N baseline.
+// the surrogate's column 1-norms, the closed-form Q ≥ N baseline, and the
+// AVX-512 minibatch step pinned bit for bit against the reference loop.
 #include <gtest/gtest.h>
 
 #include <cmath>
 #include <cstring>
+#include <string>
+#include <utility>
 
 #include "xbarsec/attack/surrogate.hpp"
 #include "xbarsec/common/error.hpp"
 #include "xbarsec/stats/correlation.hpp"
 #include "xbarsec/tensor/gemm.hpp"
 #include "xbarsec/tensor/ops.hpp"
+
+// Counts heap allocations so the AVX-512 step can be pinned allocation-free
+// per minibatch.
+#include "alloc_counter.hpp"
 
 namespace xbarsec::attack {
 namespace {
@@ -224,24 +231,32 @@ void branchy_sign_gradient(const tensor::Matrix& W, const tensor::Vector& q, dou
 }
 
 TEST(TrainSurrogate, SignTermSelectEqualsTheBranchyUpdate) {
+    // On the AVX-512 arm this runs the vectorised loop the AVX-512 step
+    // uses (the 9×77 shape leaves ragged lanes), elsewhere the scalar one.
+    // It is also where that step's zero-weight branch is pinned: trained
+    // weights start from a Glorot draw and never land on exact zeros.
     Rng rng(31);
-    tensor::Matrix W = tensor::Matrix::random_normal(rng, 10, 784);
-    // Zero weights of both signs contribute nothing; keep some of each.
-    for (std::size_t j = 0; j < 784; j += 13) W(j % 10, j) = 0.0;
-    for (std::size_t j = 5; j < 784; j += 17) W(j % 10, j) = -0.0;
-    tensor::Vector q = tensor::Vector::random_normal(rng, 784);
-    for (std::size_t j = 0; j < 784; j += 29) q[j] = 0.0;
-    const tensor::Matrix g0 = tensor::Matrix::random_normal(rng, 10, 784);
-    for (const double lambda : {0.002, 0.3, 1.0}) {
-        tensor::Matrix expected = g0;
-        branchy_sign_gradient(W, q, lambda, expected);
-        tensor::Matrix got = g0;
-        add_power_sign_gradient(W, q.span(), lambda, got);
-        ASSERT_EQ(0, std::memcmp(got.data(), expected.data(), got.size() * sizeof(double)))
-            << "lambda " << lambda;
+    for (const auto& [M, N] : {std::pair{10ul, 784ul}, std::pair{9ul, 77ul}}) {
+        tensor::Matrix W = tensor::Matrix::random_normal(rng, M, N);
+        // Zero weights of both signs contribute nothing; keep some of each,
+        // and one all-zero column.
+        for (std::size_t j = 0; j < N; j += 13) W(j % M, j) = 0.0;
+        for (std::size_t j = 5; j < N; j += 17) W(j % M, j) = -0.0;
+        for (std::size_t i = 0; i < M; ++i) W(i, 3) = 0.0;
+        tensor::Vector q = tensor::Vector::random_normal(rng, N);
+        for (std::size_t j = 0; j < N; j += 29) q[j] = 0.0;
+        const tensor::Matrix g0 = tensor::Matrix::random_normal(rng, M, N);
+        for (const double lambda : {0.002, 0.3, 1.0}) {
+            tensor::Matrix expected = g0;
+            branchy_sign_gradient(W, q, lambda, expected);
+            tensor::Matrix got = g0;
+            add_power_sign_gradient(W, q.span(), lambda, got);
+            ASSERT_EQ(0, std::memcmp(got.data(), expected.data(), got.size() * sizeof(double)))
+                << M << "x" << N << " lambda " << lambda;
+        }
+        tensor::Matrix wrong(3, 3);
+        EXPECT_THROW(add_power_sign_gradient(W, q.span(), 0.1, wrong), ContractViolation);
     }
-    tensor::Matrix wrong(3, 3);
-    EXPECT_THROW(add_power_sign_gradient(W, q.span(), 0.1, wrong), ContractViolation);
 }
 
 TEST(TrainSurrogate, PowerTermEpochMatchesABranchyReplay) {
@@ -299,6 +314,159 @@ TEST(TrainSurrogate, PowerTermEpochMatchesABranchyReplay) {
                   {grad.data(), grad.size()});
     }
     EXPECT_EQ(got.surrogate.weights(), ref.weights());
+}
+
+// ---- the AVX-512 minibatch step vs train_surrogate_reference ---------------
+
+/// Extraction-like queries: inputs in [0, 1), raw outputs and power from a
+/// random oracle, scaled so that λ up to 1 trains without overflow.
+QueryDataset extraction_queries(std::uint64_t seed, std::size_t Q, std::size_t N, std::size_t M) {
+    Rng rng(seed);
+    const tensor::Matrix W = tensor::Matrix::random_normal(rng, M, N);
+    QueryDataset q = make_queries(W, tensor::Matrix::random_uniform(rng, Q, N));
+    q.power *= 0.01;
+    return q;
+}
+
+SurrogateConfig step_config(double lambda, std::size_t batch, std::size_t N) {
+    SurrogateConfig c;
+    c.power_loss_weight = lambda;
+    c.train.epochs = 3;
+    c.train.batch_size = batch;
+    c.train.learning_rate = 1.0 / static_cast<double>(N);
+    c.train.momentum = 0.9;
+    c.train.final_lr_fraction = 0.1;
+    return c;
+}
+
+bool same_bits(const std::vector<double>& a, const std::vector<double>& b) {
+    return a.size() == b.size() && std::memcmp(a.data(), b.data(), a.size() * sizeof(double)) == 0;
+}
+
+/// train_surrogate against the reference loop: weights and both epoch
+/// loss series, bit for bit. Returns a description of the first mismatch.
+std::string compare_fits(const QueryDataset& q, const SurrogateConfig& c) {
+    const SurrogateTrainResult got = train_surrogate(q, c);
+    const SurrogateTrainResult want = train_surrogate_reference(q, c);
+    const tensor::Matrix& w = got.surrogate.weights();
+    const tensor::Matrix& r = want.surrogate.weights();
+    std::size_t differing = 0;
+    for (std::size_t i = 0; i < w.size(); ++i) {
+        if (!std::isfinite(w.data()[i])) return "non-finite weights (the pin needs a finite fit)";
+        if (std::memcmp(w.data() + i, r.data() + i, sizeof(double)) != 0) ++differing;
+    }
+    if (differing > 0) return std::to_string(differing) + " weights differ";
+    if (!same_bits(got.epoch_output_loss, want.epoch_output_loss)) return "output loss differs";
+    if (!same_bits(got.epoch_power_loss, want.epoch_power_loss)) return "power loss differs";
+    return "";
+}
+
+TEST(Avx512Step, MatchesTheReferenceBitForBit) {
+    // Batches of 1, 7, 32, 300 (two 256-row blocks of the gradient chain)
+    // and 600 (three, so the blocks' summation order shows: two block sums
+    // add the same either way round), each with and without a partial last
+    // batch; λ = 0 skips the power term, 1 lets it dominate. N = 77 and 100
+    // leave ragged lanes in every loop (N mod 16, 8 and 4, and an odd N for
+    // the two-chain dot). The sign term's zero-weight branch is pinned by
+    // SignTermSelectEqualsTheBranchyUpdate.
+    struct BatchCase {
+        std::size_t batch, Q;
+    };
+    const BatchCase batches[] = {{1, 20},    {7, 28},     {7, 33},    {32, 64},   {32, 70},
+                                 {300, 600}, {300, 310}, {600, 1200}, {600, 1210}};
+    struct Shape {
+        std::size_t N, M;
+    };
+    for (const Shape shape : {Shape{100, 10}, Shape{77, 9}, Shape{100, 12}}) {
+        for (const BatchCase bc : batches) {
+            const QueryDataset q = extraction_queries(bc.Q + shape.M, bc.Q, shape.N, shape.M);
+            for (const double lambda : {0.0, 0.002, 1.0}) {
+                const SurrogateConfig c = step_config(lambda, bc.batch, shape.N);
+                EXPECT_EQ(compare_fits(q, c), "")
+                    << "N=" << shape.N << " M=" << shape.M << " batch=" << bc.batch
+                    << " Q=" << bc.Q << " lambda=" << lambda;
+            }
+        }
+    }
+    // The extract workload's shape: 784 → 10, batches of 32.
+    const QueryDataset q = extraction_queries(7, 256, 784, 10);
+    for (const double lambda : {0.0, 0.002}) {
+        EXPECT_EQ(compare_fits(q, step_config(lambda, 32, 784)), "") << "784x10 lambda=" << lambda;
+    }
+}
+
+TEST(Avx512Step, FallbackConfigsRunTheReference) {
+    // Output counts outside the kernels' 9..12, too few inputs, Adam and
+    // plain SGD all run the reference loop, on every host and arm.
+    const nn::TrainConfig sgd = step_config(0.002, 32, 100).train;
+    nn::TrainConfig adam = sgd;
+    adam.optimizer = nn::OptimizerKind::Adam;
+    nn::TrainConfig plain = sgd;
+    plain.momentum = 0.0;
+    EXPECT_FALSE(avx512_surrogate_step_applies(100, 8, sgd));
+    EXPECT_FALSE(avx512_surrogate_step_applies(100, 13, sgd));
+    EXPECT_FALSE(avx512_surrogate_step_applies(63, 10, sgd));
+    EXPECT_FALSE(avx512_surrogate_step_applies(100, 10, adam));
+    EXPECT_FALSE(avx512_surrogate_step_applies(100, 10, plain));
+
+    const QueryDataset q10 = extraction_queries(3, 70, 100, 10);
+    for (const double lambda : {0.0, 1.0}) {
+        SurrogateConfig c = step_config(lambda, 32, 100);
+        c.train = adam;
+        EXPECT_EQ(compare_fits(q10, c), "") << "adam lambda=" << lambda;
+        c.train = plain;
+        EXPECT_EQ(compare_fits(q10, c), "") << "momentum 0 lambda=" << lambda;
+    }
+    for (const std::size_t M : {8ul, 13ul}) {
+        const QueryDataset q = extraction_queries(4, 70, 100, M);
+        EXPECT_EQ(compare_fits(q, step_config(0.002, 32, 100)), "") << "M=" << M;
+    }
+}
+
+TEST(Avx512Step, IsChosenByTheKernelVariantInEffect) {
+    // Forcing the portable or AVX2 arm keeps the composed loop; the AVX-512
+    // arm — forced, or Auto on an avx512f host — takes the step.
+    const tensor::KernelVariant entry = tensor::forced_kernel_variant();
+    const nn::TrainConfig sgd = step_config(0.0, 32, 784).train;
+    tensor::set_kernel_variant(tensor::KernelVariant::Portable);
+    EXPECT_FALSE(avx512_surrogate_step_applies(784, 10, sgd));
+    if (tensor::kernel_variant_available(tensor::KernelVariant::Avx2)) {
+        tensor::set_kernel_variant(tensor::KernelVariant::Avx2);
+        EXPECT_FALSE(avx512_surrogate_step_applies(784, 10, sgd));
+    }
+    if (tensor::kernel_variant_available(tensor::KernelVariant::Avx512)) {
+        // A build whose baseline ISA has FMA (XBARSEC_NATIVE) may contract
+        // the reference loop itself, so it compiles the step out.
+#ifdef __FMA__
+        constexpr bool kStepBuilt = false;
+#else
+        constexpr bool kStepBuilt = true;
+#endif
+        tensor::set_kernel_variant(tensor::KernelVariant::Avx512);
+        EXPECT_EQ(avx512_surrogate_step_applies(784, 10, sgd), kStepBuilt);
+        tensor::set_kernel_variant(tensor::KernelVariant::Auto);
+        EXPECT_EQ(avx512_surrogate_step_applies(784, 10, sgd), kStepBuilt);
+    }
+    tensor::set_kernel_variant(entry);
+}
+
+TEST(Avx512Step, MakesNoHeapAllocationPerMinibatch) {
+    if (!avx512_surrogate_step_applies(784, 10, step_config(0.0, 32, 784).train)) {
+        GTEST_SKIP() << "the AVX-512 step is not in effect on this host and arm";
+    }
+    const QueryDataset q = extraction_queries(5, 256, 784, 10);
+    for (const double lambda : {0.0, 0.002}) {
+        const auto allocations_of = [&](std::size_t epochs) {
+            SurrogateConfig c = step_config(lambda, 32, 784);
+            c.train.epochs = epochs;
+            const std::size_t before = alloc_counter::allocations();
+            (void)train_surrogate(q, c);
+            return alloc_counter::allocations() - before;
+        };
+        (void)allocations_of(1);  // grow the thread arena to its steady-state size
+        // Four more epochs are 32 more minibatch steps.
+        EXPECT_EQ(allocations_of(6), allocations_of(2)) << "lambda " << lambda;
+    }
 }
 
 TEST(LeastSquaresSurrogate, CallerProvidedWorkspaceIsBitIdenticalAcrossFits) {
