@@ -2,18 +2,40 @@
 // array sizes (10×784 MNIST, 10×3072 CIFAR). Hand-rolled harness (no
 // external benchmark dependency) emitting BENCH_micro.json through the
 // shared recorder.
+//
+// A concurrency series times the per-request work that submitting
+// threads do on one shared deployment, at 1, 2 and 4 threads (repeated
+// trials, median/min/max, host core count): the detector screen on one
+// deployed crossbar, each thread with its own DetectorScreen as sessions
+// have (side by side, as the allocator can put two sessions' screens),
+// and a label cache hit through OracleService with every admission tier
+// on, each thread with its own session. Every atomic those threads write
+// per request (the crossbar's measurement counter, the screen and
+// session counters, the cache's hit counter) is in that work. The full
+// run fails (non-zero exit) on a host with at least 4 cores when the
+// 4-thread screen's fastest trial takes over 1.5× the 1-thread one per
+// row at any placement of the deployment: the screen shares no lock, so
+// a slowdown there is cache-line contention.
 #include <algorithm>
+#include <atomic>
 #include <cstdio>
 #include <functional>
 #include <iostream>
+#include <memory>
+#include <new>
 #include <string>
+#include <thread>
+#include <vector>
 
 #include "record.hpp"
 #include "xbarsec/common/cli.hpp"
 #include "xbarsec/common/rng.hpp"
 #include "xbarsec/common/table.hpp"
 #include "xbarsec/common/timer.hpp"
+#include "xbarsec/core/decorators.hpp"
+#include "xbarsec/core/service.hpp"
 #include "xbarsec/nn/trainer.hpp"
+#include "xbarsec/sidechannel/detector.hpp"
 #include "xbarsec/sidechannel/probe.hpp"
 #include "xbarsec/tensor/gemm.hpp"
 #include "xbarsec/tensor/ops.hpp"
@@ -70,6 +92,170 @@ struct Harness {
         rec.add("mitems_per_s", mitems);
     }
 };
+
+/// One trial of `threads` threads running body(t) at once: the slowest
+/// thread's wall time, in µs per item of the `items` each thread did.
+double concurrent_us_per_item(std::size_t threads, std::size_t items,
+                              const std::function<void(std::size_t)>& body) {
+    std::atomic<std::size_t> ready{0};
+    std::atomic<bool> go{false};
+    std::vector<double> seconds(threads, 0.0);
+    std::vector<std::thread> pool;
+    for (std::size_t t = 0; t < threads; ++t) {
+        pool.emplace_back([&, t] {
+            ready.fetch_add(1);
+            while (!go.load(std::memory_order_acquire)) {
+            }
+            WallTimer timer;
+            body(t);
+            seconds[t] = timer.seconds();
+        });
+    }
+    while (ready.load() < threads) std::this_thread::yield();
+    go.store(true, std::memory_order_release);
+    for (std::thread& th : pool) th.join();
+    return *std::max_element(seconds.begin(), seconds.end()) * 1e6 / static_cast<double>(items);
+}
+
+struct Spread {
+    double median = 0.0, min = 0.0, max = 0.0;
+};
+
+Spread spread_of(std::vector<double> v) {
+    std::sort(v.begin(), v.end());
+    return {v[v.size() / 2], v.front(), v.back()};
+}
+
+/// The concurrency series (see the file comment). Returns the screen's
+/// worst 4-thread / 1-thread ratio of the fastest trial's µs per row:
+/// host load only ever slows a trial, while contention on a shared line
+/// slows every trial, so the fastest trials keep the one and drop the
+/// other.
+double run_concurrency_series(bench::BenchRecorder& rec, std::size_t trials,
+                              std::size_t rows_per_trial, std::size_t hits_per_trial) {
+    const unsigned cores = std::max(1u, std::thread::hardware_concurrency());
+    Rng rng(11);
+    Rng net_rng(7);
+    const nn::SingleLayerNet net(net_rng, 784, 10, nn::Activation::Linear, nn::Loss::Mse);
+    xbar::DeviceSpec spec;
+    spec.g_on_max = 100e-6;
+    tensor::Matrix clean = tensor::Matrix::random_uniform(rng, 256, 784);
+    std::vector<int> labels(clean.rows());
+    for (std::size_t i = 0; i < labels.size(); ++i) labels[i] = static_cast<int>(i % 10);
+    const data::Dataset enrol(std::move(clean), std::move(labels), 10, data::ImageShape{28, 28, 1});
+    // Half clean rows, half amplitude-6 probe rows, as tenant-mix mixes them.
+    tensor::Matrix rows(64, 784);
+    for (std::size_t r = 0; r < rows.rows(); ++r) {
+        const double amplitude = r % 2 == 0 ? 1.0 : 6.0;
+        for (double& x : rows.row_span(r)) x = rng.uniform(0.0, amplitude);
+    }
+
+    Table table({"Series", "threads", "median us", "min us", "max us"});
+    const auto record = [&](const std::string& series, std::size_t threads,
+                            const std::vector<double>& us) {
+        const Spread sp = spread_of(us);
+        rec.begin(series + "/threads=" + std::to_string(threads));
+        rec.add("threads", threads);
+        rec.add("cores", static_cast<long long>(cores));
+        rec.add("trials", trials);
+        rec.add("us_median", sp.median);
+        rec.add("us_min", sp.min);
+        rec.add("us_max", sp.max);
+        table.begin_row();
+        table.add(series);
+        table.add(static_cast<double>(threads), 0);
+        table.add(sp.median, 3);
+        table.add(sp.min, 3);
+        table.add(sp.max, 3);
+        return sp;
+    };
+    constexpr std::size_t kThreads[] = {1, 2, 4};
+
+    // Which cache lines the screen's per-row writes share depends on where
+    // the allocator puts things, so the series takes the layouts it can
+    // get: the threads' screens side by side, as two sessions' screens
+    // can land, and the deployment at every offset its alignment allows
+    // within one line, with the gate on the worst placement.
+    struct alignas(64) Slab {
+        std::byte bytes[sizeof(core::CrossbarOracle) + 64];
+    };
+    struct alignas(64) ScreenSlab {
+        std::byte bytes[4 * sizeof(core::DetectorScreen)];
+    };
+    const auto slab = std::make_unique<Slab>();
+    const auto screen_slab = std::make_unique<ScreenSlab>();
+    double worst_ratio = 0.0;
+    for (std::size_t offset = 0; offset < 64; offset += alignof(core::CrossbarOracle)) {
+        core::CrossbarOracle* backend = new (slab->bytes + offset)
+            core::CrossbarOracle(xbar::CrossbarNetwork(net, spec), {});
+        {
+            const sidechannel::CurrentSignatureDetector detector(backend->hardware_for_evaluation(),
+                                                                 enrol);
+            std::vector<core::DetectorScreen*> screens;
+            for (std::size_t t = 0; t < 4; ++t) {
+                screens.push_back(new (screen_slab->bytes + t * sizeof(core::DetectorScreen))
+                                      core::DetectorScreen(detector, false));
+            }
+            // Thread counts alternate trial by trial, so a stretch of host
+            // load lands on all three alike instead of on one.
+            std::vector<double> screen_trials[5];
+            for (std::size_t k = 0; k < trials; ++k) {
+                for (const std::size_t threads : kThreads) {
+                    screen_trials[threads].push_back(
+                        concurrent_us_per_item(threads, rows_per_trial, [&](std::size_t t) {
+                            for (std::size_t i = 0; i < rows_per_trial; ++i) {
+                                (void)screens[t]->screen(rows.row_span(i % rows.rows()));
+                            }
+                        }));
+                }
+            }
+            double fastest[5] = {};
+            for (const std::size_t threads : kThreads) {
+                fastest[threads] = record("detector_screen_shared_xbar/784/offset=" +
+                                              std::to_string(offset),
+                                          threads, screen_trials[threads])
+                                       .min;
+            }
+            worst_ratio = std::max(worst_ratio, fastest[4] / fastest[1]);
+            for (core::DetectorScreen* screen : screens) std::destroy_at(screen);
+        }
+        std::destroy_at(backend);
+    }
+
+    core::CrossbarOracle backend(xbar::CrossbarNetwork(net, spec), {});
+    const sidechannel::CurrentSignatureDetector detector(backend.hardware_for_evaluation(), enrol);
+    core::ServiceConfig config;
+    config.cache.enabled = true;
+    config.attribution.enabled = true;
+    core::OracleService service(backend, config);
+    std::vector<core::Session> sessions;
+    for (std::size_t t = 0; t < 4; ++t) {
+        core::SessionConfig tenant;
+        tenant.detector = &detector;
+        tenant.adaptive = core::AdaptivePolicy::escalate_at(0.2, 4.0);
+        tenant.source = 1000 + t;
+        sessions.push_back(service.open_session(tenant));
+        (void)sessions.back().submit_label(enrol.input(2 * t)).get();  // fill the entry
+    }
+    std::vector<double> hit_trials[5];
+    for (std::size_t k = 0; k < trials; ++k) {
+        for (const std::size_t threads : kThreads) {
+            hit_trials[threads].push_back(
+                concurrent_us_per_item(threads, hits_per_trial, [&](std::size_t t) {
+                    for (std::size_t i = 0; i < hits_per_trial; ++i) {
+                        (void)sessions[t].submit_label(enrol.input(2 * t)).get();
+                    }
+                }));
+        }
+    }
+    for (const std::size_t threads : kThreads) {
+        (void)record("service_label_hit_all_tiers/784", threads, hit_trials[threads]);
+    }
+    std::cout << "\n## Concurrency series (" << trials << " trials, us per row or request, "
+              << cores << " cores)\n\n"
+              << table;
+    return worst_ratio;
+}
 
 }  // namespace
 
@@ -148,12 +334,30 @@ int main(int argc, char** argv) {
         }
 
         std::cout << "\n## Microbenchmarks\n\n" << h.table;
+
+        const bool smoke = cli.boolean("smoke");
+        const double screen_ratio = smoke ? run_concurrency_series(h.rec, 3, 256, 256)
+                                          : run_concurrency_series(h.rec, 15, 8192, 8192);
         const std::string out_path = cli.str("out");
         if (!h.rec.write(out_path)) {
             std::fprintf(stderr, "bench_micro: cannot write %s\n", out_path.c_str());
             return 1;
         }
         std::cout << "\nResults written to " << out_path << "\n";
+        const unsigned cores = std::max(1u, std::thread::hardware_concurrency());
+        std::cout << "Detector screen, 4 threads vs 1 on one crossbar, fastest trials, worst "
+                     "placement: "
+                  << Table::format_number(screen_ratio, 2) << "x the time per row (gate <= 1.5x";
+        if (smoke || cores < 4) {
+            std::cout << (smoke ? ", not judged in --smoke)\n" : ", not judged under 4 cores)\n");
+            return 0;
+        }
+        std::cout << ")\n";
+        if (screen_ratio > 1.5) {
+            std::cout << "FAIL: concurrent screens on one crossbar contend on a shared cache "
+                         "line\n";
+            return 1;
+        }
         return 0;
     } catch (const std::exception& e) {
         std::fprintf(stderr, "bench_micro: %s\n", e.what());

@@ -136,6 +136,22 @@ struct Observation {
     bool basis_like = false;       ///< sparsity heuristic (alert window only)
 };
 
+/// Both row heuristics of one row (see EngineConfig).
+struct RowFlags {
+    bool suspicious = false;  ///< AttributionEngine::suspicious_row
+    bool basis_like = false;  ///< AttributionEngine::basis_like_row
+};
+
+/// What admission reads back from the engine about one submission: the
+/// values of alert(), probation(source), pooled_screened(session) and
+/// pooled_suspicion_fraction(session), taken together under one lock.
+struct AdmissionView {
+    bool alert = false;
+    bool probation = false;
+    std::uint64_t pooled_screened = 0;
+    double pooled_suspicion = 0.0;
+};
+
 /// Telemetry: one source's cross-session window.
 struct SourceCounters {
     SourceId source = 0;
@@ -183,6 +199,18 @@ public:
     /// Feeds one screened row. Unknown sessions are adopted on first
     /// observation (an engine wired mid-flight still attributes).
     void observe(const Observation& obs);
+
+    /// Feeds one submission's screened rows in order, then reads back
+    /// admission_view(session, source), all under one lock: the same
+    /// state and the same values as observe() on each row followed by
+    /// alert(), probation(source), pooled_screened(session) and
+    /// pooled_suspicion_fraction(session). Admission calls this once
+    /// per submission instead of making those calls one by one.
+    AdmissionView observe_unit(std::span<const Observation> rows, std::uint64_t session,
+                               SourceId source);
+
+    /// The figures observe_unit returns, read without observing.
+    AdmissionView admission_view(std::uint64_t session, SourceId source) const;
 
     /// Pooled (campaign-level) suspicion for admission: the screened /
     /// flagged window of the session's whole campaign — same-source
@@ -240,6 +268,11 @@ public:
     /// The sparsity heuristic (alert statistics only).
     static bool basis_like_row(std::span<const double> row, const EngineConfig& config);
 
+    /// suspicious_row and basis_like_row together, from one pass over the
+    /// row (eight elements a step where the AVX-512 arm is in effect).
+    /// Equal to the two calls exactly, −0.0 and NaN elements included.
+    static RowFlags row_flags(std::span<const double> row, const EngineConfig& config);
+
 private:
     struct SessionRec {
         SourceId source = 0;
@@ -263,6 +296,11 @@ private:
     };
 
     std::uint64_t find_root(std::uint64_t session) const;  ///< path-halving
+    void observe_locked(const Observation& obs);
+    AdmissionView admission_view_locked(std::uint64_t session, SourceId source) const;
+    /// The session's campaign record, or null for an unknown session.
+    const CampaignRec* campaign_locked(std::uint64_t session) const;
+    bool probation_locked(SourceId source) const;
     bool alert_locked() const;  ///< the alert predicate, mutex already held
     bool churn_hot_locked() const;  ///< the churn predicate, mutex already held
     SessionRec& ensure_session_locked(std::uint64_t session, SourceId source);

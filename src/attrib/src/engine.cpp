@@ -6,8 +6,56 @@
 
 #include "xbarsec/common/contracts.hpp"
 #include "xbarsec/common/error.hpp"
+#include "xbarsec/tensor/gemm.hpp"
+
+#if defined(__x86_64__) && defined(__GNUC__)
+#include <immintrin.h>
+#endif
 
 namespace xbarsec::attrib {
+
+namespace {
+
+/// basis_like_row's non-zero budget for a row of `cols` elements.
+std::size_t nnz_budget(std::size_t cols, const EngineConfig& config) {
+    const std::size_t divisor = std::max<std::size_t>(config.basis_nnz_divisor, 1);
+    return std::max<std::size_t>(cols / divisor, 1);
+}
+
+#if defined(__x86_64__) && defined(__GNUC__)
+#define XS_ATTRIB_HAVE_AVX512 1
+
+/// row_flags eight elements a step. The compares are the scalar ones:
+/// |v| > amplitude is ordered (false for NaN), v != 0 unordered (true
+/// for NaN, false for −0.0). Lanes past the row's end are masked out.
+__attribute__((target("avx512f"))) RowFlags row_flags_avx512(const double* v, std::size_t n,
+                                                             double amplitude,
+                                                             std::size_t budget) {
+    const __m512d amp = _mm512_set1_pd(amplitude);
+    const __m512d zero = _mm512_setzero_pd();
+    const __m512i one = _mm512_set1_epi64(1);
+    __m512i nnz = _mm512_setzero_si512();
+    __mmask8 hot = 0;
+    for (std::size_t j = 0; j < n; j += 8) {
+        const __mmask8 live =
+            n - j >= 8 ? static_cast<__mmask8>(0xFF) : static_cast<__mmask8>((1u << (n - j)) - 1u);
+        const __m512d x = _mm512_maskz_loadu_pd(live, v + j);
+        hot |= _mm512_mask_cmp_pd_mask(live, _mm512_abs_pd(x), amp, _CMP_GT_OQ);
+        const __mmask8 driven = _mm512_mask_cmp_pd_mask(live, x, zero, _CMP_NEQ_UQ);
+        nnz = _mm512_mask_add_epi64(nnz, driven, nnz, one);
+    }
+    alignas(64) std::uint64_t lanes[8];
+    _mm512_store_si512(lanes, nnz);
+    std::uint64_t driven_total = 0;
+    for (const std::uint64_t lane : lanes) driven_total += lane;
+    RowFlags flags;
+    flags.suspicious = hot != 0;
+    flags.basis_like = driven_total <= budget;
+    return flags;
+}
+#endif
+
+}  // namespace
 
 AttributionEngine::AttributionEngine(EngineConfig config) : config_(config) {
     XS_EXPECTS(config_.window_events > 0);
@@ -27,13 +75,29 @@ bool AttributionEngine::suspicious_row(std::span<const double> row, const Engine
 }
 
 bool AttributionEngine::basis_like_row(std::span<const double> row, const EngineConfig& config) {
-    const std::size_t divisor = std::max<std::size_t>(config.basis_nnz_divisor, 1);
-    const std::size_t budget = std::max<std::size_t>(row.size() / divisor, 1);
+    const std::size_t budget = nnz_budget(row.size(), config);
     std::size_t nnz = 0;
     for (const double v : row) {
         if (v != 0.0 && ++nnz > budget) return false;
     }
     return true;
+}
+
+RowFlags AttributionEngine::row_flags(std::span<const double> row, const EngineConfig& config) {
+    const std::size_t budget = nnz_budget(row.size(), config);
+#ifdef XS_ATTRIB_HAVE_AVX512
+    if (tensor::avx512_in_effect()) {
+        return row_flags_avx512(row.data(), row.size(), config.suspicious_amplitude, budget);
+    }
+#endif
+    RowFlags flags;
+    std::size_t nnz = 0;
+    for (const double v : row) {
+        if (std::abs(v) > config.suspicious_amplitude) flags.suspicious = true;
+        if (v != 0.0) ++nnz;
+    }
+    flags.basis_like = nnz <= budget;
+    return flags;
 }
 
 // ---- union-find over session ids --------------------------------------------
@@ -182,6 +246,37 @@ void AttributionEngine::push_window_event(bool flagged, bool suspicious) {
 
 void AttributionEngine::observe(const Observation& obs) {
     std::lock_guard lock(mutex_);
+    observe_locked(obs);
+}
+
+AdmissionView AttributionEngine::observe_unit(std::span<const Observation> rows,
+                                              std::uint64_t session, SourceId source) {
+    std::lock_guard lock(mutex_);
+    for (const Observation& obs : rows) observe_locked(obs);
+    return admission_view_locked(session, source);
+}
+
+AdmissionView AttributionEngine::admission_view(std::uint64_t session, SourceId source) const {
+    std::lock_guard lock(mutex_);
+    return admission_view_locked(session, source);
+}
+
+AdmissionView AttributionEngine::admission_view_locked(std::uint64_t session,
+                                                       SourceId source) const {
+    AdmissionView view;
+    view.alert = alert_locked();
+    view.probation = probation_locked(source);
+    if (const CampaignRec* camp = campaign_locked(session)) {
+        view.pooled_screened = camp->screened;
+        if (camp->screened != 0) {
+            view.pooled_suspicion = static_cast<double>(std::max(camp->flagged, camp->suspicious)) /
+                                    static_cast<double>(camp->screened);
+        }
+    }
+    return view;
+}
+
+void AttributionEngine::observe_locked(const Observation& obs) {
     // Adopts sessions the engine never saw open (wired mid-flight).
     SessionRec& rec = ensure_session_locked(obs.session, obs.source);
     ++rec.screened;
@@ -230,28 +325,29 @@ void AttributionEngine::observe(const Observation& obs) {
 
 // ---- pooled suspicion -------------------------------------------------------
 
+const AttributionEngine::CampaignRec* AttributionEngine::campaign_locked(
+    std::uint64_t session) const {
+    if (sessions_.count(session) == 0) return nullptr;
+    const auto it = campaigns_.find(find_root(session));
+    return it != campaigns_.end() ? &it->second : nullptr;
+}
+
 std::uint64_t AttributionEngine::pooled_screened(std::uint64_t session) const {
     std::lock_guard lock(mutex_);
-    if (sessions_.count(session) == 0) return 0;
-    const auto it = campaigns_.find(find_root(session));
-    return it != campaigns_.end() ? it->second.screened : 0;
+    const CampaignRec* camp = campaign_locked(session);
+    return camp != nullptr ? camp->screened : 0;
 }
 
 double AttributionEngine::pooled_flagged_fraction(std::uint64_t session) const {
     std::lock_guard lock(mutex_);
-    if (sessions_.count(session) == 0) return 0.0;
-    const auto it = campaigns_.find(find_root(session));
-    if (it == campaigns_.end() || it->second.screened == 0) return 0.0;
-    return static_cast<double>(it->second.flagged) / static_cast<double>(it->second.screened);
+    const CampaignRec* camp = campaign_locked(session);
+    if (camp == nullptr || camp->screened == 0) return 0.0;
+    return static_cast<double>(camp->flagged) / static_cast<double>(camp->screened);
 }
 
 double AttributionEngine::pooled_suspicion_fraction(std::uint64_t session) const {
     std::lock_guard lock(mutex_);
-    if (sessions_.count(session) == 0) return 0.0;
-    const auto it = campaigns_.find(find_root(session));
-    if (it == campaigns_.end() || it->second.screened == 0) return 0.0;
-    return static_cast<double>(std::max(it->second.flagged, it->second.suspicious)) /
-           static_cast<double>(it->second.screened);
+    return admission_view_locked(session, 0).pooled_suspicion;
 }
 
 // ---- global window ----------------------------------------------------------
@@ -279,8 +375,11 @@ bool AttributionEngine::churn_alert() const {
 
 bool AttributionEngine::probation(SourceId source) const {
     std::lock_guard lock(mutex_);
-    return source != 0 && probation_.count(source) > 0 &&
-           (alert_locked() || churn_hot_locked());
+    return probation_locked(source);
+}
+
+bool AttributionEngine::probation_locked(SourceId source) const {
+    return source != 0 && probation_.count(source) > 0 && (alert_locked() || churn_hot_locked());
 }
 
 std::uint64_t AttributionEngine::window_screened() const {

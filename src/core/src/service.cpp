@@ -11,6 +11,7 @@
 #include <utility>
 
 #include "xbarsec/attrib/sketch.hpp"
+#include "xbarsec/common/arena.hpp"
 #include "xbarsec/common/rng.hpp"
 
 namespace xbarsec::core {
@@ -48,11 +49,13 @@ namespace detail {
 enum class QueryKind { Label, Raw, Power };
 
 /// The content-addressed result cache (ServiceConfig::cache). Keys mix
-/// (kind, replica index, partition, input-row bit pattern) into one
-/// 64-bit hash; a probe verifies the stored entry byte-for-byte before
-/// answering, so a hash collision degrades to a miss, never to a wrong
-/// answer. Values are the backend's *clean* answers — per-session
-/// transforms (power noise) are re-applied by the hit path.
+/// (kind, replica index, partition) and the input row's content address
+/// (attrib::hash_row, over its bit pattern) into one 64-bit hash, so a
+/// row attribution has hashed is not hashed again for its key. A probe
+/// verifies the stored entry byte-for-byte before answering, so a hash
+/// collision degrades to a miss, never to a wrong answer. Values are the
+/// backend's *clean* answers — per-session transforms (power noise) are
+/// re-applied by the hit path.
 ///
 /// One mutex guards the LRU list and the index. That is deliberate: a
 /// hit is a short critical section on the submitting thread while a miss
@@ -71,18 +74,17 @@ public:
         double power = 0.0;
     };
 
-    static std::uint64_t key_hash(QueryKind kind, std::size_t replica, std::uint64_t partition,
-                                  std::span<const double> row) {
-        // FNV-1a over the key fields and the row's double bit patterns,
+    static std::uint64_t key(QueryKind kind, std::size_t replica, std::uint64_t partition,
+                             std::uint64_t row_hash) {
+        // FNV-1a over the key fields and the row's content address,
         // finished with the counter-rng avalanche so the map sees
-        // well-mixed buckets. The content-hash steps are the shared
-        // attrib machinery, so the attribution layer's per-row hashes
-        // and these cache keys agree on input identity.
+        // well-mixed buckets. The steps are the shared attrib machinery,
+        // so attribution and these keys agree on input identity.
         std::uint64_t h = attrib::kContentHashOffset;
         h = attrib::content_hash_mix(h, static_cast<std::uint64_t>(kind));
         h = attrib::content_hash_mix(h, replica);
         h = attrib::content_hash_mix(h, partition);
-        h = attrib::content_hash_doubles(h, row);
+        h = attrib::content_hash_mix(h, row_hash);
         return attrib::content_hash_finish(h);
     }
 
@@ -196,7 +198,10 @@ struct ReplicaState {
     std::mutex mutex;
     std::condition_variable cv;
     /// Producers append; the flusher swaps the whole vector against a
-    /// recycled empty one, so steady-state submission never allocates.
+    /// recycled empty one, so the queue itself does not allocate in steady
+    /// state. A submission still does: tests/test_service_cache.cpp pins
+    /// 2 heap allocations per request-response label cache hit (the
+    /// promise) and 7 per miss.
     std::vector<Unit> queue;
     std::size_t pending_rows = 0;
     bool flush_now = false;
@@ -305,25 +310,26 @@ double session_noise(const SessionState& s, double sigma, std::uint64_t ordinal)
 /// submitter's escalation sequence is therefore deterministic and
 /// independent of how its submissions coalesce into backend batches.
 ///
-/// With attribution enabled the band is chosen on the session's whole
-/// *campaign* window (same-source siblings and overlap-merged rotations
-/// included), and a deployment alert waives the warm-up floor — a
-/// rotating attacker inherits its own history instead of opening each
-/// session with a clean slate.
-const AdaptivePolicy::Band* adaptive_band(const SessionState& s) {
+/// With attribution enabled (`campaign` non-null: the engine's view for
+/// this session) the band is chosen on the session's whole *campaign*
+/// window (same-source siblings and overlap-merged rotations included),
+/// and a deployment alert waives the warm-up floor — a rotating attacker
+/// inherits its own history instead of opening each session with a
+/// clean slate.
+const AdaptivePolicy::Band* adaptive_band(const SessionState& s,
+                                          const attrib::AdmissionView* campaign) {
     if (!s.config.adaptive.enabled()) return nullptr;
-    AttribState* at = s.service->attrib.get();
-    if (s.screen == nullptr && at == nullptr) return nullptr;
+    if (s.screen == nullptr && campaign == nullptr) return nullptr;
     std::uint64_t screened = s.screen != nullptr ? s.screen->screened() : 0;
     double suspicion = s.screen != nullptr ? s.screen->flagged_fraction() : 0.0;
-    if (at != nullptr) {
-        screened = std::max(screened, at->engine.pooled_screened(s.id));
+    if (campaign != nullptr) {
+        screened = std::max(screened, campaign->pooled_screened);
         // Campaign suspicion is the max of the detector-flagged and
         // probe-shaped row fractions: hard-driven extraction probes are
         // escalated even where the enrolled detector's coverage is
         // partial, while clean tenants stay near zero on both.
-        suspicion = std::max(suspicion, at->engine.pooled_suspicion_fraction(s.id));
-        if (at->engine.alert()) {
+        suspicion = std::max(suspicion, campaign->pooled_suspicion);
+        if (campaign->alert) {
             // The deployment is under active probing: warm-up no longer
             // shields a freshly rotated session. band_for still refuses
             // an entirely empty window (screened == 0).
@@ -334,23 +340,35 @@ const AdaptivePolicy::Band* adaptive_band(const SessionState& s) {
     return s.config.adaptive.band_for(suspicion, screened);
 }
 
-/// Effective sensing-noise sigma at admission: the session's static
-/// sigma scaled by the active suspicion band (identity when the policy
-/// is off — the default service stays bit-identical).
-double effective_power_sigma(const SessionState& s) {
-    double sigma = s.config.power_noise_sigma;
-    if (const AdaptivePolicy::Band* band = adaptive_band(s)) sigma *= band->sigma_multiplier;
-    return sigma;
-}
+/// One submission's admission decision, made once by screen() on the
+/// submitting thread and read by every later step: the quarantine and
+/// probation refusals, the cache key, and a power reading's sigma.
+struct Admission {
+    /// Attribution is on, the deployment alert is up, and at least one
+    /// of the rows was flagged or probe-shaped. An escalated submission
+    /// is degraded per query (Raw → refused, Power → strongest-band
+    /// sigma). Always false with attribution off.
+    bool escalate = false;
+    /// The session's source is on probation (attribution only).
+    bool probation = false;
+    /// adaptive_band() after this submission's rows were screened.
+    const AdaptivePolicy::Band* band = nullptr;
+    /// attrib::hash_row of the first row, when attribution hashed it.
+    bool hashed = false;
+    std::uint64_t row_hash = 0;
+};
 
-/// Sigma for one admitted submission: the band-scaled sigma, raised to
-/// the strongest band's multiplier when this submission itself was
-/// escalated (deployment alert + its own rows looked like probes). The
-/// per-query escalation is what closes the pre-merge window — a forged
-/// source's first probes get degraded before clustering catches up.
-double escalated_power_sigma(const SessionState& s, bool escalate) {
-    double sigma = effective_power_sigma(s);
-    if (escalate && s.config.adaptive.enabled()) {
+/// Sigma for one admitted power submission: the static sigma scaled by
+/// the submission's band (identity when the policy is off — the default
+/// service stays bit-identical), raised to the strongest band's
+/// multiplier when the submission itself was escalated (deployment
+/// alert + its own rows looked like probes). The per-query escalation
+/// is what closes the pre-merge window — a forged source's first probes
+/// get degraded before clustering catches up.
+double power_sigma(const SessionState& s, const Admission& a) {
+    double sigma = s.config.power_noise_sigma;
+    if (a.band != nullptr) sigma *= a.band->sigma_multiplier;
+    if (a.escalate && s.config.adaptive.enabled()) {
         sigma = std::max(sigma,
                          s.config.power_noise_sigma * s.config.adaptive.bands.back().sigma_multiplier);
     }
@@ -394,14 +412,13 @@ ReplicaState& route(ServiceState& svc, const SessionState& s) {
 /// refused at any step charges and counts nothing downstream of the
 /// refusal point.
 ///
-/// Returns whether this submission is *escalated*: attribution is on,
-/// the deployment alert is up, and at least one of these rows was
-/// flagged or probe-shaped. Callers degrade an escalated submission
-/// per-query (Raw → refused, Power → strongest-band sigma). Always
-/// false with attribution off — the legacy path is untouched.
-bool screen(SessionState& s, QueryKind kind, const tensor::Matrix& U) {
+/// With attribution on, each row is hashed and classified once, and the
+/// unit's rows reach the engine in one observe_unit call, whose view
+/// (alert, probation, campaign window) every later step reads.
+Admission screen(SessionState& s, QueryKind kind, const tensor::Matrix& U) {
     XS_EXPECTS(U.rows() > 0);
     XS_EXPECTS(U.cols() == s.service->inputs);
+    AttribState* at = s.service->attrib.get();
     switch (kind) {
         case QueryKind::Label: break;
         case QueryKind::Raw:
@@ -412,9 +429,15 @@ bool screen(SessionState& s, QueryKind kind, const tensor::Matrix& U) {
             // looks adversarial loses raw-output access (labels still
             // work). Decided on the window *before* this submission is
             // screened, so the refusal depends only on past behaviour.
-            if (const AdaptivePolicy::Band* band = adaptive_band(s);
-                band != nullptr && !band->expose_raw_outputs) {
-                throw AccessDenied("raw outputs are withheld at this session's suspicion level");
+            if (s.config.adaptive.enabled()) {
+                attrib::AdmissionView before;
+                if (at != nullptr) before = at->engine.admission_view(s.id, s.config.source);
+                if (const AdaptivePolicy::Band* band =
+                        adaptive_band(s, at != nullptr ? &before : nullptr);
+                    band != nullptr && !band->expose_raw_outputs) {
+                    throw AccessDenied(
+                        "raw outputs are withheld at this session's suspicion level");
+                }
             }
             break;
         case QueryKind::Power:
@@ -423,34 +446,53 @@ bool screen(SessionState& s, QueryKind kind, const tensor::Matrix& U) {
             }
             break;
     }
-    AttribState* at = s.service->attrib.get();
+    Admission a;
     if (at == nullptr) {
         if (kind != QueryKind::Power && s.screen != nullptr) s.screen->screen_batch(U);
-        return false;
+        a.band = adaptive_band(s, nullptr);
+        return a;
     }
     // Attribution path: screen row by row so every row's detector
     // verdict and content hash reach the engine (power rows are not
     // detector-screened — same as the legacy path — but their shape
-    // still feeds the probe-population window and the sketches).
+    // still feeds the probe-population window and the sketches). The
+    // observations collect in thread-arena scratch, so a submission
+    // allocates nothing for them once the arena is warm.
     const attrib::EngineConfig& ec = at->engine.config();
+    Arena& arena = thread_arena();
+    const Arena::Scope scratch(arena);
+    const std::span<attrib::Observation> obs = arena.alloc<attrib::Observation>(U.rows());
     bool hot = false;
-    for (std::size_t r = 0; r < U.rows(); ++r) {
-        const auto row = U.row_span(r);
-        bool flagged = false;
-        if (kind != QueryKind::Power && s.screen != nullptr) flagged = s.screen->screen(row);
-        attrib::Observation obs;
-        obs.session = s.id;
-        obs.source = s.config.source;
-        obs.input_hash = attrib::hash_row(row);
-        obs.flagged = flagged;
-        obs.suspicious = attrib::AttributionEngine::suspicious_row(row, ec);
-        obs.basis_like = attrib::AttributionEngine::basis_like_row(row, ec);
-        at->engine.observe(obs);
-        hot = hot || flagged || obs.suspicious;
+    std::size_t r = 0;
+    try {
+        for (; r < U.rows(); ++r) {
+            const auto row = U.row_span(r);
+            attrib::Observation& o = obs[r];
+            o = attrib::Observation{};
+            o.session = s.id;
+            o.source = s.config.source;
+            if (kind != QueryKind::Power && s.screen != nullptr) o.flagged = s.screen->screen(row);
+            o.input_hash = attrib::hash_row(row);
+            const attrib::RowFlags flags = attrib::AttributionEngine::row_flags(row, ec);
+            o.suspicious = flags.suspicious;
+            o.basis_like = flags.basis_like;
+            hot = hot || o.flagged || o.suspicious;
+        }
+    } catch (...) {
+        // A blocking screen refused row r: the engine still sees the rows
+        // screened before it, as a row-by-row feed would have.
+        at->engine.observe_unit(obs.first(r), s.id, s.config.source);
+        throw;
     }
+    const attrib::AdmissionView view = at->engine.observe_unit(obs, s.id, s.config.source);
     // Alert read *after* observing: a burst that trips the window
     // escalates from the same submission on.
-    return hot && at->engine.alert();
+    a.escalate = hot && view.alert;
+    a.probation = view.probation;
+    a.band = adaptive_band(s, &view);
+    a.hashed = true;
+    a.row_hash = obs[0].input_hash;
+    return a;
 }
 
 /// Budget then session counters. `charge_budget` is false only for cache
@@ -476,7 +518,7 @@ void charge(SessionState& s, QueryKind kind, std::uint64_t rows, bool charge_bud
 template <typename Promise>
 auto enqueue(const std::shared_ptr<SessionState>& session, ReplicaState& replica, QueryKind kind,
              bool scalar, tensor::Matrix inputs, bool flush_hint, std::uint64_t cache_hash,
-             bool cache_store, bool escalate) {
+             bool cache_store, const Admission& admission) {
     const ServiceConfig& config = session->service->config;
     Unit unit;
     unit.session = session;
@@ -491,7 +533,7 @@ auto enqueue(const std::shared_ptr<SessionState>& session, ReplicaState& replica
         // sigma now: the noise a submission gets reflects the session's
         // standing when it was admitted, not when the flusher happens
         // to deliver it.
-        unit.power_sigma = escalated_power_sigma(*session, escalate);
+        unit.power_sigma = power_sigma(*session, admission);
     }
     const std::size_t rows = inputs.rows();
     unit.inputs = std::move(inputs);
@@ -569,8 +611,8 @@ auto submit(const std::shared_ptr<SessionState>& session, QueryKind kind, bool s
     }
     SessionState& s = *session;
     ServiceState& svc = *s.service;
-    const bool escalate = screen(s, kind, inputs);
-    if (escalate && kind == QueryKind::Raw) {
+    const Admission admission = screen(s, kind, inputs);
+    if (admission.escalate && kind == QueryKind::Raw) {
         // Deployment alert + probe-shaped rows: raw outputs close
         // per-query, before campaign clustering has even merged the
         // session — a forged source gets no pre-attribution window.
@@ -580,13 +622,11 @@ auto submit(const std::shared_ptr<SessionState>& session, QueryKind kind, bool s
     // rows still feed the engine: the probe-population window stays hot
     // (the alert cannot be waited out by hammering a frozen source) and
     // overlap evidence keeps accruing against the campaign.
-    if (AttribState* at = svc.attrib.get()) {
-        if (at->engine.probation(s.config.source)) {
-            throw QueryRefused(
-                "source is on probation: first seen while the deployment alert was active");
-        }
+    if (admission.probation) {
+        throw QueryRefused(
+            "source is on probation: first seen while the deployment alert was active");
     }
-    if (const AdaptivePolicy::Band* band = adaptive_band(s);
+    if (const AdaptivePolicy::Band* band = admission.band;
         band != nullptr && band->refuse_queries) {
         // Campaign quarantine: the top suspicion band refuses service
         // outright. Label-degraded answers still distill a model; an
@@ -620,7 +660,9 @@ auto submit(const std::shared_ptr<SessionState>& session, QueryKind kind, bool s
             // answers are not interchangeable).
             replica = &route(svc, s);
             const std::uint64_t partition = svc.config.cache.partition_by_session ? s.id : 0;
-            cache_hash = ResultCache::key_hash(kind, replica->index, partition, inputs.row_span(0));
+            const std::uint64_t row_hash =
+                admission.hashed ? admission.row_hash : attrib::hash_row(inputs.row_span(0));
+            cache_hash = ResultCache::key(kind, replica->index, partition, row_hash);
             ResultCache::Value value;
             if (svc.cache->lookup(cache_hash, kind, replica->index, partition, inputs.row_span(0),
                                   value)) {
@@ -634,7 +676,7 @@ auto submit(const std::shared_ptr<SessionState>& session, QueryKind kind, bool s
                 } else if constexpr (std::is_same_v<Promise, std::promise<double>>) {
                     const std::uint64_t ordinal =
                         s.power_ordinal.fetch_add(1, std::memory_order_relaxed);
-                    const double sigma = escalated_power_sigma(s, escalate);
+                    const double sigma = power_sigma(s, admission);
                     promise.set_value(value.power +
                                       (sigma > 0.0 ? session_noise(s, sigma, ordinal) : 0.0));
                 } else if constexpr (std::is_same_v<Promise, std::promise<tensor::Vector>>) {
@@ -650,7 +692,7 @@ auto submit(const std::shared_ptr<SessionState>& session, QueryKind kind, bool s
         try {
             if (replica == nullptr) replica = &route(svc, s);
             return enqueue<Promise>(session, *replica, kind, scalar, std::move(inputs), flush_hint,
-                                    cache_hash, cacheable, escalate);
+                                    cache_hash, cacheable, admission);
         } catch (...) {
             unadmit(s, kind, rows);
             throw;

@@ -79,9 +79,11 @@ public:
     /// In the default InputLineCurrents mode the score allocates nothing:
     /// the row is classified through the allocation-free single-row path,
     /// and each line current is tested against the envelope as it is
-    /// read. Each call takes the same two crossbar measurements as
-    /// classify() followed by input_line_currents(), in that order, so
-    /// read-noise devices answer exactly as anomaly_score_reference does.
+    /// read — on a noise-free device where the AVX-512 arm is in effect,
+    /// eight lines a step, with the same result bits. Each call takes the
+    /// same two crossbar measurements as classify() followed by
+    /// input_line_currents(), in that order, so read-noise devices answer
+    /// exactly as anomaly_score_reference does.
     double anomaly_score(std::span<const double> u) const;
 
     /// The composed score — classify, the full signature vector, then the

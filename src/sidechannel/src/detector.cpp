@@ -6,9 +6,62 @@
 
 #include "xbarsec/common/contracts.hpp"
 #include "xbarsec/stats/descriptive.hpp"
+#include "xbarsec/tensor/gemm.hpp"
 #include "xbarsec/tensor/ops.hpp"
 
+#if defined(__x86_64__) && defined(__GNUC__)
+#include <immintrin.h>
+#endif
+
 namespace xbarsec::sidechannel {
+
+namespace {
+
+#if defined(__x86_64__) && defined(__GNUC__)
+#define XS_DETECTOR_HAVE_AVX512 1
+
+/// The envelope test over a noise-free read, eight lines per step: the
+/// streamed loop's worst exceedance bit for bit. Each lane computes the
+/// same IEEE operations as one step of that loop (this file is compiled
+/// with -ffp-contract=off, so v·G is never fused into the subtractions),
+/// and each std::max is transcribed as its compare and select, so NaN
+/// currents and ratios (∞/∞) are skipped exactly as there. A max is
+/// exact, so the order the lanes fold in cannot change the result. The
+/// streamed loop adds +0.0 to v·G only to canonicalise the sign of an
+/// undriven line's zero; no exceedance depends on that sign. Lanes past
+/// the row's end are masked out.
+__attribute__((target("avx512f"))) double envelope_score_avx512(
+    const double* __restrict v, const double* __restrict g, const double* __restrict lo,
+    const double* __restrict hi, const double* __restrict range, std::size_t n) {
+    const __m512d zero = _mm512_setzero_pd();
+    const __m512d one = _mm512_set1_pd(1.0);
+    __m512d worst = zero;
+    for (std::size_t j = 0; j < n; j += 8) {
+        const __mmask8 live =
+            n - j >= 8 ? static_cast<__mmask8>(0xFF) : static_cast<__mmask8>((1u << (n - j)) - 1u);
+        const __m512d sig =
+            _mm512_mul_pd(_mm512_maskz_loadu_pd(live, v + j), _mm512_maskz_loadu_pd(live, g + j));
+        const __m512d above = _mm512_sub_pd(sig, _mm512_maskz_loadu_pd(live, hi + j));
+        const __m512d below = _mm512_sub_pd(_mm512_maskz_loadu_pd(live, lo + j), sig);
+        // exceed = std::max(above, below) = (above < below) ? below : above
+        const __m512d exceed =
+            _mm512_mask_blend_pd(_mm512_cmp_pd_mask(above, below, _CMP_LT_OQ), above, below);
+        const __mmask8 out = _mm512_mask_cmp_pd_mask(live, exceed, zero, _CMP_GT_OQ);
+        if (out == 0) continue;  // inside the envelope: most lines of a clean row
+        const __m512d ratio = _mm512_div_pd(exceed, _mm512_mask_loadu_pd(one, live, range + j));
+        // worst = std::max(worst, ratio) = (worst < ratio) ? ratio : worst
+        worst = _mm512_mask_blend_pd(_mm512_mask_cmp_pd_mask(out, worst, ratio, _CMP_LT_OQ),
+                                     worst, ratio);
+    }
+    alignas(64) double lanes[8];
+    _mm512_store_pd(lanes, worst);
+    double score = 0.0;
+    for (const double lane : lanes) score = std::max(score, lane);
+    return score;
+}
+#endif
+
+}  // namespace
 
 tensor::Vector CurrentSignatureDetector::signature(const tensor::Vector& u) const {
     switch (config_.mode) {
@@ -130,8 +183,15 @@ double CurrentSignatureDetector::anomaly_score(std::span<const double> u) const 
     const double* __restrict lo = p.lo.data();
     const double* __restrict hi = p.hi.data();
     const double* __restrict range = p.range.data();
+    const xbar::Crossbar& crossbar = hardware_->crossbar();
+#ifdef XS_DETECTOR_HAVE_AVX512
+    if (crossbar.nonideality().read_noise_std == 0.0 && tensor::avx512_in_effect()) {
+        const std::span<const double> g = crossbar.reserve_noise_free_line_read();
+        return envelope_score_avx512(u.data(), g.data(), lo, hi, range, u.size());
+    }
+#endif
     double worst = 0.0;
-    hardware_->crossbar().visit_input_line_currents(u, [&](std::size_t d, double sig) {
+    crossbar.visit_input_line_currents(u, [&](std::size_t d, double sig) {
         const double exceed = std::max(sig - hi[d], lo[d] - sig);
         if (exceed > 0.0) worst = std::max(worst, exceed / range[d]);
     });

@@ -191,6 +191,19 @@ public:
         }
     }
 
+    /// The line conductances G_j of a noise-free device, for a caller that
+    /// computes the line currents v_j·G_j itself (the detector's
+    /// vectorised envelope pass): reserves the one measurement an
+    /// input_line_currents read takes. On a noise-free device
+    /// input_line_currents holds v_j·G_j + 0.0 at j. A noisy device's
+    /// currents need the read's noise factors, so it is a contract
+    /// violation to call this there; use visit_input_line_currents.
+    std::span<const double> reserve_noise_free_line_read() const {
+        XS_EXPECTS(nonideal_.read_noise_std == 0.0);
+        (void)reserve_measurements(1);
+        return g_col_.span();
+    }
+
     /// Static power with outputs at virtual ground: Σ_j v_j²·G_j, watts.
     double static_power(const tensor::Vector& v) const;
 
@@ -257,8 +270,12 @@ private:
     /// Atomic: concurrent callers (OracleService flushes, pool workers
     /// hammering one stack) must each reserve a disjoint counter range —
     /// a torn read-modify-write would hand two measurements the same
-    /// noise coordinates.
-    mutable std::atomic<std::uint64_t> measurements_{0};
+    /// noise coordinates. On its own cache line (the last member, so the
+    /// object's size pads the rest of the line): every read writes it,
+    /// and on a line shared with the g_diff_t_ and g_col_ headers each
+    /// reservation would evict the line that every other reader of this
+    /// device loads (bench_micro's concurrency series measures it).
+    alignas(64) mutable std::atomic<std::uint64_t> measurements_{0};
 };
 
 }  // namespace xbarsec::xbar

@@ -4,11 +4,17 @@
 // under k and a monotone estimate beyond, pooled == serial bit-identity
 // across ThreadPool sizes, union-find campaign clustering (same-source
 // auto-union, repeat-overlap replay merges, close-time sketch merges),
-// the deployment alert window, and the telemetry accessor contracts.
+// the deployment alert window, the one-pass row flags, observe_unit
+// against the single calls it replaces, and the telemetry accessor
+// contracts.
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <cmath>
 #include <cstdint>
+#include <cstring>
+#include <functional>
+#include <limits>
 #include <random>
 #include <string>
 #include <vector>
@@ -19,6 +25,7 @@
 #include "xbarsec/common/error.hpp"
 #include "xbarsec/common/rng.hpp"
 #include "xbarsec/common/threadpool.hpp"
+#include "xbarsec/tensor/gemm.hpp"
 
 namespace xbarsec::attrib {
 namespace {
@@ -229,6 +236,74 @@ TEST(AttributionEngine, RowHeuristicsMatchTheirDocs) {
     EXPECT_TRUE(AttributionEngine::suspicious_row(hot, config));
     EXPECT_FALSE(AttributionEngine::basis_like_row(clean, config));
     EXPECT_TRUE(AttributionEngine::basis_like_row(basis, config));
+}
+
+/// Runs `check` under every kernel arm this host supports, then restores
+/// the arm that was in effect (row_flags vectorises on the AVX-512 arm).
+void for_each_kernel_arm(const std::function<void()>& check) {
+    const tensor::KernelVariant previous = tensor::forced_kernel_variant();
+    for (const tensor::KernelVariant v :
+         {tensor::KernelVariant::Portable, tensor::KernelVariant::Avx2,
+          tensor::KernelVariant::Avx512}) {
+        if (!tensor::kernel_variant_available(v)) continue;
+        tensor::set_kernel_variant(v);
+        SCOPED_TRACE(tensor::to_string(v));
+        check();
+    }
+    tensor::set_kernel_variant(previous);
+}
+
+TEST(AttributionEngine, RowFlagsEqualTheTwoHeuristicsExactly) {
+    const double inf = std::numeric_limits<double>::infinity();
+    const double nan = std::numeric_limits<double>::quiet_NaN();
+    EngineConfig defaults;  // amplitude 1.5, nnz divisor 32
+    EngineConfig edge;      // amplitude 0: any |v| > 0; divisor 0 acts as 1
+    edge.suspicious_amplitude = 0.0;
+    edge.basis_nnz_divisor = 0;
+
+    std::vector<std::vector<double>> rows;
+    for (const std::size_t n : {1, 7, 8, 9, 31, 32, 33, 64, 65, 77, 784}) {
+        // The amplitude boundary, at the first, a middle and the last line.
+        const double amp = defaults.suspicious_amplitude;
+        for (const double v : {amp, -amp, std::nextafter(amp, inf), -std::nextafter(amp, inf),
+                               std::nextafter(amp, 0.0), inf, -inf, nan, -0.0, 0.0}) {
+            for (const std::size_t at : {std::size_t{0}, n / 2, n - 1}) {
+                std::vector<double> row(n, 0.25);
+                row[at] = v;
+                rows.push_back(row);
+            }
+        }
+        // The nnz budget's boundary: exactly budget and budget + 1 driven
+        // lines, among −0.0 (undriven) fillers; NaN counts as driven.
+        const std::size_t budget = std::max<std::size_t>(n / 32, 1);
+        for (const std::size_t driven : {budget - 1, budget, budget + 1}) {
+            if (driven > n) continue;
+            for (const double v : {0.5, nan, -3.0}) {
+                std::vector<double> row(n, -0.0);
+                for (std::size_t k = 0; k < driven; ++k) row[(k * n) / driven] = v;
+                rows.push_back(row);
+            }
+        }
+    }
+    // Known verdicts at the boundaries, so equality cannot pass on two
+    // heuristics that are wrong the same way.
+    const std::vector<double> at_amp(9, 1.5), above_amp{0.0, std::nextafter(1.5, 2.0)};
+    EXPECT_FALSE(AttributionEngine::suspicious_row(at_amp, defaults));
+    EXPECT_TRUE(AttributionEngine::suspicious_row(above_amp, defaults));
+    EXPECT_TRUE(AttributionEngine::basis_like_row(std::vector<double>(64, -0.0), defaults));
+    EXPECT_FALSE(AttributionEngine::basis_like_row(std::vector<double>{nan, 0.0, nan}, defaults));
+
+    for_each_kernel_arm([&] {
+        for (const EngineConfig& config : {defaults, edge}) {
+            for (std::size_t r = 0; r < rows.size(); ++r) {
+                const RowFlags flags = AttributionEngine::row_flags(rows[r], config);
+                ASSERT_EQ(flags.suspicious, AttributionEngine::suspicious_row(rows[r], config))
+                    << "row " << r << " of " << rows[r].size();
+                ASSERT_EQ(flags.basis_like, AttributionEngine::basis_like_row(rows[r], config))
+                    << "row " << r << " of " << rows[r].size();
+            }
+        }
+    });
 }
 
 // ---- engine: clustering -----------------------------------------------------
@@ -465,6 +540,119 @@ TEST(AttributionEngine, ChurnAlertTripsOnFreshSourceMinting) {
     for (std::uint64_t i = 0; i < 8; ++i) engine.note_session_open(20 + i, 101);
     EXPECT_FALSE(engine.churn_alert());
     EXPECT_FALSE(engine.probation(105));  // enforcement is churn-gated
+}
+
+// ---- engine: one lock per submission ---------------------------------------
+
+/// Two engines fed the same units: `single` through observe() per row and
+/// the accessors admission used to call one by one, `unit` through
+/// observe_unit. Every feed checks that both return the same figures and
+/// are left in the same state.
+struct EngineTwins {
+    AttributionEngine single, unit;
+    explicit EngineTwins(const EngineConfig& config) : single(config), unit(config) {}
+
+    void open(std::uint64_t session, SourceId source) {
+        single.note_session_open(session, source);
+        unit.note_session_open(session, source);
+    }
+
+    AdmissionView feed(const std::vector<Observation>& rows, std::uint64_t session,
+                       SourceId source) {
+        for (const Observation& obs : rows) single.observe(obs);
+        AdmissionView expected;
+        expected.alert = single.alert();
+        expected.probation = single.probation(source);
+        expected.pooled_screened = single.pooled_screened(session);
+        expected.pooled_suspicion = single.pooled_suspicion_fraction(session);
+
+        const AdmissionView got = unit.observe_unit(rows, session, source);
+        expect_same(got, expected);
+        expect_same(unit.admission_view(session, source), expected);
+        EXPECT_EQ(unit.json_snapshot(), single.json_snapshot());
+        EXPECT_EQ(unit.campaign_count(), single.campaign_count());
+        return got;
+    }
+
+    static void expect_same(const AdmissionView& got, const AdmissionView& expected) {
+        EXPECT_EQ(got.alert, expected.alert);
+        EXPECT_EQ(got.probation, expected.probation);
+        EXPECT_EQ(got.pooled_screened, expected.pooled_screened);
+        EXPECT_EQ(0, std::memcmp(&got.pooled_suspicion, &expected.pooled_suspicion, sizeof(double)))
+            << got.pooled_suspicion << " vs " << expected.pooled_suspicion;
+    }
+};
+
+/// `count` rows of one session: `flagged` flagged rows first, then
+/// `suspicious` probe-shaped ones, the rest clean, hashes item(seed, i).
+std::vector<Observation> unit_rows(std::uint64_t session, SourceId source, std::uint64_t seed,
+                                   std::size_t count, std::size_t flagged = 0,
+                                   std::size_t suspicious = 0) {
+    std::vector<Observation> rows(count);
+    for (std::size_t i = 0; i < count; ++i) {
+        rows[i].session = session;
+        rows[i].source = source;
+        rows[i].input_hash = item(seed, i);
+        rows[i].flagged = i < flagged;
+        rows[i].suspicious = i >= flagged && i < flagged + suspicious;
+        rows[i].basis_like = i % 5 == 4;
+    }
+    return rows;
+}
+
+TEST(AttributionEngine, ObserveUnitEqualsTheSingleCallsItReplaces) {
+    EngineConfig config;
+    config.window_events = 32;
+    config.alert_min_screened = 12;
+    config.repeat_overlap = 2;
+    config.churn_fresh_sources = 0;  // isolate the detector-window alert
+    EngineTwins t(config);
+    t.open(1, 5);
+    t.open(2, 5);
+    t.open(3, 0);
+
+    // Serial runs: clean units, then probes that session 3 replays into
+    // session 1's campaign (a merge mid-unit).
+    for (std::uint64_t k = 0; k < 3; ++k) {
+        const AdmissionView v = t.feed(unit_rows(1 + k % 2, 5, 100 + k, 3), 1 + k % 2, 5);
+        EXPECT_FALSE(v.alert);
+    }
+    t.feed(unit_rows(1, 5, 200, 4, /*flagged=*/1, /*suspicious=*/2), 1, 5);
+    EXPECT_EQ(t.unit.campaign_count(), 2u);
+    t.feed(unit_rows(3, 0, 200, 4, 1, 2), 3, 0);
+    EXPECT_EQ(t.unit.campaign_count(), 1u);  // session 3 merged into the source-5 campaign
+
+    // An alert that trips in the middle of a unit: the view reads it after
+    // the last row.
+    ASSERT_FALSE(t.unit.alert());
+    const AdmissionView tripped = t.feed(unit_rows(2, 5, 300, 12, 6, 4), 2, 5);
+    EXPECT_TRUE(tripped.alert);
+    EXPECT_GT(tripped.pooled_suspicion, 0.0);
+
+    // Probation: a source first seen while the alert is hot is marked,
+    // and enforced while it stays hot...
+    t.open(4, 9);
+    const AdmissionView marked = t.feed(unit_rows(4, 9, 400, 2), 4, 9);
+    EXPECT_TRUE(marked.alert);
+    EXPECT_TRUE(marked.probation);
+    // ...and not once the window cools, though the mark stays.
+    const AdmissionView cooled = t.feed(unit_rows(1, 5, 500, 32), 4, 9);
+    EXPECT_FALSE(cooled.alert);
+    EXPECT_FALSE(cooled.probation);
+    const AdmissionView again = t.feed(unit_rows(1, 5, 600, 16, 16), 4, 9);
+    EXPECT_TRUE(again.alert);
+    EXPECT_TRUE(again.probation);
+
+    // Unknown sessions: observed ones are adopted; an empty unit for one
+    // the engine never saw reads as empty and adopts nothing.
+    const AdmissionView adopted = t.feed(unit_rows(77, 11, 700, 3, 0, 1), 77, 11);
+    EXPECT_EQ(adopted.pooled_screened, 3u);
+    const std::size_t campaigns = t.unit.campaign_count();
+    const AdmissionView unknown = t.feed({}, 78, 0);
+    EXPECT_EQ(unknown.pooled_screened, 0u);
+    EXPECT_EQ(unknown.pooled_suspicion, 0.0);
+    EXPECT_EQ(t.unit.campaign_count(), campaigns);
+    EXPECT_THROW(t.unit.campaign_of(78), ConfigError);
 }
 
 TEST(AttributionEngine, StatisticsSurviveSessionClose) {

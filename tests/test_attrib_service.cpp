@@ -2,8 +2,9 @@
 // off-by-default contract (disabled accessors, bit-identical answers),
 // campaign pooling that survives session rotation, query-overlap
 // clustering across forged admission identities, zero benign false
-// merges, the deployment-level alert's per-query escalation, and the
-// accessor error contracts.
+// merges, the deployment-level alert's per-query escalation, the
+// admission orderings around the engine feed, and the accessor error
+// contracts.
 #include <gtest/gtest.h>
 
 #include <string>
@@ -325,6 +326,77 @@ TEST(AttributionService, QuarantinedCampaignsAreRefusedEverythingAcrossRotation)
     benign_tenant.source = 8;
     Session benign = service.open_session(benign_tenant);
     (void)benign.submit_label(clean).get();  // other principals are untouched
+}
+
+// ---- admission ordering -----------------------------------------------------
+
+TEST(AttributionService, BlockingRefusalMidUnitFeedsOnlyTheRowsBeforeIt) {
+    // A blocking screen refuses row 3 of a 5-row unit: the engine has
+    // seen rows 0-2 of it, as a row-by-row feed would have, and neither
+    // the refused row nor the one after it.
+    Rng rng(12);
+    const nn::SingleLayerNet net = make_net(rng);
+    CrossbarOracle backend = make_oracle(net);
+    const data::Dataset enrollment = make_enrollment(rng);
+    const sidechannel::CurrentSignatureDetector detector(backend.hardware_for_evaluation(),
+                                                         enrollment, {});
+    const tensor::Vector attack(net.inputs(), 50.0);
+    ASSERT_TRUE(detector.is_adversarial(attack));
+
+    ServiceConfig config;
+    config.attribution.enabled = true;
+    OracleService service(backend, config);
+    SessionConfig blocking;
+    blocking.detector = &detector;
+    blocking.block_flagged = true;
+    blocking.source = 7;
+    Session session = service.open_session(blocking);
+
+    tensor::Matrix U(5, net.inputs());
+    for (std::size_t r = 0; r < U.rows(); ++r) {
+        // Even enrolment rows fit the envelopes, so they are never flagged.
+        const tensor::Vector row = r == 3 ? attack : enrollment.input(2 * r);
+        std::copy(row.begin(), row.end(), U.row_span(r).begin());
+    }
+    EXPECT_THROW(session.submit_labels(U), QueryRefused);
+    const attrib::SourceCounters counters = service.attribution_source_counters(7);
+    EXPECT_EQ(counters.screened, 3u);
+    EXPECT_EQ(counters.flagged, 0u);
+    EXPECT_EQ(session.screened(), 4u);  // the screen itself counts the refused row
+    EXPECT_EQ(session.flagged(), 1u);
+    EXPECT_EQ(session.counters().inference, 0u);
+}
+
+TEST(AttributionService, RawCutoffReadsTheBandBeforeTheUnitIsObserved) {
+    // The raw-output cutoff depends only on past behaviour: a raw
+    // submission whose own probe row lifts the campaign to the band's
+    // threshold is still answered, and the next raw submission is not.
+    Rng rng(13);
+    const nn::SingleLayerNet net = make_net(rng);
+    CrossbarOracle backend = make_oracle(net);
+    ServiceConfig config;
+    config.attribution.enabled = true;
+    config.attribution.engine.alert_min_screened = 1u << 20;  // no deployment alert
+    OracleService service(backend, config);
+    SessionConfig tenant;
+    tenant.adaptive = AdaptivePolicy::escalate_at(0.5, 2.0, /*withhold_raw=*/true);
+    tenant.adaptive.min_screened = 4;
+    tenant.source = 7;
+    Session session = service.open_session(tenant);
+
+    for (std::size_t i = 0; i < 4; ++i) {
+        const tensor::Vector clean(net.inputs(), 0.1 * static_cast<double>(i));
+        (void)session.submit_label(clean).get();
+    }
+    for (std::size_t i = 0; i < 3; ++i) {
+        (void)session.submit_label(probe_row(net.inputs(), i)).get();
+    }
+    EXPECT_EQ(service.attribution_campaign_of(session.id()).suspicious, 3u);  // 3/7 < 0.5
+
+    (void)session.submit_raw(probe_row(net.inputs(), 3)).get();  // 4/8 only once observed
+    EXPECT_EQ(service.attribution_campaign_of(session.id()).suspicious, 4u);
+    EXPECT_THROW(session.submit_raw(tensor::Vector(net.inputs(), 0.5)), AccessDenied);
+    (void)session.submit_label(tensor::Vector(net.inputs(), 0.5)).get();  // labels still flow
 }
 
 TEST(AttributionService, ProbationFreezesSourcesFirstSeenDuringAnAlert) {

@@ -2,6 +2,8 @@
 #include <gtest/gtest.h>
 
 #include <cstring>
+#include <limits>
+#include <utility>
 
 #include "xbarsec/attack/fgsm.hpp"
 #include "xbarsec/attack/single_pixel.hpp"
@@ -270,6 +272,110 @@ TEST_F(DetectorFixture, ScreenCountsAndRefusalMatchTheReference) {
             EXPECT_EQ(refused_at, expected_at);
             EXPECT_EQ(screen.screened(), expected_at + 1);
             EXPECT_EQ(screen.flagged(), 1u);
+        }
+    }
+}
+
+/// A small deployment whose line pairs tie: each (a, b) pair has equal
+/// weight columns and equal enrolment pixels, so G_a = G_b and the two
+/// lines share their envelopes. Equal pixels on a and b then exceed by
+/// equal ratios, in different lanes of the envelope pass.
+using Ties = std::vector<std::pair<std::size_t, std::size_t>>;
+
+struct TiedDeployment {
+    nn::SingleLayerNet net;
+    data::Dataset enrol;
+
+    TiedDeployment(std::size_t inputs, const Ties& ties)
+        : net(make_net(inputs, ties)), enrol(make_enrol(inputs, ties)) {}
+
+    static nn::SingleLayerNet make_net(std::size_t inputs, const Ties& ties) {
+        Rng rng(inputs);
+        nn::SingleLayerNet net(rng, inputs, 10, nn::Activation::Linear, nn::Loss::Mse);
+        for (const auto& [a, b] : ties) {
+            for (std::size_t i = 0; i < net.outputs(); ++i) {
+                net.weights()(i, b) = net.weights()(i, a);
+            }
+        }
+        return net;
+    }
+    static data::Dataset make_enrol(std::size_t inputs, const Ties& ties) {
+        Rng rng(inputs + 1);
+        tensor::Matrix clean = tensor::Matrix::random_uniform(rng, 160, inputs);
+        for (std::size_t r = 0; r < clean.rows(); ++r) {
+            for (const auto& [a, b] : ties) clean(r, b) = clean(r, a);
+        }
+        std::vector<int> labels(clean.rows());
+        for (std::size_t i = 0; i < labels.size(); ++i) labels[i] = static_cast<int>(i % 10);
+        return data::Dataset(std::move(clean), std::move(labels), 10,
+                             data::ImageShape{inputs, 1, 1});
+    }
+};
+
+/// Rows at the envelope pass's edges: clean and amplitude-6 probe rows,
+/// all-zero and −0.0 rows, negative pixels, ±inf and NaN pixels (at the
+/// first line and the last), and tied worst exceedances.
+tensor::Matrix edge_rows(std::size_t inputs, const Ties& ties) {
+    Rng rng(inputs + 2);
+    std::vector<tensor::Vector> rows;
+    const auto clean = [&] { return tensor::Vector::random_uniform(rng, inputs); };
+    for (int k = 0; k < 4; ++k) rows.push_back(clean());
+    for (int k = 0; k < 4; ++k) {
+        tensor::Vector probe(inputs, 0.0);
+        for (double& x : probe) x = rng.uniform() < 0.3 ? 0.0 : rng.uniform(0.0, 6.0);
+        rows.push_back(probe);
+    }
+    rows.emplace_back(inputs, 0.0);
+    rows.emplace_back(inputs, -0.0);
+    const double inf = std::numeric_limits<double>::infinity();
+    const double nan = std::numeric_limits<double>::quiet_NaN();
+    for (const double special : {-2.5, -1e-300, inf, -inf, nan}) {
+        for (const std::size_t at : {std::size_t{0}, inputs - 1}) {
+            tensor::Vector row = clean();
+            row[at] = special;
+            rows.push_back(row);
+        }
+    }
+    {
+        tensor::Vector row = clean();
+        for (std::size_t j = 0; j < inputs; j += 3) row[j] = -row[j];  // below every envelope
+        rows.push_back(row);
+    }
+    for (const auto& [a, b] : ties) {
+        for (const double level : {4.0, 50.0, -50.0}) {
+            tensor::Vector row = clean();
+            row[a] = row[b] = level;
+            rows.push_back(row);
+        }
+    }
+    return tensor::Matrix::from_rows(rows);
+}
+
+TEST(DetectorEnvelope, EqualsTheReferenceBitForBitOnEdgeRows) {
+    // Re-run per kernel arm by the test_detector_<arm> registrations: the
+    // AVX-512 arm takes the vectorised pass on the noise-free device,
+    // every other case the streamed loop.
+    const std::vector<std::pair<std::size_t, Ties>> shapes = {
+        {1, {}}, {9, {{0, 8}, {1, 5}}}, {13, {{2, 11}}}, {77, {{3, 16}, {70, 76}}}};
+    xbar::DeviceSpec spec;
+    spec.g_on_max = 100e-6;
+    for (const auto& [inputs, ties] : shapes) {
+        const TiedDeployment d(inputs, ties);
+        const tensor::Matrix rows = edge_rows(inputs, ties);
+        for (const xbar::NonIdealityConfig& nonideal : screen_devices()) {
+            Twins t(d.net, spec, nonideal, d.enrol);
+            std::size_t positive = 0;
+            for (std::size_t r = 0; r < rows.rows(); ++r) {
+                const std::uint64_t before = t.hw_a.crossbar().measurement_count();
+                const double fused = t.fused.anomaly_score(rows.row_span(r));
+                const double reference = t.reference.anomaly_score_reference(rows.row(r));
+                ASSERT_EQ(0, std::memcmp(&fused, &reference, sizeof(double)))
+                    << inputs << " lines, row " << r << ", noise " << nonideal.read_noise_std
+                    << ": " << fused << " vs " << reference;
+                ASSERT_EQ(t.hw_a.crossbar().measurement_count(), before + 2);
+                if (fused > 0.0) ++positive;
+            }
+            EXPECT_GT(positive, rows.rows() / 2) << inputs << " lines";
         }
     }
 }

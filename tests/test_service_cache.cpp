@@ -5,8 +5,10 @@
 // policy replay on hits (exposure, budget charging per
 // CacheConfig::hits_charge_budget, noise ordinals advancing identically),
 // partitioned-vs-shared isolation, eviction stress with monotone stat
-// snapshots, and the cache-timing scenario's attacker AUC. Runs under
-// `ctest -L service` including the ASan/UBSan CI job.
+// snapshots, the cache-timing scenario's attacker AUC, cache keys
+// (equal rows hit; -0.0, kind, replica and partition key apart), and the
+// heap allocations of a label hit and a request-response miss. Runs
+// under `ctest -L service` including the ASan/UBSan CI job.
 #include <gtest/gtest.h>
 
 #include <atomic>
@@ -16,7 +18,11 @@
 
 #include "xbarsec/core/scenario.hpp"
 #include "xbarsec/core/service.hpp"
+#include "xbarsec/sidechannel/detector.hpp"
 #include "xbarsec/tensor/ops.hpp"
+
+// Counts heap allocations for the submission allocation pins.
+#include "alloc_counter.hpp"
 
 namespace xbarsec::core {
 namespace {
@@ -272,6 +278,73 @@ TEST(ServiceCache, PartitioningIsolatesSessionsSharedDoesNot) {
     EXPECT_EQ(partitioned.cache_hits(), 2u);
 }
 
+// ---- cache keys ---------------------------------------------------------------
+
+TEST(ServiceCache, KeysSeparateBitPatternsKindsReplicasAndPartitions) {
+    // Keys are mixed from the row's content address (attrib::hash_row):
+    // equal rows hit wherever they were built, a −0.0 element keys apart
+    // from 0.0 (bit patterns, not values), and kind, replica and
+    // partition each key separate entries.
+    Rng rng(10);
+    const nn::SingleLayerNet net = make_net(rng);
+    CrossbarOracle backend_a = make_oracle(net);
+    CrossbarOracle backend_b = make_oracle(net);
+    tensor::Vector zero_row(net.inputs(), 0.25);
+    zero_row[3] = 0.0;
+    tensor::Vector negative_zero_row = zero_row;
+    negative_zero_row[3] = -0.0;
+
+    {
+        OracleService service(backend_a, cached_config());
+        Session s = service.open_session();
+        (void)s.oracle().query_label(zero_row);
+        const tensor::Vector equal_row(std::vector<double>(zero_row.begin(), zero_row.end()));
+        (void)s.oracle().query_label(equal_row);
+        EXPECT_EQ(service.cache_hits(), 1u);  // an equal row built apart hits
+        (void)s.oracle().query_label(negative_zero_row);
+        EXPECT_EQ(service.cache_misses(), 2u);  // −0.0 is its own entry...
+        (void)s.oracle().query_label(zero_row);
+        (void)s.oracle().query_label(negative_zero_row);
+        EXPECT_EQ(service.cache_hits(), 3u);  // ...and displaced neither
+        EXPECT_EQ(service.cache_entries(), 2u);
+
+        // One row, three kinds: three entries, each hit on replay.
+        (void)s.oracle().query_raw(zero_row);
+        (void)s.oracle().query_power(zero_row);
+        EXPECT_EQ(service.cache_entries(), 4u);
+        (void)s.oracle().query_label(zero_row);
+        (void)s.oracle().query_raw(zero_row);
+        (void)s.oracle().query_power(zero_row);
+        EXPECT_EQ(service.cache_hits(), 6u);
+        EXPECT_EQ(service.cache_misses(), 4u);
+    }
+    {
+        // Two replicas, round-robin: the row's first visit to each
+        // replica misses, later visits hit that replica's own entry.
+        ServiceConfig config = cached_config();
+        config.routing = RoutingPolicy::RoundRobin;
+        OracleService service(std::vector<Oracle*>{&backend_a, &backend_b}, config);
+        Session s = service.open_session();
+        for (int k = 0; k < 6; ++k) (void)s.oracle().query_label(zero_row);
+        EXPECT_EQ(service.cache_misses(), 2u);
+        EXPECT_EQ(service.cache_hits(), 4u);
+        EXPECT_EQ(service.cache_entries(), 2u);
+    }
+    {
+        // Partitioned by session: the same row in two sessions.
+        OracleService service(backend_a, cached_config(64, /*partition=*/true));
+        Session a = service.open_session();
+        Session b = service.open_session();
+        for (int k = 0; k < 2; ++k) {
+            (void)a.oracle().query_label(zero_row);
+            (void)b.oracle().query_label(zero_row);
+        }
+        EXPECT_EQ(service.cache_misses(), 2u);
+        EXPECT_EQ(service.cache_hits(), 2u);
+        EXPECT_EQ(service.cache_entries(), 2u);
+    }
+}
+
 // ---- eviction stress ---------------------------------------------------------
 
 TEST(ServiceCache, EvictionStressKeepsStatsMonotoneAndBounded) {
@@ -352,6 +425,119 @@ TEST(ServiceCache, CacheTimingScenarioSeparatesSharedFromPartitioned) {
     // The defense also shows up in the attacker's own hit telemetry: no
     // cross-tenant reuse under partitioning.
     EXPECT_DOUBLE_EQ(outcome.metrics.at("attacker_hit_rate_partitioned"), 0.0);
+}
+
+// ---- allocation pins ---------------------------------------------------------
+
+/// Every admission tier on, as perfbench's tenant-mix runs them: a
+/// log-only detector screen, an adaptive policy, attribution and (when
+/// `cache`) the result cache.
+struct FullStack {
+    nn::SingleLayerNet net;
+    CrossbarOracle backend;
+    data::Dataset enrol;
+    sidechannel::CurrentSignatureDetector detector;
+    OracleService service;
+
+    static data::Dataset enrolment(Rng& rng, std::size_t inputs) {
+        tensor::Matrix clean = tensor::Matrix::random_uniform(rng, 120, inputs);
+        std::vector<int> labels(clean.rows());
+        for (std::size_t i = 0; i < labels.size(); ++i) labels[i] = static_cast<int>(i % 5);
+        return data::Dataset(std::move(clean), std::move(labels), 5, data::ImageShape{4, 6, 1});
+    }
+    static ServiceConfig config(bool cache) {
+        ServiceConfig c = cached_config(256);
+        c.max_wait = std::chrono::microseconds(0);
+        c.cache.enabled = cache;
+        c.attribution.enabled = true;
+        return c;
+    }
+    FullStack(Rng& rng, bool cache)
+        : net(make_net(rng)),
+          backend(make_oracle(net)),
+          enrol(enrolment(rng, net.inputs())),
+          detector(backend.hardware_for_evaluation(), enrol),
+          service(backend, config(cache)) {}
+
+    SessionConfig tenant() const {
+        SessionConfig s;
+        s.detector = &detector;
+        s.adaptive = AdaptivePolicy::escalate_at(0.2, 4.0);
+        s.power_noise_sigma = 0.01;
+        s.source = 7;
+        return s;
+    }
+};
+
+/// Heap allocations one request-response submit_label makes, on every
+/// thread, beyond the caller's row (built before counting, moved in).
+std::size_t label_allocations(Session& session, std::span<const double> u) {
+    tensor::Vector row(std::vector<double>(u.begin(), u.end()));
+    const std::size_t before = alloc_counter::allocations();
+    (void)session.submit_label(std::move(row)).get();
+    return alloc_counter::allocations() - before;
+}
+
+// The parent's counts, pinned so a change that adds an allocation to
+// submission fails here. Removing them is ROADMAP item 4; that change
+// lowers these numbers.
+/// The promise's shared state and its result slot.
+constexpr std::size_t kLabelHitAllocations = 2;
+/// The hit's 2, the backend query_labels call's 3, and 2 not yet
+/// attributed.
+constexpr std::size_t kLabelMissAllocations = 7;
+
+TEST(ServiceCache, LabelHitAllocationsArePinned) {
+    // The admission tiers (screen, attribution observe, cache probe)
+    // allocate nothing on a hit. Fit rows of the enrolment sit inside
+    // the detector's envelope, so the row is never flagged (a flagged
+    // row's first sighting grows the attribution index).
+    Rng rng(21);
+    FullStack stack(rng, /*cache=*/true);
+    Session session = stack.service.open_session(stack.tenant());
+    const auto u = stack.enrol.inputs().row_span(0);
+    (void)label_allocations(session, u);  // the miss that fills the entry
+    (void)label_allocations(session, u);  // warms the thread arena
+    const std::uint64_t hits = stack.service.cache_hits();
+    for (int k = 0; k < 8; ++k) {
+        EXPECT_EQ(label_allocations(session, u), kLabelHitAllocations) << "hit " << k;
+    }
+    EXPECT_EQ(stack.service.cache_hits(), hits + 8);
+    EXPECT_EQ(session.flagged(), 0u);
+}
+
+TEST(ServiceCache, RequestResponseMissAllocationsArePinned) {
+    Rng rng(22);
+    {
+        // A plain service: no tier on.
+        const nn::SingleLayerNet net = make_net(rng);
+        CrossbarOracle backend = make_oracle(net);
+        ServiceConfig config;
+        config.max_wait = std::chrono::microseconds(0);
+        OracleService service(backend, config);
+        Session session = service.open_session();
+        const tensor::Matrix U = tensor::Matrix::random_uniform(rng, 10, net.inputs());
+        // Two warm-up misses: the replica's queue and flush vectors swap
+        // capacity, so each grows once.
+        for (std::size_t r = 0; r < 2; ++r) (void)label_allocations(session, U.row_span(r));
+        for (std::size_t r = 2; r < U.rows(); ++r) {
+            EXPECT_EQ(label_allocations(session, U.row_span(r)), kLabelMissAllocations)
+                << "plain miss " << r;
+        }
+    }
+    {
+        // Every tier but the cache, so each submission is a miss and its
+        // one-row unit goes through the attribution observation buffer.
+        FullStack stack(rng, /*cache=*/false);
+        Session session = stack.service.open_session(stack.tenant());
+        const tensor::Matrix& fit = stack.enrol.inputs();  // even rows: inside the envelope
+        for (std::size_t r = 0; r < 4; r += 2) (void)label_allocations(session, fit.row_span(r));
+        for (std::size_t r = 4; r < 24; r += 2) {
+            EXPECT_EQ(label_allocations(session, fit.row_span(r)), kLabelMissAllocations)
+                << "full-stack miss " << r;
+        }
+        EXPECT_EQ(session.flagged(), 0u);
+    }
 }
 
 }  // namespace
