@@ -268,9 +268,10 @@ public:
     /// The sparsity heuristic (alert statistics only).
     static bool basis_like_row(std::span<const double> row, const EngineConfig& config);
 
-    /// suspicious_row and basis_like_row together, from one pass over the
-    /// row (eight elements a step where the AVX-512 arm is in effect).
-    /// Equal to the two calls exactly, −0.0 and NaN elements included.
+    /// suspicious_row and basis_like_row together: one pass over the row,
+    /// eight elements a step, where the AVX-512 arm is in effect, and the
+    /// two calls themselves elsewhere. Equal to the two calls exactly,
+    /// −0.0 and NaN elements included.
     static RowFlags row_flags(std::span<const double> row, const EngineConfig& config);
 
 private:

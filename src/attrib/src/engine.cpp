@@ -84,20 +84,13 @@ bool AttributionEngine::basis_like_row(std::span<const double> row, const Engine
 }
 
 RowFlags AttributionEngine::row_flags(std::span<const double> row, const EngineConfig& config) {
-    const std::size_t budget = nnz_budget(row.size(), config);
 #ifdef XS_ATTRIB_HAVE_AVX512
     if (tensor::avx512_in_effect()) {
-        return row_flags_avx512(row.data(), row.size(), config.suspicious_amplitude, budget);
+        return row_flags_avx512(row.data(), row.size(), config.suspicious_amplitude,
+                                nnz_budget(row.size(), config));
     }
 #endif
-    RowFlags flags;
-    std::size_t nnz = 0;
-    for (const double v : row) {
-        if (std::abs(v) > config.suspicious_amplitude) flags.suspicious = true;
-        if (v != 0.0) ++nnz;
-    }
-    flags.basis_like = nnz <= budget;
-    return flags;
+    return {suspicious_row(row, config), basis_like_row(row, config)};
 }
 
 // ---- union-find over session ids --------------------------------------------

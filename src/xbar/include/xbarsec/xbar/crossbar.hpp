@@ -270,12 +270,8 @@ private:
     /// Atomic: concurrent callers (OracleService flushes, pool workers
     /// hammering one stack) must each reserve a disjoint counter range —
     /// a torn read-modify-write would hand two measurements the same
-    /// noise coordinates. On its own cache line (the last member, so the
-    /// object's size pads the rest of the line): every read writes it,
-    /// and on a line shared with the g_diff_t_ and g_col_ headers each
-    /// reservation would evict the line that every other reader of this
-    /// device loads (bench_micro's concurrency series measures it).
-    alignas(64) mutable std::atomic<std::uint64_t> measurements_{0};
+    /// noise coordinates.
+    mutable std::atomic<std::uint64_t> measurements_{0};
 };
 
 }  // namespace xbarsec::xbar
