@@ -1,16 +1,19 @@
 // Defensive scenario (library extension): the deployment stacks power
-// obfuscation decorators — supply-rail dithering, dummy loads, sensing
-// noise, a hard query budget — over the crossbar oracle, and we measure
-// how much side-channel quality the attacker loses through each stack.
+// obfuscation decorators (supply-rail dithering, dummy loads) over the
+// crossbar oracle, the attacker's session adds per-client policy (sensing
+// noise, a hard query budget), and we measure how much side-channel
+// quality the attacker loses under each defense.
 //
-// The attacker only ever sees `core::Oracle&`; swapping the defense is a
-// different decorator composition, not different attack code.
+// The attacker only ever sees `core::Oracle&` (its session's view);
+// swapping the defense is a different stack or session policy, not
+// different attack code.
 #include <cstdio>
 #include <iostream>
 
 #include "xbarsec/common/table.hpp"
 #include "xbarsec/core/decorators.hpp"
 #include "xbarsec/core/queries.hpp"
+#include "xbarsec/core/service.hpp"
 #include "xbarsec/core/victim.hpp"
 #include "xbarsec/data/loaders.hpp"
 #include "xbarsec/tensor/ops.hpp"
@@ -30,12 +33,13 @@ int main() {
         const tensor::Vector truth = tensor::column_abs_sums(victim.net.weights());
         const double scale = tensor::max(truth);
 
-        // Each row probes the deployment through a different decorator
-        // stack built over the same backend.
+        // Each row probes the deployment through a session over a
+        // different decorator stack built on the same backend.
         struct Row {
             const char* name;
             core::DecoratorStack stack;
             std::size_t repeats;
+            core::SessionConfig policy{};  ///< pass-through unless set
         };
         std::vector<Row> rows;
         rows.push_back({"undefended", core::DecoratorStack(backend), 1});
@@ -75,29 +79,33 @@ int main() {
             rows.push_back({"random dummies", std::move(stack), 1});
         }
         {
-            // A full production stack: randomised dummies + sensing noise
-            // + a hard measurement budget (enough for exactly 32 probe
-            // repeats of every line).
+            // A full production deployment: randomised dummies on the
+            // device, and a session with sensing noise and a hard
+            // measurement budget (enough for exactly 32 probe repeats of
+            // every line).
             core::ObfuscationConfig dummies;
             dummies.kind = core::ObfuscationConfig::Kind::RandomDummy;
             dummies.magnitude = scale;
             dummies.seed = 3;
-            core::QueryBudget budget;
-            budget.max_power = 32 * backend.inputs();
+            core::SessionConfig policy;
+            policy.power_noise_sigma = 0.1 * scale;
+            policy.noise_seed = 4;
+            policy.budget.max_power = 32 * backend.inputs();
             core::DecoratorStack stack(backend);
             stack.push<core::ObfuscatedOracle>(dummies);
-            stack.push<core::NoisyPowerOracle>(0.1 * scale, 4);
-            stack.push<core::QueryBudgetOracle>(budget);
-            rows.push_back({"random dummies + noise + budget (32 avg)", std::move(stack), 32});
+            rows.push_back(
+                {"random dummies + noise + budget (32 avg)", std::move(stack), 32, policy});
         }
 
         Table table({"Deployment", "L1 rel. error", "Top-16 ranking agreement", "Power queries"});
         for (Row& row : rows) {
             backend.reset_counters();
+            core::OracleService service(row.stack.top());
+            core::Session session = service.open_session(row.policy);
             sidechannel::ProbeOptions po;
             po.repeats = row.repeats;
             const tensor::Vector est =
-                core::probe_columns(row.stack.top(), po).conductance_sums;
+                core::probe_columns(session.oracle(), po).conductance_sums;
             table.begin_row();
             table.add(row.name);
             table.add(sidechannel::relative_error(est, truth), 4);
@@ -109,7 +117,8 @@ int main() {
                      "magnitudes but cannot hide the *ranking*; randomised per-line dummies "
                      "survive averaging and actually blunt the attack — and a query budget "
                      "caps how hard the attacker can average. Counters are accumulated once, "
-                     "at the backend, however deep the decorator stack.\n";
+                     "at the backend, however deep the decorator stack; the budget is charged "
+                     "at the session.\n";
         return 0;
     } catch (const std::exception& e) {
         std::fprintf(stderr, "defended_deployment: %s\n", e.what());

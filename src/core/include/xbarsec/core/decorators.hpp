@@ -1,26 +1,20 @@
-// Composable defensive decorators over the attacker-facing Oracle.
+// Device-side defenses over the attacker-facing Oracle, and the
+// per-client policy classes that OracleService sessions enforce.
 //
-// Each decorator wraps an existing Oracle (by reference — it does not own
-// the backend) and alters one aspect of the query interface:
-//   * ObfuscatedOracle  — power-channel obfuscation via the
-//     sidechannel::obfuscation transforms (dither / uniform dummies /
-//     randomised dummies), in weight units;
-//   * NoisyPowerOracle  — additive Gaussian measurement noise on the
-//     power channel (a sensing-resolution model);
-//   * QueryBudgetOracle — hard attacker-cost cap; throws
-//     QueryBudgetExceeded once the budget is spent (batched queries are
-//     charged all-or-nothing, before they reach the backend);
-//   * DetectorOracle    — feeds every inference input to a
-//     sidechannel::CurrentSignatureDetector inline, counting (and
-//     optionally refusing) flagged queries.
+// The one decorator, ObfuscatedOracle, models the physical device: it
+// wraps an existing Oracle (by reference — it does not own the backend)
+// and passes its power channel through a sidechannel::obfuscation
+// transform (dither / uniform dummies / randomised dummies), in weight
+// units. Obfuscation layers stack; counting happens exactly once, at the
+// backend — decorators forward queries and delegate counters() inward,
+// so wrapping never double-counts, no matter how deep the stack.
+// DecoratorStack owns a dynamically-built chain.
 //
-// Decorators compose arbitrarily: QueryBudgetOracle(ObfuscatedOracle(
-// CrossbarOracle)) is a budget-capped attacker against an obfuscated
-// deployment. Counting happens exactly once, at the backend — decorators
-// forward queries and delegate counters() inward, so wrapping never
-// double-counts, no matter how deep the stack. DecoratorStack owns a
-// dynamically-built chain (scenario registry entries describe stacks as
-// data).
+// Per-client policy lives in sessions (SessionConfig, service.hpp), not
+// in decorators: BudgetLedger (query budget), TokenBucket (rate limit),
+// DetectorScreen (current-signature screening window) and AdaptivePolicy
+// (suspicion-scaled escalation) are the policy state a session owns.
+// Sensing noise is SessionConfig::power_noise_sigma.
 #pragma once
 
 #include <atomic>
@@ -115,23 +109,6 @@ private:
     std::mutex mutex_;  ///< the dither transform draws from a stateful Rng
 };
 
-/// Additive Gaussian measurement noise on the power channel (σ in weight
-/// units, deterministic stream). Unlike ObfuscationConfig::Kind::Dither
-/// the noise is absolute, not built from the obfuscation wrappers — this
-/// is the plain sensing-noise model used by the noisy-scenario entries.
-class NoisyPowerOracle : public OracleDecorator {
-public:
-    NoisyPowerOracle(Oracle& inner, double sigma, std::uint64_t seed = 0x5EED0FF5Eull);
-
-    double query_power(const tensor::Vector& u) override;
-    tensor::Vector query_power_batch(const tensor::Matrix& U) override;
-
-private:
-    double sigma_;
-    Rng rng_;
-    std::mutex mutex_;  ///< the noise stream is stateful; serialise draws
-};
-
 // ---- query budgets ----------------------------------------------------------
 
 /// Attacker-cost cap. 0 means unlimited for that bucket.
@@ -143,20 +120,19 @@ struct QueryBudget {
     bool unlimited() const { return max_inference == 0 && max_power == 0 && max_total == 0; }
 };
 
-/// Thrown by QueryBudgetOracle when a query would exceed the budget.
+/// Thrown at session admission when a query would exceed the session's
+/// budget.
 class QueryBudgetExceeded : public Error {
 public:
     explicit QueryBudgetExceeded(const std::string& what)
         : Error("query budget exceeded: " + what) {}
 };
 
-/// Per-client budget *policy state*, split from the serving stack so one
-/// shared backend can enforce a different ledger per tenant
-/// (OracleService sessions) while the whole-deployment QueryBudgetOracle
-/// remains the single-client special case. Thread-safe: concurrent
-/// callers (thread-pool workers, service submitters) charge atomically
-/// under one mutex, and charging is all-or-nothing — a batch that would
-/// cross the cap throws before any of it is charged.
+/// Per-client budget *policy state*: each OracleService session with a
+/// budget owns one, so one shared backend enforces a different ledger per
+/// tenant. Thread-safe: concurrent submitters charge atomically under one
+/// mutex, and charging is all-or-nothing — a batch that would cross the
+/// cap throws before any of it is charged.
 class BudgetLedger {
 public:
     explicit BudgetLedger(QueryBudget budget) : budget_(budget) {}
@@ -186,33 +162,6 @@ private:
     mutable std::mutex mutex_;
     std::uint64_t spent_inference_ = 0;
     std::uint64_t spent_power_ = 0;
-};
-
-/// Enforces a hard query budget on everything passing through. Charging
-/// is all-or-nothing: a batch that would cross the cap throws before any
-/// of it reaches the backend, and a refused query is not charged.
-/// Policy state lives in a BudgetLedger — this decorator is the
-/// whole-deployment (single-session) composition of that policy.
-class QueryBudgetOracle : public OracleDecorator {
-public:
-    QueryBudgetOracle(Oracle& inner, QueryBudget budget);
-
-    int query_label(const tensor::Vector& u) override;
-    tensor::Vector query_raw(const tensor::Vector& u) override;
-    double query_power(const tensor::Vector& u) override;
-    std::vector<int> query_labels(const tensor::Matrix& U) override;
-    tensor::Matrix query_raw_batch(const tensor::Matrix& U) override;
-    tensor::Vector query_power_batch(const tensor::Matrix& U) override;
-
-    const QueryBudget& budget() const { return ledger_.budget(); }
-
-    /// Queries charged against the budget so far (this decorator's own
-    /// ledger — backend counters may include queries made before the
-    /// budget was imposed).
-    QueryCounters spent() const { return ledger_.spent(); }
-
-private:
-    BudgetLedger ledger_;
 };
 
 // ---- token-bucket rate limiting ---------------------------------------------
@@ -345,9 +294,11 @@ struct AdaptivePolicy {
                                       bool withhold_raw = true);
 };
 
-// ---- inline detection -------------------------------------------------------
+// ---- detector screening -----------------------------------------------------
 
-/// Thrown by DetectorOracle when a flagged query is refused.
+/// Thrown at session admission when a query is refused: a blocking
+/// DetectorScreen flagged it, or (attribution only) the session's source
+/// is on probation or its campaign is quarantined.
 class QueryRefused : public Error {
 public:
     explicit QueryRefused(const std::string& what) : Error("query refused: " + what) {}
@@ -358,9 +309,10 @@ public:
 /// the blocking decision belong to one client, the enrolled profiles to
 /// the deployment. OracleService sessions each own one of these, so one
 /// tenant's anomalous traffic never pollutes another tenant's detection
-/// statistics; DetectorOracle composes the same policy as the
-/// whole-deployment special case. Thread-safe (atomic counters; the
-/// shared detector is only read).
+/// statistics. Power probes are not screened — the detector models
+/// DetectX-style inference-time sensing, and basis-vector probes are not
+/// inferences. Thread-safe (atomic counters; the shared detector is only
+/// read).
 class DetectorScreen {
 public:
     DetectorScreen(const sidechannel::CurrentSignatureDetector& detector, bool block_flagged)
@@ -389,32 +341,6 @@ private:
     bool block_flagged_;
     std::atomic<std::uint64_t> screened_{0};
     std::atomic<std::uint64_t> flagged_{0};
-};
-
-/// Screens every inference input through a current-signature detector
-/// before forwarding it. In log-only mode flagged queries are counted and
-/// still answered (measurement of detector coverage); in blocking mode
-/// they throw QueryRefused without reaching the backend. Power probes are
-/// not screened — the detector models DetectX-style inference-time
-/// sensing, and basis-vector probes are not inferences. Policy state
-/// lives in a DetectorScreen — this decorator is the whole-deployment
-/// (single-session) composition of that policy.
-class DetectorOracle : public OracleDecorator {
-public:
-    DetectorOracle(Oracle& inner, const sidechannel::CurrentSignatureDetector& detector,
-                   bool block_flagged = false);
-
-    int query_label(const tensor::Vector& u) override;
-    tensor::Vector query_raw(const tensor::Vector& u) override;
-    std::vector<int> query_labels(const tensor::Matrix& U) override;
-    tensor::Matrix query_raw_batch(const tensor::Matrix& U) override;
-
-    std::uint64_t screened() const { return screen_.screened(); }
-    std::uint64_t flagged() const { return screen_.flagged(); }
-    double flagged_fraction() const { return screen_.flagged_fraction(); }
-
-private:
-    DetectorScreen screen_;
 };
 
 // ---- owned stacks -----------------------------------------------------------

@@ -14,13 +14,12 @@
 #pragma once
 
 #include <cstdint>
-#include <functional>
 #include <string>
 #include <vector>
 
 #include "xbarsec/common/table.hpp"
 #include "xbarsec/common/threadpool.hpp"
-#include "xbarsec/core/decorators.hpp"
+#include "xbarsec/core/defense.hpp"
 #include "xbarsec/core/victim.hpp"
 #include "xbarsec/stats/descriptive.hpp"
 
@@ -39,11 +38,12 @@ struct Fig5Options {
     std::size_t eval_limit = 0;
     /// Optional pool for run-level parallelism.
     ThreadPool* pool = nullptr;
-    /// Optional defensive decorator stack applied to each run's deployed
-    /// oracle before the attacker collects queries (scenario entries
-    /// describe defended fig5 sweeps with this hook). The backend is
-    /// passed so defenses can scale to the deployed weights.
-    std::function<void(DecoratorStack&, CrossbarOracle&)> defense;
+    /// Defenses deployed on each run's victim (see apply_defenses): the
+    /// attacker collects queries through a session over the run's
+    /// obfuscation stack, opened with the policy entries. Relative
+    /// magnitudes scale to each run's deployed weights. Detector entries
+    /// are not supported (no detector is enrolled per run).
+    std::vector<DefenseSpec> defenses;
 };
 
 /// Aggregated results of one (λ, Q) cell.

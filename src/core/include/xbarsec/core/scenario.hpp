@@ -1,7 +1,7 @@
 // Named experiment scenarios and the unified runner.
 //
 // A ScenarioSpec is pure data: dataset × victim × device non-idealities ×
-// oracle decorator stack × experiment. The ScenarioRegistry maps names to
+// defenses × experiment. The ScenarioRegistry maps names to
 // specs (the built-in entries cover every figure/table of the paper plus
 // defended and noisy-device variants), and ScenarioRunner turns any spec
 // into a ScenarioOutcome — so a new workload is a registry entry, not a
@@ -16,7 +16,7 @@
 
 #include "xbarsec/attack/adaptive.hpp"
 #include "xbarsec/common/table.hpp"
-#include "xbarsec/core/decorators.hpp"
+#include "xbarsec/core/defense.hpp"
 #include "xbarsec/core/fig3.hpp"
 #include "xbarsec/core/fig4.hpp"
 #include "xbarsec/core/fig5.hpp"
@@ -41,36 +41,6 @@ enum class ExperimentKind {
 
 std::string to_string(DatasetKind kind);
 std::string to_string(ExperimentKind kind);
-
-/// One defensive decorator layer, described as data. Layers are applied
-/// in order: the first entry wraps the backend, the last is the
-/// attacker-facing top of the stack.
-struct DefenseSpec {
-    enum class Kind {
-        DitherPower,   ///< ObfuscatedOracle, Gaussian supply-rail dither
-        UniformDummy,  ///< ObfuscatedOracle, identical per-line dummies
-        RandomDummy,   ///< ObfuscatedOracle, randomised per-line dummies
-        NoisyPower,    ///< NoisyPowerOracle (sensing-noise model)
-        QueryBudget,   ///< QueryBudgetOracle
-        Detector,      ///< DetectorOracle (current-signature screening)
-    };
-
-    Kind kind = Kind::NoisyPower;
-
-    /// Noise σ / dummy conductance. Interpreted in weight units; when
-    /// `relative` it is multiplied by max_j ‖W[:,j]‖₁ of the deployed
-    /// weights (the natural scale of the leaked signal).
-    double magnitude = 0.0;
-    bool relative = true;
-    std::uint64_t seed = 101;
-
-    QueryBudget budget{};  ///< Kind::QueryBudget only
-
-    // Kind::Detector only.
-    sidechannel::DetectorConfig detector{};
-    bool block_flagged = false;
-    std::size_t detector_enrollment = 256;  ///< clean train samples enrolled
-};
 
 /// A multi-tenant serving workload: several clients drive one deployment
 /// through concurrent OracleService sessions, each under its own policy.
@@ -265,7 +235,7 @@ struct ScenarioSpec {
 
     /// Backend fleet size: the victim is deployed onto this many
     /// physically distinct crossbars (same weights, per-replica
-    /// variation seeds) with one decorator stack each, all fronted by
+    /// variation seeds) with one obfuscation stack each, all fronted by
     /// one OracleService. 1 = the classic single deployment.
     std::size_t replicas = 1;
 
@@ -315,13 +285,13 @@ private:
 /// first use.
 ScenarioRegistry& builtin_scenarios();
 
-/// A trained victim deployed on the crossbar with its decorator stack
+/// A trained victim deployed on the crossbar with its obfuscation stack
 /// built and fronted by an OracleService — ready for an attacker. Owns
 /// everything it references. Every experiment drives the deployment
-/// through a service session: the single-session case is the exact
-/// pre-service behaviour (the coalescer passes sync submissions through
-/// to the stack top, bit for bit), and multi-client experiments open
-/// further sessions on the same service.
+/// through a service session. The default session is opened with the
+/// spec's policy defenses (budget, detector, sensing noise; see
+/// apply_defenses), and multi-client experiments open further sessions
+/// on the same service.
 class DeployedScenario {
 public:
     const ScenarioSpec& spec() const { return spec_; }
@@ -337,11 +307,8 @@ public:
     std::size_t replica_count() const { return backends_.size(); }
     CrossbarOracle& replica_backend(std::size_t replica) { return backends_[replica]; }
 
-    /// The attacker-facing top of replica 0's decorator stack (what the
-    /// service's sessions serve; direct use bypasses the service).
-    Oracle& stack_top() { return stacks_.front()->top(); }
-
-    /// Replica k's stack top.
+    /// Replica k's obfuscation stack top (what the service's sessions
+    /// serve; direct use bypasses the service and every session policy).
     Oracle& replica_stack_top(std::size_t replica) { return stacks_[replica]->top(); }
 
     /// The serving front-end over the stack (open more sessions here).
@@ -360,9 +327,6 @@ public:
         return detector_.get();
     }
 
-    /// Non-null when the stack contains a Detector layer.
-    const DetectorOracle* detector_layer() const { return detector_layer_; }
-
 private:
     friend class ScenarioRunner;
     DeployedScenario() = default;
@@ -376,7 +340,6 @@ private:
     std::vector<CrossbarOracle> backends_;
     std::unique_ptr<sidechannel::CurrentSignatureDetector> detector_;
     std::vector<std::unique_ptr<DecoratorStack>> stacks_;
-    DetectorOracle* detector_layer_ = nullptr;  ///< replica 0's detector layer
     // Declared after the stacks (and destroyed before them): the session
     // must close before the service joins its flushers, which must happen
     // before the backends they serve go away.
@@ -412,9 +375,11 @@ public:
     /// `pool` parallelises batched oracle queries and fig5 runs.
     explicit ScenarioRunner(ThreadPool* pool = nullptr) : pool_(pool) {}
 
-    /// Loads data, trains the victim, deploys it, and builds the
-    /// decorator stack (experiments that manage their own training —
-    /// Fig5, Table1 — do not use this).
+    /// Loads data, trains the victim, deploys it, builds the obfuscation
+    /// stacks and opens the default session with the spec's policy
+    /// defenses (experiments that manage their own training — Fig5,
+    /// Table1 — do not use this). Throws ConfigError for a policy defense
+    /// on a multi-client spec, whose tenants each open their own session.
     DeployedScenario deploy(const ScenarioSpec& spec) const;
 
     ScenarioOutcome run(const ScenarioSpec& spec) const;

@@ -3,9 +3,9 @@
 // The paper's threat model is a *deployed* accelerator answering queries
 // from many clients at once — one attacker hiding among benign tenants,
 // each tenant under its own query budget and detection window. The bare
-// `Oracle` API cannot express that: its decorators keep one global
-// policy state for the whole deployment. `OracleService` redesigns the
-// serving surface around **sessions**:
+// `Oracle` API cannot express that: an Oracle stack is one device shared
+// by every client. `OracleService` redesigns the serving surface around
+// **sessions**:
 //
 //   OracleService service(stack.top(), config);   // shared deployment
 //   Session alice = service.open_session(per_tenant_policy);
@@ -16,10 +16,9 @@
 // sensing-noise stream, exposure options) is enforced at submission, on
 // the submitting thread, before anything reaches the shared backend —
 // so one tenant exhausting its budget or tripping the detector never
-// perturbs another tenant's service. The whole-deployment decorators
-// (QueryBudgetOracle, DetectorOracle, …) remain the single-session
-// special case and still compose *below* the service as shared
-// infrastructure defenses.
+// perturbs another tenant's service. The session is the only home of
+// these policies; below the service sit only device layers
+// (ObfuscatedOracle), which every tenant of that replica shares.
 //
 // Submissions are asynchronous (futures) and **coalesced**: a flusher
 // thread gathers individually-submitted vectors from all sessions into
@@ -398,8 +397,8 @@ private:
 /// backend Oracle stack — or a fleet of N replica stacks with a
 /// RoutingPolicy. Backends are not owned and must outlive the service
 /// (each is typically a DecoratorStack top over a CrossbarOracle —
-/// infrastructure defenses below the service apply to all tenants of
-/// that replica).
+/// device layers below the service apply to all tenants of that
+/// replica).
 class OracleService {
 public:
     explicit OracleService(Oracle& backend, ServiceConfig config = {});

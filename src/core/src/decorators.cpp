@@ -47,26 +47,6 @@ tensor::Vector ObfuscatedOracle::query_power_batch(const tensor::Matrix& U) {
     return Oracle::query_power_batch(U);
 }
 
-// ---- NoisyPowerOracle -------------------------------------------------------
-
-NoisyPowerOracle::NoisyPowerOracle(Oracle& inner, double sigma, std::uint64_t seed)
-    : OracleDecorator(inner), sigma_(sigma), rng_(seed) {
-    XS_EXPECTS(sigma >= 0.0);
-}
-
-double NoisyPowerOracle::query_power(const tensor::Vector& u) {
-    const double clean = inner().query_power(u);
-    std::lock_guard lock(mutex_);
-    return clean + rng_.normal(0.0, sigma_);
-}
-
-tensor::Vector NoisyPowerOracle::query_power_batch(const tensor::Matrix& U) {
-    tensor::Vector p = inner().query_power_batch(U);
-    std::lock_guard lock(mutex_);
-    for (std::size_t r = 0; r < p.size(); ++r) p[r] += rng_.normal(0.0, sigma_);
-    return p;
-}
-
 // ---- BudgetLedger -----------------------------------------------------------
 
 void BudgetLedger::charge_inference(std::uint64_t n) {
@@ -117,41 +97,6 @@ void BudgetLedger::reset() {
     std::lock_guard lock(mutex_);
     spent_inference_ = 0;
     spent_power_ = 0;
-}
-
-// ---- QueryBudgetOracle ------------------------------------------------------
-
-QueryBudgetOracle::QueryBudgetOracle(Oracle& inner, QueryBudget budget)
-    : OracleDecorator(inner), ledger_(budget) {}
-
-int QueryBudgetOracle::query_label(const tensor::Vector& u) {
-    ledger_.charge_inference(1);
-    return inner().query_label(u);
-}
-
-tensor::Vector QueryBudgetOracle::query_raw(const tensor::Vector& u) {
-    ledger_.charge_inference(1);
-    return inner().query_raw(u);
-}
-
-double QueryBudgetOracle::query_power(const tensor::Vector& u) {
-    ledger_.charge_power(1);
-    return inner().query_power(u);
-}
-
-std::vector<int> QueryBudgetOracle::query_labels(const tensor::Matrix& U) {
-    ledger_.charge_inference(U.rows());
-    return inner().query_labels(U);
-}
-
-tensor::Matrix QueryBudgetOracle::query_raw_batch(const tensor::Matrix& U) {
-    ledger_.charge_inference(U.rows());
-    return inner().query_raw_batch(U);
-}
-
-tensor::Vector QueryBudgetOracle::query_power_batch(const tensor::Matrix& U) {
-    ledger_.charge_power(U.rows());
-    return inner().query_power_batch(U);
 }
 
 // ---- TokenBucket ------------------------------------------------------------
@@ -276,33 +221,6 @@ std::size_t DetectorScreen::screen_batch(const tensor::Matrix& U) {
 void DetectorScreen::reset() {
     screened_.store(0, std::memory_order_relaxed);
     flagged_.store(0, std::memory_order_relaxed);
-}
-
-// ---- DetectorOracle ---------------------------------------------------------
-
-DetectorOracle::DetectorOracle(Oracle& inner,
-                               const sidechannel::CurrentSignatureDetector& detector,
-                               bool block_flagged)
-    : OracleDecorator(inner), screen_(detector, block_flagged) {}
-
-int DetectorOracle::query_label(const tensor::Vector& u) {
-    screen_.screen(u);
-    return inner().query_label(u);
-}
-
-tensor::Vector DetectorOracle::query_raw(const tensor::Vector& u) {
-    screen_.screen(u);
-    return inner().query_raw(u);
-}
-
-std::vector<int> DetectorOracle::query_labels(const tensor::Matrix& U) {
-    screen_.screen_batch(U);
-    return inner().query_labels(U);
-}
-
-tensor::Matrix DetectorOracle::query_raw_batch(const tensor::Matrix& U) {
-    screen_.screen_batch(U);
-    return inner().query_raw_batch(U);
 }
 
 }  // namespace xbarsec::core

@@ -63,9 +63,14 @@ RunOutput execute_run(std::size_t run, const data::DataSplit& split, const Outpu
     // parallel_for is safe (the calling thread drains tasks), so this
     // composes with the run-level parallel_for below.
     backend.set_thread_pool(options.pool);
+    // The attacker queries through a session over this run's stack (a
+    // pass-through session when there are no defenses).
     DecoratorStack stack(backend);
-    if (options.defense) options.defense(stack, backend);
-    Oracle& oracle = stack.top();  // what the attacker sees
+    const SessionConfig attacker =
+        apply_defenses(options.defenses, stack, deployed_weight_scale(backend), nullptr);
+    OracleService service(stack.top());
+    Session session = service.open_session(attacker);
+    Oracle& oracle = session.oracle();  // what the attacker sees
     const nn::SingleLayerNet deployed = backend.hardware_for_evaluation().effective_network();
 
     const data::Dataset eval_set =

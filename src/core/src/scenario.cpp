@@ -215,7 +215,7 @@ void register_builtins(ScenarioRegistry& registry) {
         registry.add(std::move(s));
     }
 
-    // Defended deployments (decorator stacks).
+    // Defended deployments.
     {
         ScenarioSpec s = base_spec("fig4/mnist/softmax-detected",
                                    "Figure 4 against a detector-guarded deployment (log-only)",
@@ -391,8 +391,8 @@ void register_builtins(ScenarioRegistry& registry) {
         registry.add(std::move(s));
     }
     {
-        // The decorator-stacked defended deployment: randomised dummy
-        // loads, sensing noise, and a hard power-measurement budget.
+        // Randomised dummy loads on the device; sensing noise and a hard
+        // power-measurement budget on the attacker's session.
         ScenarioSpec s = base_spec("probe/mnist/defended",
                                    "Probe quality against dummies + noise + query budget",
                                    DatasetKind::MnistLike, OutputConfig::softmax_ce(),
@@ -437,49 +437,21 @@ std::string experiment_label(const ScenarioSpec& spec) {
     return to_string(spec.dataset) + "/" + spec.output.name();
 }
 
-/// Applies one DefenseSpec as a decorator layer. `scale` is the deployed
-/// weights' max column 1-norm (for relative magnitudes); `detector` must
-/// be non-null for Kind::Detector.
-DetectorOracle* push_defense_layer(DecoratorStack& stack, const DefenseSpec& d, double scale,
-                                   const sidechannel::CurrentSignatureDetector* detector) {
-    const double magnitude = d.relative ? d.magnitude * scale : d.magnitude;
-    switch (d.kind) {
-        case DefenseSpec::Kind::DitherPower:
-        case DefenseSpec::Kind::UniformDummy:
-        case DefenseSpec::Kind::RandomDummy: {
-            ObfuscationConfig config;
-            config.kind = d.kind == DefenseSpec::Kind::DitherPower
-                              ? ObfuscationConfig::Kind::Dither
-                              : (d.kind == DefenseSpec::Kind::UniformDummy
-                                     ? ObfuscationConfig::Kind::UniformDummy
-                                     : ObfuscationConfig::Kind::RandomDummy);
-            config.magnitude = magnitude;
-            config.seed = d.seed;
-            stack.push<ObfuscatedOracle>(config);
-            return nullptr;
-        }
-        case DefenseSpec::Kind::NoisyPower:
-            stack.push<NoisyPowerOracle>(magnitude, d.seed);
-            return nullptr;
-        case DefenseSpec::Kind::QueryBudget:
-            stack.push<QueryBudgetOracle>(d.budget);
-            return nullptr;
-        case DefenseSpec::Kind::Detector:
-            XS_EXPECTS_MSG(detector != nullptr,
-                           "detector layer requested without an enrolled detector");
-            return &stack.push<DetectorOracle>(*detector, d.block_flagged);
-    }
-    throw ConfigError("unknown defense kind");
-}
-
-double deployed_weight_scale(const CrossbarOracle& backend) {
-    return tensor::max(
-        tensor::column_abs_sums(backend.hardware_for_evaluation().effective_network().weights()));
+bool has_defense(const ScenarioSpec& spec, DefenseSpec::Kind kind) {
+    return std::any_of(spec.defenses.begin(), spec.defenses.end(),
+                       [kind](const DefenseSpec& d) { return d.kind == kind; });
 }
 
 }  // namespace
 
 DeployedScenario ScenarioRunner::deploy(const ScenarioSpec& spec) const {
+    if (spec.experiment == ExperimentKind::MultiClient &&
+        std::any_of(spec.defenses.begin(), spec.defenses.end(),
+                    [](const DefenseSpec& ds) { return ds.session_policy(); })) {
+        throw ConfigError("multi-client scenarios do not support policy defenses (sensing "
+                          "noise, query budget, detector): they configure only the default "
+                          "session, and every tenant opens its own");
+    }
     DeployedScenario d;
     d.spec_ = spec;
     d.spec_.victim.output = spec.output;
@@ -492,8 +464,8 @@ DeployedScenario ScenarioRunner::deploy(const ScenarioSpec& spec) const {
     d.backends_ = deploy_victim_fleet(d.victim_.net, d.spec_.victim, replicas);
     for (CrossbarOracle& backend : d.backends_) backend.set_thread_pool(pool_);
 
-    // A detector is enrolled when a stack layer asks for one, or when a
-    // multi-client experiment screens per session (shared enrolment,
+    // A detector is enrolled when a Detector defense asks for one, or when
+    // a multi-client experiment screens per session (shared enrolment,
     // per-tenant windows). Enrolment happens once, on replica 0's
     // hardware: the deployment registers one clean signature for the
     // service, not one per device.
@@ -514,27 +486,24 @@ DeployedScenario ScenarioRunner::deploy(const ScenarioSpec& spec) const {
             d.backends_.front().hardware_for_evaluation(), enrollment, config);
     }
 
-    // One decorator stack per replica, all built from the same defense
-    // specs. Relative magnitudes use replica 0's deployed scale for every
+    // One obfuscation stack per replica, all built from the same defense
+    // specs; the policy defenses become the attacker session's config.
+    // Relative magnitudes use replica 0's deployed scale for every
     // replica — the operator configures one defense policy for the
     // deployment, not per-device tuning.
     const double scale = deployed_weight_scale(d.backends_.front());
+    SessionConfig attacker;
     d.stacks_.reserve(replicas);
     for (CrossbarOracle& backend : d.backends_) {
         auto stack = std::make_unique<DecoratorStack>(backend);
-        for (const DefenseSpec& defense : spec.defenses) {
-            DetectorOracle* layer =
-                push_defense_layer(*stack, defense, scale, d.detector_.get());
-            if (layer != nullptr && d.stacks_.empty()) d.detector_layer_ = layer;
-        }
+        attacker = apply_defenses(spec.defenses, *stack, scale, d.detector_.get());
         d.stacks_.push_back(std::move(stack));
     }
 
     // Front the stacks with the serving layer. Single-client experiments
-    // run through the default session (pass-through policy and, under the
-    // default session-affine routing, one replica — bit-identical to
-    // querying the stack top directly); multi-client experiments open
-    // further sessions on the same service.
+    // run through the default session (under the default session-affine
+    // routing, one replica); multi-client experiments open further
+    // sessions on the same service.
     std::vector<Oracle*> tops;
     tops.reserve(replicas);
     for (auto& stack : d.stacks_) tops.push_back(&stack->top());
@@ -543,7 +512,7 @@ DeployedScenario ScenarioRunner::deploy(const ScenarioSpec& spec) const {
     service_config.routing = spec.routing;
     service_config.cache = spec.cache;
     d.service_ = std::make_unique<OracleService>(tops, service_config);
-    d.session_ = d.service_->open_session();
+    d.session_ = d.service_->open_session(attacker);
     return d;
 }
 
@@ -556,9 +525,9 @@ void finish_with_cost(ScenarioOutcome& outcome, DeployedScenario& d) {
     outcome.metrics["attacker_inference_queries"] =
         static_cast<double>(outcome.attacker_cost.inference);
     outcome.metrics["attacker_power_queries"] = static_cast<double>(outcome.attacker_cost.power);
-    if (d.detector_layer() != nullptr) {
-        outcome.metrics["detector_screened"] = static_cast<double>(d.detector_layer()->screened());
-        outcome.metrics["detector_flagged_fraction"] = d.detector_layer()->flagged_fraction();
+    if (has_defense(d.spec(), DefenseSpec::Kind::Detector)) {
+        outcome.metrics["detector_screened"] = static_cast<double>(d.session().screened());
+        outcome.metrics["detector_flagged_fraction"] = d.session().flagged_fraction();
     }
 }
 
@@ -606,25 +575,15 @@ ScenarioOutcome run_fig4_scenario(const ScenarioRunner& runner, const ScenarioSp
 }
 
 ScenarioOutcome run_fig5_scenario(const ScenarioSpec& spec, ThreadPool* pool) {
-    for (const DefenseSpec& defense : spec.defenses) {
-        if (defense.kind == DefenseSpec::Kind::Detector) {
-            throw ConfigError("fig5 scenarios do not support detector layers (each run deploys "
-                              "a fresh victim; use a fig4 or probe scenario)");
-        }
+    if (has_defense(spec, DefenseSpec::Kind::Detector)) {
+        throw ConfigError("fig5 scenarios do not support detector defenses (each run deploys "
+                          "a fresh victim; use a fig4 or probe scenario)");
     }
     ScenarioOutcome outcome;
     const data::DataSplit split = load_split(spec);
     Fig5Options options = spec.fig5;
     options.pool = pool;
-    if (!spec.defenses.empty()) {
-        options.defense = [defenses = spec.defenses](DecoratorStack& stack,
-                                                     CrossbarOracle& backend) {
-            const double scale = deployed_weight_scale(backend);
-            for (const DefenseSpec& defense : defenses) {
-                push_defense_layer(stack, defense, scale, nullptr);
-            }
-        };
-    }
+    options.defenses = spec.defenses;
     VictimConfig victim = spec.victim;
     const Fig5Result result =
         run_fig5(split, to_string(spec.dataset), spec.output, victim, options);
@@ -731,9 +690,9 @@ BenignOutcome run_benign_client(Session& session, const data::Dataset& test, std
 
 /// One attacker among benign tenants: every client is a concurrent
 /// session on one OracleService over one shared deployment. The three
-/// modes measure what multi-tenancy adds over the single-client
-/// decorators: per-tenant detection windows, per-tenant budgets, and
-/// isolation of both.
+/// modes measure what multi-tenancy adds over a single client:
+/// per-tenant detection windows, per-tenant budgets, and isolation of
+/// both.
 ScenarioOutcome run_multiclient_scenario(const ScenarioRunner& runner, const ScenarioSpec& spec) {
     using Mode = MultiClientOptions::Mode;
     const MultiClientOptions& mc = spec.multiclient;
@@ -1293,7 +1252,7 @@ void run_arms_cell(const TrainedVictim& victim, const VictimConfig& victim_confi
 
 ScenarioOutcome run_arms_race_scenario(const ScenarioSpec& spec, ThreadPool* pool) {
     if (!spec.defenses.empty()) {
-        throw ConfigError("arms-race scenarios do not support decorator defense stacks (the "
+        throw ConfigError("arms-race scenarios do not support spec defenses (the "
                           "defenses under study are session policies: rate + adaptive)");
     }
     const ArmsRaceOptions& ar = spec.arms_race;

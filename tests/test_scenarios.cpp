@@ -1,6 +1,6 @@
 // Tests for the scenario registry and the unified runner: lookup errors,
-// built-in coverage, deployment with decorator stacks, and smoke runs of
-// the cheap experiment kinds.
+// built-in coverage, deployment of defenses, and smoke runs of the cheap
+// experiment kinds.
 #include <gtest/gtest.h>
 
 #include "xbarsec/core/scenario.hpp"
@@ -65,15 +65,19 @@ TEST(ScenarioRegistry, PrefixFilterIsAnchored) {
     EXPECT_EQ(registry.names("").size(), 3u);
 }
 
-TEST(ScenarioRunner, DeploysDecoratorStacks) {
+TEST(ScenarioRunner, DeploysObfuscationLayersAndSessionPolicy) {
     ScenarioRunner runner;
     DeployedScenario d = runner.deploy(tiny("probe/mnist/defended"));
     EXPECT_EQ(d.spec().defenses.size(), 3u);
-    EXPECT_NE(&d.oracle(), static_cast<Oracle*>(&d.backend()));  // stack is non-trivial
+    // The random dummies are a device layer over the backend...
+    EXPECT_NE(&d.replica_stack_top(0), static_cast<Oracle*>(&d.backend()));
     EXPECT_EQ(d.oracle().inputs(), 784u);
-    // One query through the top of the stack is counted once.
+    // One query through the session is counted once, at the backend.
     (void)d.oracle().query_label(tensor::Vector(784, 0.1));
     EXPECT_EQ(d.backend().counters().inference, 1u);
+    // ...and the power budget is charged to the default session.
+    (void)d.oracle().query_power(tensor::Vector(784, 0.1));
+    EXPECT_EQ(d.session().budget_spent().power, 1u);
 }
 
 TEST(ScenarioRunner, RunsFig4ScenarioEndToEnd) {
@@ -131,6 +135,20 @@ TEST(ScenarioRunner, RejectsUnsupportedDefenseCombinations) {
     detector.kind = DefenseSpec::Kind::Detector;
     fig5_spec.defenses.push_back(detector);
     EXPECT_THROW(runner.run(fig5_spec), ConfigError);
+
+    // Tenants open their own sessions, so a policy defense on a
+    // multi-client spec would apply to none of them.
+    ScenarioSpec multiclient = tiny("service/mnist/hidden-attacker");
+    multiclient.defenses.push_back(defense);
+    EXPECT_THROW(runner.run(multiclient), ConfigError);
+
+    // One session holds one budget: a second budget entry cannot compose.
+    ScenarioSpec twice = tiny("probe/mnist/defended");
+    DefenseSpec budget;
+    budget.kind = DefenseSpec::Kind::QueryBudget;
+    budget.budget.max_power = 1;
+    twice.defenses.push_back(budget);
+    EXPECT_THROW(runner.deploy(twice), ConfigError);
 }
 
 TEST(ScenarioSmoke, ShrinksSweeps) {

@@ -67,9 +67,10 @@ TEST(Service, FuturesResolveToBackendAnswers) {
             EXPECT_DOUBLE_EQ(got_raw(r, c), want_raw(r, c));
         }
     }
+    // A session without sensing noise reads the backend's power bit for bit.
     const tensor::Vector want_power = reference.query_power_batch(U);
     const tensor::Vector got_power = power.get();
-    for (std::size_t r = 0; r < U.rows(); ++r) EXPECT_DOUBLE_EQ(got_power[r], want_power[r]);
+    for (std::size_t r = 0; r < U.rows(); ++r) EXPECT_EQ(got_power[r], want_power[r]);
 }
 
 TEST(Service, ScalarSubmissionsMatchScalarQueries) {
@@ -257,6 +258,37 @@ TEST(Service, SessionNoiseIsDeterministicInTheSessionOrdinal) {
     // Scalar follow-up continues the same ordinal stream.
     const double p = session.submit_power(U.row(0)).get();
     EXPECT_DOUBLE_EQ(p, clean[0] + 0.25 * Rng::normal_at(77, U.rows(), 0));
+}
+
+TEST(Service, SessionTotalBudgetSpansBothKinds) {
+    Rng rng(20);
+    CrossbarOracle backend = make_oracle(make_net(rng));
+    OracleService service(backend);
+    SessionConfig config;
+    config.budget.max_total = 3;
+    Session session = service.open_session(config);
+    const tensor::Vector u(backend.inputs(), 0.5);
+
+    EXPECT_NO_THROW((void)session.submit_label(u).get());
+    EXPECT_NO_THROW((void)session.submit_power(u).get());
+    EXPECT_NO_THROW((void)session.submit_raw(u).get());
+    EXPECT_THROW(session.submit_label(u), QueryBudgetExceeded);
+    EXPECT_THROW(session.submit_power(u), QueryBudgetExceeded);
+    EXPECT_EQ(backend.counters().total(), 3u);  // refusals never ran
+}
+
+TEST(Service, BackendExposureStillDeniesSessionRawQueries) {
+    // Session exposure options are AND-ed with the deployment's: a
+    // pass-through session cannot widen what the backend exposes.
+    Rng rng(24);
+    OracleOptions closed;
+    closed.expose_raw_outputs = false;
+    CrossbarOracle backend = make_oracle(make_net(rng), closed);
+    OracleService service(backend);
+    Session session = service.open_session();
+    EXPECT_THROW((void)session.oracle().query_raw(tensor::Vector(backend.inputs(), 0.1)),
+                 AccessDenied);
+    EXPECT_NO_THROW((void)session.oracle().query_label(tensor::Vector(backend.inputs(), 0.1)));
 }
 
 // ---- counters ---------------------------------------------------------------

@@ -5,6 +5,7 @@
 #include <gtest/gtest.h>
 
 #include <future>
+#include <span>
 
 #include "xbarsec/core/queries.hpp"
 #include "xbarsec/core/service.hpp"
@@ -50,6 +51,7 @@ TEST(SessionIsolation, BudgetsDoNotBleedBetweenSessions) {
     // B's service is unaffected by A's exhaustion, in both directions.
     for (int i = 0; i < 10; ++i) EXPECT_NO_THROW((void)b.submit_power(u).get());
     EXPECT_THROW(a.submit_power(u), QueryBudgetExceeded);
+    EXPECT_NO_THROW((void)a.submit_label(u).get());  // A's inference is uncapped
     EXPECT_EQ(a.budget_spent().power, 3u);
     EXPECT_EQ(b.counters().power, 10u);  // unlimited sessions keep no ledger
     EXPECT_EQ(backend.counters().power, 13u);
@@ -95,6 +97,7 @@ TEST(SessionIsolation, BlockingDetectorRefusesOnlyTheOffendingSession) {
     SessionConfig blocking;
     blocking.detector = &detector;
     blocking.block_flagged = true;
+    blocking.budget.max_inference = 10;
     Session attacker = service.open_session(blocking);
     Session benign = service.open_session(blocking);
 
@@ -102,25 +105,49 @@ TEST(SessionIsolation, BlockingDetectorRefusesOnlyTheOffendingSession) {
     attack[3] = 50.0;
     EXPECT_THROW(attacker.submit_label(attack), QueryRefused);
     EXPECT_NO_THROW((void)benign.submit_label(tensor::Vector(net.inputs(), 0.2)).get());
-    // The refused query never reached the backend and was never counted
-    // or charged for the attacker.
+    // Admission screens before it charges: the refused query never
+    // reached the backend and was never counted or charged.
     EXPECT_EQ(backend.counters().inference, 1u);
     EXPECT_EQ(attacker.counters().inference, 0u);
+    EXPECT_EQ(attacker.budget_spent().inference, 0u);
 }
 
+/// A shared infrastructure defense below the service: refuses any label
+/// query or batch that contains a driven row (a pixel above `limit`),
+/// without forwarding it to the backend.
+class RefuseDrivenRows : public OracleDecorator {
+public:
+    RefuseDrivenRows(Oracle& inner, double limit) : OracleDecorator(inner), limit_(limit) {}
+
+    int query_label(const tensor::Vector& u) override {
+        check(u.span());
+        return inner().query_label(u);
+    }
+    std::vector<int> query_labels(const tensor::Matrix& U) override {
+        for (std::size_t r = 0; r < U.rows(); ++r) check(U.row_span(r));
+        return inner().query_labels(U);
+    }
+
+private:
+    void check(std::span<const double> row) const {
+        for (const double x : row) {
+            if (x > limit_) throw QueryRefused("driven row");
+        }
+    }
+
+    double limit_;
+};
+
 TEST(SessionIsolation, SharedBlockingDefenseFailsOnlyTheOffendingSubmission) {
-    // A blocking DetectorOracle in the *shared* stack below the service:
-    // when the coalescer merges tenants' submissions into one backend
-    // batch and the shared defense refuses it, the group falls back to
+    // A blocking defense in the *shared* stack below the service: when
+    // the coalescer merges tenants' submissions into one backend batch
+    // and the shared defense refuses it, the group falls back to
     // per-unit calls — innocent tenants' queries still get answers, as
     // they would under serial issue.
     Rng rng(6);
     const nn::SingleLayerNet net = make_net(rng);
     CrossbarOracle backend = make_oracle(net);
-    const data::Dataset enrollment = make_enrollment(rng);
-    const sidechannel::CurrentSignatureDetector detector(backend.hardware_for_evaluation(),
-                                                         enrollment);
-    DetectorOracle guard(backend, detector, /*block_flagged=*/true);
+    RefuseDrivenRows guard(backend, /*limit=*/10.0);
 
     ServiceConfig config;
     config.max_wait = std::chrono::microseconds(50000);  // let the burst merge

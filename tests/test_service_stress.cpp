@@ -1,8 +1,7 @@
-// Concurrency stress for the serving layer and the decorator stack:
-// N threads hammer one shared stack / one service, under ASan/TSan-
-// friendly patterns (no sleeps-as-synchronisation, every future drained,
-// exact final accounting). Run in CI under ASan+UBSan via the `service`
-// ctest label.
+// Concurrency stress for the serving layer and its session policies:
+// N threads hammer one shared service, under ASan/TSan-friendly patterns
+// (no sleeps-as-synchronisation, every future drained, exact final
+// accounting). Run in CI under ASan+UBSan via the `service` ctest label.
 #include <gtest/gtest.h>
 
 #include <atomic>
@@ -39,12 +38,24 @@ data::Dataset make_enrollment(Rng& rng, std::size_t n = 120, std::size_t dim = 1
 constexpr std::size_t kThreads = 8;
 constexpr std::size_t kPerThread = 64;
 
-TEST(ServiceStress, DecoratorStackSurvivesConcurrentCallers) {
-    // The satellite audit target: one budget+detector+noise stack over
-    // noisy hardware (atomic measurement counter), driven directly from
-    // N concurrent callers. Counting must be exact and every noise
-    // coordinate unique (the atomic reservation can't hand out
-    // duplicates — checked indirectly by the exact counter totals).
+/// Every session's policy in the policy stress test: a log-only
+/// detector, sensing noise and a budget of exactly kPerThread queries of
+/// each kind.
+SessionConfig stress_policy(const sidechannel::CurrentSignatureDetector& detector) {
+    SessionConfig config;
+    config.budget.max_inference = kPerThread;
+    config.budget.max_power = kPerThread;
+    config.detector = &detector;
+    config.block_flagged = false;
+    config.power_noise_sigma = 0.01;
+    return config;
+}
+
+TEST(ServiceStress, SessionPolicySurvivesConcurrentCallers) {
+    // N sessions, each under budget + detector + noise, driven from N
+    // threads over noisy hardware (atomic measurement counter). Counting
+    // must be exact, every budget exactly exhausted, and no measurement
+    // reservation lost or duplicated.
     Rng rng(1);
     const nn::SingleLayerNet net = make_net(rng);
     xbar::NonIdealityConfig noisy;
@@ -53,53 +64,59 @@ TEST(ServiceStress, DecoratorStackSurvivesConcurrentCallers) {
     const data::Dataset enrollment = make_enrollment(rng);
     const sidechannel::CurrentSignatureDetector detector(backend.hardware_for_evaluation(),
                                                          enrollment);
-
-    NoisyPowerOracle noise_layer(backend, 0.01);
-    DetectorOracle detect_layer(noise_layer, detector, /*block_flagged=*/false);
-    QueryBudget budget;
-    budget.max_inference = kThreads * kPerThread;
-    budget.max_power = kThreads * kPerThread;
-    QueryBudgetOracle capped(detect_layer, budget);
+    OracleService service(backend);
+    std::vector<Session> sessions;
+    for (std::size_t t = 0; t < kThreads; ++t) {
+        sessions.push_back(service.open_session(stress_policy(detector)));
+    }
 
     const tensor::Vector u(net.inputs(), 0.3);
     std::vector<std::thread> threads;
     for (std::size_t t = 0; t < kThreads; ++t) {
-        threads.emplace_back([&] {
+        threads.emplace_back([&, t] {
             for (std::size_t q = 0; q < kPerThread; ++q) {
-                (void)capped.query_label(u);
-                (void)capped.query_power(u);
+                (void)sessions[t].submit_label(u).get();
+                (void)sessions[t].submit_power(u).get();
             }
         });
     }
     for (auto& t : threads) t.join();
+    // Read before the refused submissions below: a budget refusal still
+    // runs the detector screen, which reads the device.
+    const std::uint64_t concurrent_reads =
+        backend.hardware_for_evaluation().crossbar().measurement_count();
 
     EXPECT_EQ(backend.counters().inference, kThreads * kPerThread);
     EXPECT_EQ(backend.counters().power, kThreads * kPerThread);
-    EXPECT_EQ(capped.spent().inference, kThreads * kPerThread);
-    EXPECT_EQ(capped.spent().power, kThreads * kPerThread);
-    EXPECT_EQ(detect_layer.screened(), kThreads * kPerThread);
-    // The budget is now exactly spent: one more of either kind throws.
-    EXPECT_THROW(capped.query_label(u), QueryBudgetExceeded);
-    EXPECT_THROW(capped.query_power(u), QueryBudgetExceeded);
+    for (Session& session : sessions) {
+        EXPECT_EQ(session.counters().inference, kPerThread);
+        EXPECT_EQ(session.counters().power, kPerThread);
+        EXPECT_EQ(session.budget_spent().inference, kPerThread);
+        EXPECT_EQ(session.budget_spent().power, kPerThread);
+        EXPECT_EQ(session.screened(), kPerThread);
+        // Each budget is now exactly spent: one more of either kind throws.
+        EXPECT_THROW(session.submit_label(u), QueryBudgetExceeded);
+        EXPECT_THROW(session.submit_power(u), QueryBudgetExceeded);
+    }
 
-    // Measurement-counter reservations were neither lost nor duplicated
-    // under concurrency: the same workload issued serially on an
-    // identical stack reserves exactly as many (screening and the
-    // detector's own hardware reads included).
+    // The same workload issued serially on an identical deployment
+    // reserves exactly as many measurements (the detector's screening
+    // reads included).
     Rng rng2(1);
     const nn::SingleLayerNet net2 = make_net(rng2);
     CrossbarOracle serial_backend = make_oracle(net2, noisy);
     const data::Dataset enrollment2 = make_enrollment(rng2);
     const sidechannel::CurrentSignatureDetector detector2(
         serial_backend.hardware_for_evaluation(), enrollment2);
-    NoisyPowerOracle serial_noise(serial_backend, 0.01);
-    DetectorOracle serial_detect(serial_noise, detector2, false);
-    QueryBudgetOracle serial_capped(serial_detect, budget);
-    for (std::size_t q = 0; q < kThreads * kPerThread; ++q) {
-        (void)serial_capped.query_label(u);
-        (void)serial_capped.query_power(u);
+    OracleService serial_service(serial_backend);
+    for (std::size_t t = 0; t < kThreads; ++t) {
+        Session session = serial_service.open_session(stress_policy(detector2));
+        for (std::size_t q = 0; q < kPerThread; ++q) {
+            (void)session.submit_label(u).get();
+            (void)session.submit_power(u).get();
+        }
     }
-    EXPECT_EQ(backend.hardware_for_evaluation().crossbar().measurement_count(),
+    EXPECT_EQ(concurrent_reads,
               serial_backend.hardware_for_evaluation().crossbar().measurement_count());
 }
 
