@@ -23,6 +23,7 @@
 #include <iostream>
 #include <string>
 #include <thread>
+#include <variant>
 #include <vector>
 
 #include "record.hpp"
@@ -61,21 +62,22 @@ int main(int argc, char** argv) {
     if (!cli.parse(argc, argv)) return 0;
 
     core::ScenarioSpec spec = core::builtin_scenarios().get("service/mnist/arms-race");
+    core::ArmsRaceOptions& ar = std::get<core::ArmsRaceOptions>(spec.experiment);
     if (cli.provided("train")) spec.load.train_count = static_cast<std::size_t>(cli.integer("train"));
     if (cli.provided("test")) spec.load.test_count = static_cast<std::size_t>(cli.integer("test"));
     if (cli.provided("epochs")) {
         spec.victim.train.epochs = static_cast<std::size_t>(cli.integer("epochs"));
     }
     if (cli.provided("queries")) {
-        spec.arms_race.attacker.planned_queries = static_cast<std::size_t>(cli.integer("queries"));
+        ar.attacker.planned_queries = static_cast<std::size_t>(cli.integer("queries"));
     }
     if (cli.provided("benign")) {
-        spec.arms_race.benign_queries = static_cast<std::size_t>(cli.integer("benign"));
+        ar.benign_queries = static_cast<std::size_t>(cli.integer("benign"));
     }
     if (cli.provided("seed")) {
         const auto seed = static_cast<std::uint64_t>(cli.integer("seed"));
         spec.load.seed = seed;
-        spec.arms_race.seed = seed + 77;
+        ar.seed = seed + 77;
     }
     const bool smoke = cli.boolean("smoke");
     if (smoke) core::apply_smoke(spec);
@@ -95,10 +97,10 @@ int main(int argc, char** argv) {
 
     bench::BenchRecorder recorder(
         "arms", "strategy x policy matrix, " + std::to_string(threads) + " worker threads, " +
-                    std::to_string(spec.arms_race.attacker.planned_queries) +
+                    std::to_string(ar.attacker.planned_queries) +
                     " attacker samples/cell" + (smoke ? ", smoke" : ""));
-    for (const attack::AttackerStrategy strategy : spec.arms_race.strategies) {
-        for (const core::ArmsDefense& defense : spec.arms_race.defenses) {
+    for (const attack::AttackerStrategy strategy : ar.strategies) {
+        for (const core::ArmsDefense& defense : ar.defenses) {
             const std::string key = std::string(attack::to_string(strategy)) + "_" + defense.name;
             recorder.begin(key);
             recorder.add("strategy", attack::to_string(strategy));

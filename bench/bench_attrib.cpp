@@ -23,6 +23,7 @@
 #include <iostream>
 #include <string>
 #include <thread>
+#include <variant>
 #include <vector>
 
 #include "record.hpp"
@@ -68,21 +69,22 @@ int main(int argc, char** argv) {
     if (!cli.parse(argc, argv)) return 0;
 
     core::ScenarioSpec spec = core::builtin_scenarios().get("service/mnist/attribution");
+    core::ArmsRaceOptions& ar = std::get<core::ArmsRaceOptions>(spec.experiment);
     if (cli.provided("train")) spec.load.train_count = static_cast<std::size_t>(cli.integer("train"));
     if (cli.provided("test")) spec.load.test_count = static_cast<std::size_t>(cli.integer("test"));
     if (cli.provided("epochs")) {
         spec.victim.train.epochs = static_cast<std::size_t>(cli.integer("epochs"));
     }
     if (cli.provided("queries")) {
-        spec.arms_race.attacker.planned_queries = static_cast<std::size_t>(cli.integer("queries"));
+        ar.attacker.planned_queries = static_cast<std::size_t>(cli.integer("queries"));
     }
     if (cli.provided("benign")) {
-        spec.arms_race.benign_queries = static_cast<std::size_t>(cli.integer("benign"));
+        ar.benign_queries = static_cast<std::size_t>(cli.integer("benign"));
     }
     if (cli.provided("seed")) {
         const auto seed = static_cast<std::uint64_t>(cli.integer("seed"));
         spec.load.seed = seed;
-        spec.arms_race.seed = seed + 101;
+        ar.seed = seed + 101;
     }
     const bool smoke = cli.boolean("smoke");
     if (smoke) core::apply_smoke(spec);
@@ -100,16 +102,14 @@ int main(int argc, char** argv) {
     for (const auto& [name, table] : outcome.tables) std::cout << "\n" << table;
     std::cout << "\ntotal wall time: " << total_s << " s\n";
 
-    const double benign_total =
-        static_cast<double>(spec.arms_race.benign_clients * spec.arms_race.benign_queries);
+    const double benign_total = static_cast<double>(ar.benign_clients * ar.benign_queries);
 
     bench::BenchRecorder recorder(
         "attrib", "rotating/forging attackers vs attribution, " + std::to_string(threads) +
-                      " worker threads, " +
-                      std::to_string(spec.arms_race.attacker.planned_queries) +
+                      " worker threads, " + std::to_string(ar.attacker.planned_queries) +
                       " attacker samples/cell" + (smoke ? ", smoke" : ""));
-    for (const attack::AttackerStrategy strategy : spec.arms_race.strategies) {
-        for (const core::ArmsDefense& defense : spec.arms_race.defenses) {
+    for (const attack::AttackerStrategy strategy : ar.strategies) {
+        for (const core::ArmsDefense& defense : ar.defenses) {
             const std::string key = std::string(attack::to_string(strategy)) + "_" + defense.name;
             recorder.begin(key);
             recorder.add("strategy", attack::to_string(strategy));

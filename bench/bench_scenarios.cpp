@@ -4,6 +4,7 @@
 //   bench_scenarios --list
 //   bench_scenarios --run=probe/mnist/defended
 //   bench_scenarios --run=fig4/ --smoke        (prefix = every fig4 entry)
+//   bench_scenarios --run= --smoke             (empty prefix = the whole registry)
 #include "scenario_bench_common.hpp"
 
 using namespace xbarsec;

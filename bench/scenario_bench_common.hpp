@@ -7,6 +7,7 @@
 #include <cstdio>
 #include <iostream>
 #include <string>
+#include <variant>
 
 #include "record.hpp"
 #include "xbarsec/common/cli.hpp"
@@ -35,34 +36,42 @@ inline void register_standard_flags(Cli& cli) {
     cli.flag("smoke", "false", "tiny configuration for CI smoke runs");
 }
 
+/// Applies the CLI overrides. Experiment flags (--runs, --eval, --queries,
+/// --lambdas, --eps, the experiment seed) change only the options the spec
+/// holds.
 inline void apply_overrides(core::ScenarioSpec& spec, const Cli& cli) {
+    auto* fig4 = std::get_if<core::Fig4Options>(&spec.experiment);
+    auto* fig5 = std::get_if<core::Fig5Options>(&spec.experiment);
+    auto* table1 = std::get_if<core::Table1Options>(&spec.experiment);
     if (cli.provided("train")) spec.load.train_count = static_cast<std::size_t>(cli.integer("train"));
     if (cli.provided("test")) spec.load.test_count = static_cast<std::size_t>(cli.integer("test"));
     if (cli.provided("epochs")) {
         spec.victim.train.epochs = static_cast<std::size_t>(cli.integer("epochs"));
     }
     if (cli.provided("runs")) {
-        spec.fig5.runs = static_cast<std::size_t>(cli.integer("runs"));
-        spec.table1.runs = static_cast<std::size_t>(cli.integer("runs"));
+        const auto runs = static_cast<std::size_t>(cli.integer("runs"));
+        if (fig5 != nullptr) fig5->runs = runs;
+        if (table1 != nullptr) table1->runs = runs;
     }
     if (cli.provided("eval")) {
-        spec.fig4.eval_limit = static_cast<std::size_t>(cli.integer("eval"));
-        spec.fig5.eval_limit = static_cast<std::size_t>(cli.integer("eval"));
+        const auto eval = static_cast<std::size_t>(cli.integer("eval"));
+        if (fig4 != nullptr) fig4->eval_limit = eval;
+        if (fig5 != nullptr) fig5->eval_limit = eval;
     }
-    if (cli.provided("queries")) {
-        spec.fig5.query_counts.clear();
+    if (fig5 != nullptr && cli.provided("queries")) {
+        fig5->query_counts.clear();
         for (const long long q : cli.integer_list("queries")) {
-            spec.fig5.query_counts.push_back(static_cast<std::size_t>(q));
+            fig5->query_counts.push_back(static_cast<std::size_t>(q));
         }
     }
-    if (cli.provided("lambdas")) spec.fig5.lambdas = cli.real_list("lambdas");
-    if (cli.provided("eps")) spec.fig5.fgsm_eps = cli.real("eps");
+    if (fig5 != nullptr && cli.provided("lambdas")) fig5->lambdas = cli.real_list("lambdas");
+    if (fig5 != nullptr && cli.provided("eps")) fig5->fgsm_eps = cli.real("eps");
     if (cli.provided("seed")) {
         const auto seed = static_cast<std::uint64_t>(cli.integer("seed"));
         spec.load.seed = seed;
-        spec.fig4.seed = seed + 33;
-        spec.fig5.seed = seed;
-        spec.table1.seed = seed;
+        if (fig4 != nullptr) fig4->seed = seed + 33;
+        if (fig5 != nullptr) fig5->seed = seed;
+        if (table1 != nullptr) table1->seed = seed;
     }
     if (cli.provided("data-dir")) spec.load.data_dir = cli.str("data-dir");
     if (cli.boolean("smoke")) core::apply_smoke(spec);

@@ -13,6 +13,9 @@
 
 namespace xbarsec::core {
 
+/// Figure 3 reads nothing beyond the scenario's dataset and victim.
+struct Fig3Options {};
+
 /// One (sensitivity map, 1-norm map) panel pair.
 struct Fig3Panel {
     std::string label;
@@ -22,10 +25,6 @@ struct Fig3Panel {
     double correlation = 0.0;        ///< pearson(sensitivity_map, l1_map)
     double victim_test_accuracy = 0.0;
 };
-
-/// Trains one victim and produces its panel pair.
-Fig3Panel run_fig3_config(const data::DataSplit& split, const std::string& dataset_name,
-                          const OutputConfig& output, const VictimConfig& base_config);
 
 /// Produces the panel pair for an already-trained, already-deployed
 /// victim; the 1-norm map is probed through `attacker` (the top of any

@@ -41,13 +41,8 @@ struct Fig4Result {
     double clean_accuracy = 0.0;  ///< accuracy at strength 0 (sanity anchor)
 };
 
-/// Runs the full method × strength sweep for one configuration (trains
-/// and deploys a fresh victim, then delegates to run_fig4_on).
-Fig4Result run_fig4_config(const data::DataSplit& split, const std::string& dataset_name,
-                           const OutputConfig& output, const VictimConfig& base_config,
-                           const Fig4Options& options);
-
-/// Runs the sweep against an already-deployed victim. `attacker` is the
+/// Runs the full method × strength sweep against an already-deployed
+/// victim; eval_limit is the caller's to apply. `attacker` is the
 /// attacker-facing oracle — probed for the 1-norm ranking, and also used
 /// to score attacks when options.evaluate_via_oracle; `hardware` supplies
 /// white-box gradients (WorstCase reference) and the direct evaluation

@@ -1,7 +1,8 @@
 // Named experiment scenarios and the unified runner.
 //
 // A ScenarioSpec is pure data: dataset × victim × device non-idealities ×
-// defenses × experiment. The ScenarioRegistry maps names to
+// defenses × one experiment, whose options struct is the alternative the
+// spec's ExperimentOptions holds. The ScenarioRegistry maps names to
 // specs (the built-in entries cover every figure/table of the paper plus
 // defended and noisy-device variants), and ScenarioRunner turns any spec
 // into a ScenarioOutcome — so a new workload is a registry entry, not a
@@ -12,6 +13,7 @@
 #include <map>
 #include <memory>
 #include <string>
+#include <variant>
 #include <vector>
 
 #include "xbarsec/attack/adaptive.hpp"
@@ -27,20 +29,16 @@
 namespace xbarsec::core {
 
 enum class DatasetKind { MnistLike, Cifar10Like };
-enum class ExperimentKind {
-    Fig3,
-    Fig4,
-    Fig5,
-    Table1,
-    Probe,
-    MultiClient,
-    ReplicaSweep,
-    CacheTiming,
-    ArmsRace,
-};
 
 std::string to_string(DatasetKind kind);
-std::string to_string(ExperimentKind kind);
+
+/// Side-channel probe quality: the attacker probes every column through
+/// its session, and the report scores the recovered 1-norms against the
+/// deployed weights.
+struct ProbeQualityOptions {
+    sidechannel::ProbeOptions probe;
+    std::size_t topk = 16;  ///< ranking-agreement k
+};
 
 /// A multi-tenant serving workload: several clients drive one deployment
 /// through concurrent OracleService sessions, each under its own policy.
@@ -87,13 +85,14 @@ std::string to_string(MultiClientOptions::Mode mode);
 /// submission is one unit and would land on one replica).
 struct ReplicaSweepOptions {
     enum class Axis {
-        ReplicaCount,  ///< sweep replica_counts at the spec's routing policy
+        ReplicaCount,  ///< sweep replica_counts at `routing`
         Routing,       ///< sweep routings at routing_replicas replicas
     };
 
     Axis axis = Axis::ReplicaCount;
 
     std::vector<std::size_t> replica_counts = {1, 2, 4};
+    RoutingPolicy routing = RoutingPolicy::SessionAffine;  ///< for Axis::ReplicaCount
     std::vector<RoutingPolicy> routings = {RoutingPolicy::SessionAffine,
                                            RoutingPolicy::RoundRobin,
                                            RoutingPolicy::LeastLoaded};
@@ -222,6 +221,11 @@ struct ArmsRaceOptions {
     std::uint64_t seed = 7;
 };
 
+/// The experiment a spec runs: the held alternative selects the runner.
+using ExperimentOptions =
+    std::variant<Fig3Options, Fig4Options, Fig5Options, Table1Options, ProbeQualityOptions,
+                 MultiClientOptions, ReplicaSweepOptions, CacheTimingOptions, ArmsRaceOptions>;
+
 /// A complete named workload.
 struct ScenarioSpec {
     std::string name;         ///< registry key, e.g. "fig4/mnist/softmax"
@@ -229,42 +233,17 @@ struct ScenarioSpec {
 
     DatasetKind dataset = DatasetKind::MnistLike;
     data::LoadOptions load;
-    OutputConfig output = OutputConfig::softmax_ce();
     VictimConfig victim = VictimConfig::defaults(OutputConfig::softmax_ce());
     std::vector<DefenseSpec> defenses;
-
-    /// Backend fleet size: the victim is deployed onto this many
-    /// physically distinct crossbars (same weights, per-replica
-    /// variation seeds) with one obfuscation stack each, all fronted by
-    /// one OracleService. 1 = the classic single deployment.
-    std::size_t replicas = 1;
-
-    /// How the service routes submissions over the fleet. The default
-    /// keeps every single-session experiment on one replica —
-    /// bit-identical to a single-backend deployment.
-    RoutingPolicy routing = RoutingPolicy::SessionAffine;
-
-    /// Result-cache tier of the deployment's service (default off —
-    /// bit-identical to the uncached fleet).
-    CacheConfig cache;
-
-    ExperimentKind experiment = ExperimentKind::Fig4;
-    Fig4Options fig4;
-    Fig5Options fig5;
-    Table1Options table1;
-    sidechannel::ProbeOptions probe;
-    std::size_t probe_topk = 16;  ///< ranking-agreement k for Probe reports
-    MultiClientOptions multiclient;
-    ReplicaSweepOptions replica_sweep;
-    CacheTimingOptions cache_timing;
-    ArmsRaceOptions arms_race;
+    ExperimentOptions experiment;
 };
 
-/// Shrinks a spec to CI-smoke size (tiny datasets, minimal sweeps).
+/// Shrinks a spec to CI-smoke size (tiny datasets, minimal sweeps of the
+/// experiment it holds).
 void apply_smoke(ScenarioSpec& spec);
 
 /// Name → spec map with ordered listing. Lookup of an unknown name
-/// throws ConfigError naming the nearest available entries.
+/// throws ConfigError listing every registered entry.
 class ScenarioRegistry {
 public:
     /// Registers a spec; throws ConfigError on empty or duplicate names.
@@ -298,18 +277,12 @@ public:
     const data::DataSplit& split() const { return split_; }
     const TrainedVictim& victim() const { return victim_; }
 
-    /// The physical deployment (evaluation-side access; replica 0 of a
-    /// fleet — its variation seed is the spec's own, so it is exactly the
-    /// device a single-replica deployment would have).
-    CrossbarOracle& backend() { return backends_.front(); }
+    /// The physical deployment (evaluation-side access).
+    CrossbarOracle& backend() { return *backend_; }
 
-    /// Replica access for fleet deployments (spec.replicas > 1).
-    std::size_t replica_count() const { return backends_.size(); }
-    CrossbarOracle& replica_backend(std::size_t replica) { return backends_[replica]; }
-
-    /// Replica k's obfuscation stack top (what the service's sessions
-    /// serve; direct use bypasses the service and every session policy).
-    Oracle& replica_stack_top(std::size_t replica) { return stacks_[replica]->top(); }
+    /// The obfuscation stack top (what the service's sessions serve;
+    /// direct use bypasses the service and every session policy).
+    Oracle& stack_top() { return stack_->top(); }
 
     /// The serving front-end over the stack (open more sessions here).
     OracleService& service() { return *service_; }
@@ -334,15 +307,14 @@ private:
     ScenarioSpec spec_;
     data::DataSplit split_;
     TrainedVictim victim_;
-    // One backend + stack per replica (index 0 = the spec's own seeds).
-    // The vectors' heap storage keeps the oracles at stable addresses
-    // when the DeployedScenario itself is moved.
-    std::vector<CrossbarOracle> backends_;
+    // Heap-held so the oracles keep their addresses when the
+    // DeployedScenario itself is moved.
+    std::unique_ptr<CrossbarOracle> backend_;
     std::unique_ptr<sidechannel::CurrentSignatureDetector> detector_;
-    std::vector<std::unique_ptr<DecoratorStack>> stacks_;
-    // Declared after the stacks (and destroyed before them): the session
-    // must close before the service joins its flushers, which must happen
-    // before the backends they serve go away.
+    std::unique_ptr<DecoratorStack> stack_;
+    // Declared after the stack (and destroyed before it): the session
+    // must close before the service joins its flusher, which must happen
+    // before the backend it serves goes away.
     std::unique_ptr<OracleService> service_;
     Session session_;
 };
@@ -364,8 +336,10 @@ struct ScenarioOutcome {
     };
     std::vector<Grid> grids;
 
-    /// Backend query counters after the experiment (single-deployment
-    /// experiments; zero for the multi-deployment Fig5/Table1 sweeps).
+    /// The attacker's query counters after the experiment: the backend's
+    /// for Fig3/Fig4/probe, the attacker session's for multi-client, and
+    /// zero for the experiments that deploy their own victims (Fig5,
+    /// Table1, replica sweep, cache timing, arms race).
     QueryCounters attacker_cost;
 };
 
@@ -376,16 +350,20 @@ public:
     explicit ScenarioRunner(ThreadPool* pool = nullptr) : pool_(pool) {}
 
     /// Loads data, trains the victim, deploys it, builds the obfuscation
-    /// stacks and opens the default session with the spec's policy
+    /// stack and opens the default session with the spec's policy
     /// defenses (experiments that manage their own training — Fig5,
     /// Table1 — do not use this). Throws ConfigError for a policy defense
     /// on a multi-client spec, whose tenants each open their own session.
     DeployedScenario deploy(const ScenarioSpec& spec) const;
 
+    /// Runs the experiment the spec holds.
     ScenarioOutcome run(const ScenarioSpec& spec) const;
 
     /// Convenience: builtin_scenarios() lookup + run.
     ScenarioOutcome run(const std::string& name) const;
+
+    /// The pool the experiments run on (null = serial).
+    ThreadPool* pool() const { return pool_; }
 
 private:
     ThreadPool* pool_ = nullptr;

@@ -18,14 +18,4 @@ Fig3Panel run_fig3_on(Oracle& attacker, const TrainedVictim& victim, const data:
     return panel;
 }
 
-Fig3Panel run_fig3_config(const data::DataSplit& split, const std::string& dataset_name,
-                          const OutputConfig& output, const VictimConfig& base_config) {
-    VictimConfig config = base_config;
-    config.output = output;
-
-    const TrainedVictim victim = train_victim(split, config);
-    CrossbarOracle oracle = deploy_victim(victim.net, config);
-    return run_fig3_on(oracle, victim, split.test, dataset_name + "/" + output.name());
-}
-
 }  // namespace xbarsec::core

@@ -51,21 +51,6 @@ Fig4Result run_fig4_on(Oracle& attacker, const xbar::CrossbarNetwork& hardware,
     return result;
 }
 
-Fig4Result run_fig4_config(const data::DataSplit& split, const std::string& dataset_name,
-                           const OutputConfig& output, const VictimConfig& base_config,
-                           const Fig4Options& options) {
-    VictimConfig config = base_config;
-    config.output = output;
-
-    const TrainedVictim victim = train_victim(split, config);
-    CrossbarOracle oracle = deploy_victim(victim.net, config);
-
-    const data::Dataset eval_set =
-        options.eval_limit > 0 ? split.test.take(options.eval_limit) : split.test;
-    return run_fig4_on(oracle, oracle.hardware_for_evaluation(), eval_set,
-                       dataset_name + "/" + output.name(), options);
-}
-
 Table render_fig4(const Fig4Result& result) {
     std::vector<std::string> header{"Strength"};
     for (const auto& s : result.series) header.push_back(to_string(s.method));

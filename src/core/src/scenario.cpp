@@ -22,21 +22,6 @@ std::string to_string(DatasetKind kind) {
     return "?";
 }
 
-std::string to_string(ExperimentKind kind) {
-    switch (kind) {
-        case ExperimentKind::Fig3: return "fig3";
-        case ExperimentKind::Fig4: return "fig4";
-        case ExperimentKind::Fig5: return "fig5";
-        case ExperimentKind::Table1: return "table1";
-        case ExperimentKind::Probe: return "probe";
-        case ExperimentKind::MultiClient: return "multiclient";
-        case ExperimentKind::ReplicaSweep: return "replica-sweep";
-        case ExperimentKind::CacheTiming: return "cache-timing";
-        case ExperimentKind::ArmsRace: return "arms-race";
-    }
-    return "?";
-}
-
 std::string to_string(ReplicaSweepOptions::Axis axis) {
     switch (axis) {
         case ReplicaSweepOptions::Axis::ReplicaCount: return "replica-count";
@@ -58,39 +43,40 @@ void apply_smoke(ScenarioSpec& spec) {
     spec.load.train_count = 400;
     spec.load.test_count = 120;
     spec.victim.train.epochs = 4;
-    spec.fig4.strengths = {0, 5, 10};
-    spec.fig4.eval_limit = 80;
-    spec.fig5.runs = 2;
-    spec.fig5.query_counts = {10, 100};
-    spec.fig5.lambdas = {0.0, 0.005};
-    spec.fig5.eval_limit = 60;
-    spec.table1.runs = 2;
     for (DefenseSpec& d : spec.defenses) {
         d.detector_enrollment = std::min<std::size_t>(d.detector_enrollment, 200);
     }
-    spec.multiclient.benign_clients = std::min<std::size_t>(spec.multiclient.benign_clients, 2);
-    spec.multiclient.benign_queries = std::min<std::size_t>(spec.multiclient.benign_queries, 48);
-    spec.multiclient.attack_queries = std::min<std::size_t>(spec.multiclient.attack_queries, 16);
-    spec.multiclient.detector_enrollment =
-        std::min<std::size_t>(spec.multiclient.detector_enrollment, 200);
-    spec.replica_sweep.queries = std::min<std::size_t>(spec.replica_sweep.queries, 96);
-    spec.replica_sweep.eval_limit = std::min<std::size_t>(spec.replica_sweep.eval_limit, 60);
-    if (spec.replica_sweep.replica_counts.size() > 2) {
-        spec.replica_sweep.replica_counts = {1, 2};
+    if (auto* fig4 = std::get_if<Fig4Options>(&spec.experiment)) {
+        fig4->strengths = {0, 5, 10};
+        fig4->eval_limit = 80;
+    } else if (auto* fig5 = std::get_if<Fig5Options>(&spec.experiment)) {
+        fig5->runs = 2;
+        fig5->query_counts = {10, 100};
+        fig5->lambdas = {0.0, 0.005};
+        fig5->eval_limit = 60;
+    } else if (auto* table1 = std::get_if<Table1Options>(&spec.experiment)) {
+        table1->runs = 2;
+    } else if (auto* mc = std::get_if<MultiClientOptions>(&spec.experiment)) {
+        mc->benign_clients = std::min<std::size_t>(mc->benign_clients, 2);
+        mc->benign_queries = std::min<std::size_t>(mc->benign_queries, 48);
+        mc->attack_queries = std::min<std::size_t>(mc->attack_queries, 16);
+        mc->detector_enrollment = std::min<std::size_t>(mc->detector_enrollment, 200);
+    } else if (auto* rs = std::get_if<ReplicaSweepOptions>(&spec.experiment)) {
+        rs->queries = std::min<std::size_t>(rs->queries, 96);
+        rs->eval_limit = std::min<std::size_t>(rs->eval_limit, 60);
+        if (rs->replica_counts.size() > 2) rs->replica_counts = {1, 2};
+        rs->routing_replicas = std::min<std::size_t>(rs->routing_replicas, 2);
+    } else if (auto* ct = std::get_if<CacheTimingOptions>(&spec.experiment)) {
+        ct->candidate_pool = std::min<std::size_t>(ct->candidate_pool, 24);
+        ct->probe_repeats = std::min<std::size_t>(ct->probe_repeats, 2);
+    } else if (auto* ar = std::get_if<ArmsRaceOptions>(&spec.experiment)) {
+        ar->attacker.planned_queries = std::min<std::size_t>(ar->attacker.planned_queries, 96);
+        ar->attacker.rotate_after = std::min<std::size_t>(ar->attacker.rotate_after, 32);
+        ar->benign_clients = std::min<std::size_t>(ar->benign_clients, 2);
+        ar->benign_queries = std::min<std::size_t>(ar->benign_queries, 48);
+        ar->eval_limit = std::min<std::size_t>(ar->eval_limit, 60);
+        ar->detector_enrollment = std::min<std::size_t>(ar->detector_enrollment, 200);
     }
-    spec.replica_sweep.routing_replicas =
-        std::min<std::size_t>(spec.replica_sweep.routing_replicas, 2);
-    spec.cache_timing.candidate_pool = std::min<std::size_t>(spec.cache_timing.candidate_pool, 24);
-    spec.cache_timing.probe_repeats = std::min<std::size_t>(spec.cache_timing.probe_repeats, 2);
-    spec.arms_race.attacker.planned_queries =
-        std::min<std::size_t>(spec.arms_race.attacker.planned_queries, 96);
-    spec.arms_race.attacker.rotate_after =
-        std::min<std::size_t>(spec.arms_race.attacker.rotate_after, 32);
-    spec.arms_race.benign_clients = std::min<std::size_t>(spec.arms_race.benign_clients, 2);
-    spec.arms_race.benign_queries = std::min<std::size_t>(spec.arms_race.benign_queries, 48);
-    spec.arms_race.eval_limit = std::min<std::size_t>(spec.arms_race.eval_limit, 60);
-    spec.arms_race.detector_enrollment =
-        std::min<std::size_t>(spec.arms_race.detector_enrollment, 200);
 }
 
 // ---- registry ---------------------------------------------------------------
@@ -135,21 +121,17 @@ std::vector<std::string> ScenarioRegistry::names(const std::string& prefix) cons
 namespace {
 
 ScenarioSpec base_spec(std::string name, std::string description, DatasetKind dataset,
-                       OutputConfig output, ExperimentKind experiment) {
+                       OutputConfig output, ExperimentOptions experiment) {
     ScenarioSpec s;
     s.name = std::move(name);
     s.description = std::move(description);
     s.dataset = dataset;
-    s.output = output;
     s.victim = VictimConfig::defaults(output);
     s.victim.train.epochs = 15;
     s.load.train_count = 6000;
     s.load.test_count = 1500;
     s.load.seed = 2022;
-    s.experiment = experiment;
-    s.fig4.seed = 2022 + 33;
-    s.fig5.seed = 2022;
-    s.table1.seed = 2022;
+    s.experiment = std::move(experiment);
     return s;
 }
 
@@ -164,42 +146,46 @@ void register_builtins(ScenarioRegistry& registry) {
     } outputs[] = {{OutputConfig::linear_mse(), "linear"},
                    {OutputConfig::softmax_ce(), "softmax"}};
 
+    // Every registry Figure 4 sweep uses this attack seed.
+    Fig4Options fig4;
+    fig4.seed = 2022 + 33;
+
     // The paper's core sweeps: every dataset × activation cell of
     // Figure 3, Figure 4, and Table I.
     for (const auto& ds : datasets) {
         for (const auto& out : outputs) {
             registry.add(base_spec(std::string("fig3/") + ds.tag + "/" + out.tag,
                                    "Figure 3 panel pair: sensitivity map vs probed 1-norm map",
-                                   ds.kind, out.output, ExperimentKind::Fig3));
+                                   ds.kind, out.output, Fig3Options{}));
             registry.add(base_spec(std::string("fig4/") + ds.tag + "/" + out.tag,
                                    "Figure 4: power-guided single-pixel attack sweep", ds.kind,
-                                   out.output, ExperimentKind::Fig4));
+                                   out.output, fig4));
             registry.add(base_spec(std::string("table1/") + ds.tag + "/" + out.tag,
                                    "Table I: sensitivity/1-norm correlations over runs", ds.kind,
-                                   out.output, ExperimentKind::Table1));
+                                   out.output, Table1Options{}));
         }
     }
 
     // Figure 5 (Section IV uses the linear oracle only).
     for (const bool raw : {false, true}) {
         {
-            ScenarioSpec s = base_spec(std::string("fig5/mnist/") + (raw ? "raw" : "label"),
-                                       "Figure 5 MNIST row: power-aware surrogate attacks",
-                                       DatasetKind::MnistLike, OutputConfig::linear_mse(),
-                                       ExperimentKind::Fig5);
-            s.fig5.raw_outputs = raw;
-            s.fig5.eval_limit = 500;
-            registry.add(std::move(s));
+            Fig5Options fig5;
+            fig5.raw_outputs = raw;
+            fig5.eval_limit = 500;
+            registry.add(base_spec(std::string("fig5/mnist/") + (raw ? "raw" : "label"),
+                                   "Figure 5 MNIST row: power-aware surrogate attacks",
+                                   DatasetKind::MnistLike, OutputConfig::linear_mse(), fig5));
         }
         {
+            Fig5Options fig5;
+            fig5.raw_outputs = raw;
+            fig5.query_counts = {2, 10, 50, 100, 500, 1500};
+            fig5.eval_limit = 300;
             ScenarioSpec s = base_spec(std::string("fig5/cifar/") + (raw ? "raw" : "label"),
                                        "Figure 5 CIFAR row: power-aware surrogate attacks",
                                        DatasetKind::Cifar10Like, OutputConfig::linear_mse(),
-                                       ExperimentKind::Fig5);
+                                       fig5);
             s.load.train_count = 3000;
-            s.fig5.raw_outputs = raw;
-            s.fig5.query_counts = {2, 10, 50, 100, 500, 1500};
-            s.fig5.eval_limit = 300;
             registry.add(std::move(s));
         }
     }
@@ -208,8 +194,7 @@ void register_builtins(ScenarioRegistry& registry) {
     {
         ScenarioSpec s = base_spec("fig4/mnist/softmax-noisy-device",
                                    "Figure 4 on a non-ideal device (read noise + stuck faults)",
-                                   DatasetKind::MnistLike, OutputConfig::softmax_ce(),
-                                   ExperimentKind::Fig4);
+                                   DatasetKind::MnistLike, OutputConfig::softmax_ce(), fig4);
         s.victim.nonideal.read_noise_std = 0.05;
         s.victim.nonideal.stuck_off_fraction = 0.01;
         registry.add(std::move(s));
@@ -217,121 +202,115 @@ void register_builtins(ScenarioRegistry& registry) {
 
     // Defended deployments.
     {
+        Fig4Options via_oracle = fig4;
+        via_oracle.evaluate_via_oracle = true;  // the detector must see the attack inputs
         ScenarioSpec s = base_spec("fig4/mnist/softmax-detected",
                                    "Figure 4 against a detector-guarded deployment (log-only)",
                                    DatasetKind::MnistLike, OutputConfig::softmax_ce(),
-                                   ExperimentKind::Fig4);
+                                   via_oracle);
         DefenseSpec det;
         det.kind = DefenseSpec::Kind::Detector;
         det.block_flagged = false;
         s.defenses.push_back(det);
-        s.fig4.evaluate_via_oracle = true;  // the detector must see the attack inputs
         registry.add(std::move(s));
     }
     {
+        Fig5Options fig5;
+        fig5.eval_limit = 500;
         ScenarioSpec s = base_spec("fig5/mnist/label-defended",
                                    "Figure 5 MNIST label row against a noisy-power defense",
-                                   DatasetKind::MnistLike, OutputConfig::linear_mse(),
-                                   ExperimentKind::Fig5);
-        s.fig5.eval_limit = 500;
+                                   DatasetKind::MnistLike, OutputConfig::linear_mse(), fig5);
         DefenseSpec noise;
         noise.kind = DefenseSpec::Kind::NoisyPower;
         noise.magnitude = 0.25;
         s.defenses.push_back(noise);
         registry.add(std::move(s));
     }
-    {
-        ScenarioSpec s = base_spec("probe/mnist/undefended",
-                                   "Side-channel probe quality on the bare deployment",
-                                   DatasetKind::MnistLike, OutputConfig::softmax_ce(),
-                                   ExperimentKind::Probe);
-        registry.add(std::move(s));
-    }
+    registry.add(base_spec("probe/mnist/undefended",
+                           "Side-channel probe quality on the bare deployment",
+                           DatasetKind::MnistLike, OutputConfig::softmax_ce(),
+                           ProbeQualityOptions{}));
     // Multi-tenant serving scenarios: concurrent sessions on one
     // OracleService over one shared deployment (the threat model's
     // "attacker among millions of users", scaled to a test bench).
     {
-        ScenarioSpec s = base_spec("service/mnist/hidden-attacker",
-                                   "One attacker probing and attacking among benign tenants, "
-                                   "per-session detection windows",
-                                   DatasetKind::MnistLike, OutputConfig::softmax_ce(),
-                                   ExperimentKind::MultiClient);
-        s.multiclient.mode = MultiClientOptions::Mode::HiddenAttacker;
-        s.multiclient.benign_clients = 4;
-        s.multiclient.benign_queries = 256;
-        s.multiclient.attack_queries = 64;
+        MultiClientOptions mc;
+        mc.mode = MultiClientOptions::Mode::HiddenAttacker;
+        mc.benign_clients = 4;
+        mc.benign_queries = 256;
+        mc.attack_queries = 64;
         // Far beyond the enrolled envelope (the auto-calibrated threshold
         // sits around 2-3x the clean per-line range): the scenario
         // demonstrates *whose window* flags, not detector sensitivity.
-        s.multiclient.attack_strength = 50.0;
-        registry.add(std::move(s));
+        mc.attack_strength = 50.0;
+        registry.add(base_spec("service/mnist/hidden-attacker",
+                               "One attacker probing and attacking among benign tenants, "
+                               "per-session detection windows",
+                               DatasetKind::MnistLike, OutputConfig::softmax_ce(), mc));
     }
     {
-        ScenarioSpec s = base_spec("service/mnist/budget-exhaustion",
-                                   "Per-tenant query budgets: the attacker's probe exhausts its "
-                                   "own budget while benign tenants run on",
-                                   DatasetKind::MnistLike, OutputConfig::softmax_ce(),
-                                   ExperimentKind::MultiClient);
-        s.multiclient.mode = MultiClientOptions::Mode::BudgetExhaustion;
-        s.multiclient.benign_clients = 4;
-        s.multiclient.benign_queries = 128;
-        s.multiclient.attack_queries = 32;
-        registry.add(std::move(s));
+        MultiClientOptions mc;
+        mc.mode = MultiClientOptions::Mode::BudgetExhaustion;
+        mc.benign_clients = 4;
+        mc.benign_queries = 128;
+        mc.attack_queries = 32;
+        registry.add(base_spec("service/mnist/budget-exhaustion",
+                               "Per-tenant query budgets: the attacker's probe exhausts its "
+                               "own budget while benign tenants run on",
+                               DatasetKind::MnistLike, OutputConfig::softmax_ce(), mc));
     }
     {
-        ScenarioSpec s = base_spec("service/mnist/detector-isolation",
-                                   "Two tenants, one adversarial: per-session flagged windows "
-                                   "must not bleed across sessions",
-                                   DatasetKind::MnistLike, OutputConfig::softmax_ce(),
-                                   ExperimentKind::MultiClient);
-        s.multiclient.mode = MultiClientOptions::Mode::DetectorIsolation;
-        s.multiclient.benign_clients = 1;
-        s.multiclient.benign_queries = 256;
-        s.multiclient.attack_queries = 64;
-        s.multiclient.attack_strength = 50.0;
-        registry.add(std::move(s));
+        MultiClientOptions mc;
+        mc.mode = MultiClientOptions::Mode::DetectorIsolation;
+        mc.benign_clients = 1;
+        mc.benign_queries = 256;
+        mc.attack_queries = 64;
+        mc.attack_strength = 50.0;
+        registry.add(base_spec("service/mnist/detector-isolation",
+                               "Two tenants, one adversarial: per-session flagged windows "
+                               "must not bleed across sessions",
+                               DatasetKind::MnistLike, OutputConfig::softmax_ce(), mc));
     }
     // Replica-fleet extraction sweeps: the same trained victim deployed
     // on N physically distinct crossbars (independent stuck cells and
     // noise streams), served behind one OracleService. Measures whether
     // mixing device signatures helps or hurts surrogate extraction.
     {
+        ReplicaSweepOptions rs;
+        rs.axis = ReplicaSweepOptions::Axis::ReplicaCount;
+        rs.routing = RoutingPolicy::RoundRobin;
+        rs.seed = 2022 + 55;
         ScenarioSpec s = base_spec("service/mnist/replica-fidelity",
                                    "Surrogate extraction fidelity vs replica count "
                                    "(round-robin over per-replica device signatures)",
-                                   DatasetKind::MnistLike, OutputConfig::linear_mse(),
-                                   ExperimentKind::ReplicaSweep);
+                                   DatasetKind::MnistLike, OutputConfig::linear_mse(), rs);
         s.victim.nonideal.read_noise_std = 0.05;
         s.victim.nonideal.stuck_off_fraction = 0.01;
-        s.routing = RoutingPolicy::RoundRobin;
-        s.replica_sweep.axis = ReplicaSweepOptions::Axis::ReplicaCount;
-        s.replica_sweep.seed = 2022 + 55;
         registry.add(std::move(s));
     }
     {
+        ReplicaSweepOptions rs;
+        rs.axis = ReplicaSweepOptions::Axis::Routing;
+        rs.routing_replicas = 4;
+        rs.seed = 2022 + 55;
         ScenarioSpec s = base_spec("service/mnist/replica-routing",
                                    "Surrogate extraction fidelity vs routing policy over a "
                                    "4-replica fleet of distinct device signatures",
-                                   DatasetKind::MnistLike, OutputConfig::linear_mse(),
-                                   ExperimentKind::ReplicaSweep);
+                                   DatasetKind::MnistLike, OutputConfig::linear_mse(), rs);
         s.victim.nonideal.read_noise_std = 0.05;
         s.victim.nonideal.stuck_off_fraction = 0.01;
-        s.replica_sweep.axis = ReplicaSweepOptions::Axis::Routing;
-        s.replica_sweep.routing_replicas = 4;
-        s.replica_sweep.seed = 2022 + 55;
         registry.add(std::move(s));
     }
     // The arms race: every adaptive-attacker strategy against every
     // defense policy (token-bucket rate limiting, suspicion-scaled
     // escalation), with benign tenants paying the defender's cost.
     {
-        ScenarioSpec s = base_spec("service/mnist/arms-race",
-                                   "Adaptive attacker strategies vs token-bucket rate limits "
-                                   "and suspicion-scaled defenses, with benign-tenant cost",
-                                   DatasetKind::MnistLike, OutputConfig::linear_mse(),
-                                   ExperimentKind::ArmsRace);
-        s.arms_race.seed = 2022 + 77;
-        registry.add(std::move(s));
+        ArmsRaceOptions ar;
+        ar.seed = 2022 + 77;
+        registry.add(base_spec("service/mnist/arms-race",
+                               "Adaptive attacker strategies vs token-bucket rate limits "
+                               "and suspicion-scaled defenses, with benign-tenant cost",
+                               DatasetKind::MnistLike, OutputConfig::linear_mse(), ar));
     }
     // Cross-session attribution: the rotation-proof defense the arms
     // race motivated. The session-rotating (spread) and identity-forging
@@ -340,14 +319,8 @@ void register_builtins(ScenarioRegistry& registry) {
     // (per-source windows + buckets, deployment alert, query-overlap
     // campaign clustering).
     {
-        ScenarioSpec s = base_spec("service/mnist/attribution",
-                                   "Session-rotating and identity-forging attackers vs "
-                                   "cross-session attribution (per-source windows, campaign "
-                                   "clustering, deployment alert)",
-                                   DatasetKind::MnistLike, OutputConfig::linear_mse(),
-                                   ExperimentKind::ArmsRace);
-        s.arms_race.strategies = {attack::AttackerStrategy::Spread,
-                                  attack::AttackerStrategy::Forge};
+        ArmsRaceOptions ar;
+        ar.strategies = {attack::AttackerStrategy::Spread, attack::AttackerStrategy::Forge};
         ArmsDefense baseline;
         baseline.name = "rate+adaptive";
         baseline.rate = RateLimit{400.0, 48.0};
@@ -374,21 +347,24 @@ void register_builtins(ScenarioRegistry& registry) {
         // first-time sources inside the churn window is unreachable for
         // the benign fleet and a handful of rotations for the forger.
         attrib.churn_fresh_sources = 8;
-        s.arms_race.defenses = {baseline, attrib};
-        s.arms_race.seed = 2022 + 101;
-        registry.add(std::move(s));
+        ar.defenses = {baseline, attrib};
+        ar.seed = 2022 + 101;
+        registry.add(base_spec("service/mnist/attribution",
+                               "Session-rotating and identity-forging attackers vs "
+                               "cross-session attribution (per-source windows, campaign "
+                               "clustering, deployment alert)",
+                               DatasetKind::MnistLike, OutputConfig::linear_mse(), ar));
     }
     // The optimization-induced side channel: a shared result cache turns
     // hit/miss latency into a cross-tenant leak of *which inputs* other
     // sessions queried; per-session partitioning is the defense.
     {
-        ScenarioSpec s = base_spec("service/mnist/cache-timing",
-                                   "Attacker infers a co-tenant's query contents from result-"
-                                   "cache hit/miss latency; partitioning closes the channel",
-                                   DatasetKind::MnistLike, OutputConfig::softmax_ce(),
-                                   ExperimentKind::CacheTiming);
-        s.cache_timing.seed = 2022 + 89;
-        registry.add(std::move(s));
+        CacheTimingOptions ct;
+        ct.seed = 2022 + 89;
+        registry.add(base_spec("service/mnist/cache-timing",
+                               "Attacker infers a co-tenant's query contents from result-"
+                               "cache hit/miss latency; partitioning closes the channel",
+                               DatasetKind::MnistLike, OutputConfig::softmax_ce(), ct));
     }
     {
         // Randomised dummy loads on the device; sensing noise and a hard
@@ -396,7 +372,7 @@ void register_builtins(ScenarioRegistry& registry) {
         ScenarioSpec s = base_spec("probe/mnist/defended",
                                    "Probe quality against dummies + noise + query budget",
                                    DatasetKind::MnistLike, OutputConfig::softmax_ce(),
-                                   ExperimentKind::Probe);
+                                   ProbeQualityOptions{});
         DefenseSpec dummies;
         dummies.kind = DefenseSpec::Kind::RandomDummy;
         dummies.magnitude = 1.0;
@@ -434,7 +410,7 @@ data::DataSplit load_split(const ScenarioSpec& spec) {
 }
 
 std::string experiment_label(const ScenarioSpec& spec) {
-    return to_string(spec.dataset) + "/" + spec.output.name();
+    return to_string(spec.dataset) + "/" + spec.victim.output.name();
 }
 
 bool has_defense(const ScenarioSpec& spec, DefenseSpec::Kind kind) {
@@ -445,7 +421,8 @@ bool has_defense(const ScenarioSpec& spec, DefenseSpec::Kind kind) {
 }  // namespace
 
 DeployedScenario ScenarioRunner::deploy(const ScenarioSpec& spec) const {
-    if (spec.experiment == ExperimentKind::MultiClient &&
+    const auto* multiclient = std::get_if<MultiClientOptions>(&spec.experiment);
+    if (multiclient != nullptr &&
         std::any_of(spec.defenses.begin(), spec.defenses.end(),
                     [](const DefenseSpec& ds) { return ds.session_policy(); })) {
         throw ConfigError("multi-client scenarios do not support policy defenses (sensing "
@@ -454,64 +431,42 @@ DeployedScenario ScenarioRunner::deploy(const ScenarioSpec& spec) const {
     }
     DeployedScenario d;
     d.spec_ = spec;
-    d.spec_.victim.output = spec.output;
     d.split_ = load_split(spec);
-    d.victim_ = train_victim(d.split_, d.spec_.victim);
-    // Replica 0 derives the spec's own seeds (replica_variation_seed is
-    // the identity at index 0), so a fleet of one is exactly the classic
-    // single deployment.
-    const std::size_t replicas = std::max<std::size_t>(1, spec.replicas);
-    d.backends_ = deploy_victim_fleet(d.victim_.net, d.spec_.victim, replicas);
-    for (CrossbarOracle& backend : d.backends_) backend.set_thread_pool(pool_);
+    d.victim_ = train_victim(d.split_, spec.victim);
+    d.backend_ = std::make_unique<CrossbarOracle>(deploy_victim(d.victim_.net, spec.victim));
+    d.backend_->set_thread_pool(pool_);
 
     // A detector is enrolled when a Detector defense asks for one, or when
     // a multi-client experiment screens per session (shared enrolment,
-    // per-tenant windows). Enrolment happens once, on replica 0's
-    // hardware: the deployment registers one clean signature for the
-    // service, not one per device.
+    // per-tenant windows).
     const auto it = std::find_if(
         spec.defenses.begin(), spec.defenses.end(),
         [](const DefenseSpec& ds) { return ds.kind == DefenseSpec::Kind::Detector; });
     const bool multiclient_detector =
-        spec.experiment == ExperimentKind::MultiClient &&
-        spec.multiclient.mode != MultiClientOptions::Mode::BudgetExhaustion;
+        multiclient != nullptr && multiclient->mode != MultiClientOptions::Mode::BudgetExhaustion;
     if (it != spec.defenses.end() || multiclient_detector) {
         // Enrol on clean training data through the deployed hardware.
         const sidechannel::DetectorConfig config =
-            it != spec.defenses.end() ? it->detector : spec.multiclient.detector;
+            it != spec.defenses.end() ? it->detector : multiclient->detector;
         const std::size_t take = it != spec.defenses.end() ? it->detector_enrollment
-                                                           : spec.multiclient.detector_enrollment;
+                                                           : multiclient->detector_enrollment;
         const data::Dataset enrollment = take > 0 ? d.split_.train.take(take) : d.split_.train;
         d.detector_ = std::make_unique<sidechannel::CurrentSignatureDetector>(
-            d.backends_.front().hardware_for_evaluation(), enrollment, config);
+            d.backend_->hardware_for_evaluation(), enrollment, config);
     }
 
-    // One obfuscation stack per replica, all built from the same defense
-    // specs; the policy defenses become the attacker session's config.
-    // Relative magnitudes use replica 0's deployed scale for every
-    // replica — the operator configures one defense policy for the
-    // deployment, not per-device tuning.
-    const double scale = deployed_weight_scale(d.backends_.front());
-    SessionConfig attacker;
-    d.stacks_.reserve(replicas);
-    for (CrossbarOracle& backend : d.backends_) {
-        auto stack = std::make_unique<DecoratorStack>(backend);
-        attacker = apply_defenses(spec.defenses, *stack, scale, d.detector_.get());
-        d.stacks_.push_back(std::move(stack));
-    }
+    // The obfuscation defenses become device layers; the policy defenses
+    // become the attacker session's config.
+    d.stack_ = std::make_unique<DecoratorStack>(*d.backend_);
+    const SessionConfig attacker = apply_defenses(
+        spec.defenses, *d.stack_, deployed_weight_scale(*d.backend_), d.detector_.get());
 
-    // Front the stacks with the serving layer. Single-client experiments
-    // run through the default session (under the default session-affine
-    // routing, one replica); multi-client experiments open further
-    // sessions on the same service.
-    std::vector<Oracle*> tops;
-    tops.reserve(replicas);
-    for (auto& stack : d.stacks_) tops.push_back(&stack->top());
+    // Front the stack with the serving layer. Single-client experiments
+    // run through the default session; multi-client experiments open
+    // further sessions on the same service.
     ServiceConfig service_config;
     service_config.pool = pool_;
-    service_config.routing = spec.routing;
-    service_config.cache = spec.cache;
-    d.service_ = std::make_unique<OracleService>(tops, service_config);
+    d.service_ = std::make_unique<OracleService>(d.stack_->top(), service_config);
     d.session_ = d.service_->open_session(attacker);
     return d;
 }
@@ -531,7 +486,8 @@ void finish_with_cost(ScenarioOutcome& outcome, DeployedScenario& d) {
     }
 }
 
-ScenarioOutcome run_fig3_scenario(const ScenarioRunner& runner, const ScenarioSpec& spec) {
+ScenarioOutcome run_experiment(const ScenarioRunner& runner, const ScenarioSpec& spec,
+                               const Fig3Options&) {
     ScenarioOutcome outcome;
     DeployedScenario d = runner.deploy(spec);
     const Fig3Panel panel = run_fig3_on(d.oracle(), d.victim(), d.split().test,
@@ -559,14 +515,14 @@ ScenarioOutcome run_fig3_scenario(const ScenarioRunner& runner, const ScenarioSp
     return outcome;
 }
 
-ScenarioOutcome run_fig4_scenario(const ScenarioRunner& runner, const ScenarioSpec& spec) {
+ScenarioOutcome run_experiment(const ScenarioRunner& runner, const ScenarioSpec& spec,
+                               const Fig4Options& options) {
     ScenarioOutcome outcome;
     DeployedScenario d = runner.deploy(spec);
-    const data::Dataset eval_set = spec.fig4.eval_limit > 0
-                                       ? d.split().test.take(spec.fig4.eval_limit)
-                                       : d.split().test;
+    const data::Dataset eval_set =
+        options.eval_limit > 0 ? d.split().test.take(options.eval_limit) : d.split().test;
     const Fig4Result result = run_fig4_on(d.oracle(), d.backend().hardware_for_evaluation(),
-                                          eval_set, experiment_label(spec), spec.fig4);
+                                          eval_set, experiment_label(spec), options);
     outcome.label = result.label;
     outcome.tables.emplace_back("fig4", render_fig4(result));
     outcome.metrics["clean_accuracy"] = result.clean_accuracy;
@@ -574,19 +530,19 @@ ScenarioOutcome run_fig4_scenario(const ScenarioRunner& runner, const ScenarioSp
     return outcome;
 }
 
-ScenarioOutcome run_fig5_scenario(const ScenarioSpec& spec, ThreadPool* pool) {
+ScenarioOutcome run_experiment(const ScenarioRunner& runner, const ScenarioSpec& spec,
+                               const Fig5Options& fig5) {
     if (has_defense(spec, DefenseSpec::Kind::Detector)) {
         throw ConfigError("fig5 scenarios do not support detector defenses (each run deploys "
                           "a fresh victim; use a fig4 or probe scenario)");
     }
     ScenarioOutcome outcome;
     const data::DataSplit split = load_split(spec);
-    Fig5Options options = spec.fig5;
-    options.pool = pool;
+    Fig5Options options = fig5;
+    options.pool = runner.pool();
     options.defenses = spec.defenses;
-    VictimConfig victim = spec.victim;
     const Fig5Result result =
-        run_fig5(split, to_string(spec.dataset), spec.output, victim, options);
+        run_fig5(split, to_string(spec.dataset), spec.victim.output, spec.victim, options);
     outcome.label = result.label;
     outcome.tables.emplace_back("surrogate_acc", render_fig5_surrogate_accuracy(result));
     outcome.tables.emplace_back("adv_acc", render_fig5_adversarial_accuracy(result));
@@ -595,17 +551,19 @@ ScenarioOutcome run_fig5_scenario(const ScenarioSpec& spec, ThreadPool* pool) {
     return outcome;
 }
 
-ScenarioOutcome run_table1_scenario(const ScenarioSpec& spec, ThreadPool* pool) {
+ScenarioOutcome run_experiment(const ScenarioRunner& runner, const ScenarioSpec& spec,
+                               const Table1Options& table1) {
     if (!spec.defenses.empty()) {
         throw ConfigError("table1 scenarios do not support defense stacks (the probe is the "
                           "measurement itself; use a probe scenario to study defenses)");
     }
     ScenarioOutcome outcome;
     const data::DataSplit split = load_split(spec);
-    Table1Options options = spec.table1;
+    Table1Options options = table1;
     options.victim = spec.victim;
-    options.pool = pool;
-    const Table1Row row = run_table1_config(split, to_string(spec.dataset), spec.output, options);
+    options.pool = runner.pool();
+    const Table1Row row =
+        run_table1_config(split, to_string(spec.dataset), spec.victim.output, options);
     outcome.label = row.dataset + "/" + row.activation;
     outcome.tables.emplace_back("table1", render_table1({row}));
     outcome.metrics["mean_corr_test"] = row.mean_corr_test;
@@ -614,25 +572,33 @@ ScenarioOutcome run_table1_scenario(const ScenarioSpec& spec, ThreadPool* pool) 
     return outcome;
 }
 
-ScenarioOutcome run_probe_scenario(const ScenarioRunner& runner, const ScenarioSpec& spec) {
+ScenarioOutcome run_experiment(const ScenarioRunner& runner, const ScenarioSpec& spec,
+                               const ProbeQualityOptions& options) {
     ScenarioOutcome outcome;
     DeployedScenario d = runner.deploy(spec);
     outcome.label = experiment_label(spec);
 
     const tensor::Vector truth = tensor::column_abs_sums(
         d.backend().hardware_for_evaluation().effective_network().weights());
-    const sidechannel::ProbeResult probe = probe_columns(d.oracle(), spec.probe);
+    const sidechannel::ProbeResult probe = probe_columns(d.oracle(), options.probe);
     const double rel_error = sidechannel::relative_error(probe.conductance_sums, truth);
     const double agreement =
-        sidechannel::topk_agreement(probe.conductance_sums, truth, spec.probe_topk);
+        sidechannel::topk_agreement(probe.conductance_sums, truth, options.topk);
 
     Table table({"Deployment", "L1 rel. error",
-                 "Top-" + std::to_string(spec.probe_topk) + " ranking agreement",
-                 "Power queries"});
+                 "Top-" + std::to_string(options.topk) + " ranking agreement", "Power queries"});
     table.begin_row();
-    table.add(spec.defenses.empty()
-                  ? std::string("undefended")
-                  : "defended (" + std::to_string(spec.defenses.size()) + "-layer stack)");
+    if (spec.defenses.empty()) {
+        table.add("undefended");
+    } else {
+        const auto policies = static_cast<std::size_t>(
+            std::count_if(spec.defenses.begin(), spec.defenses.end(),
+                          [](const DefenseSpec& ds) { return ds.session_policy(); }));
+        const std::size_t layers = spec.defenses.size() - policies;
+        table.add("defended (" + std::to_string(layers) + " device layer" +
+                  (layers == 1 ? "" : "s") + " + " + std::to_string(policies) + " session polic" +
+                  (policies == 1 ? "y" : "ies") + ")");
+    }
     table.add(rel_error, 4);
     table.add(agreement, 3);
     table.add(static_cast<long long>(probe.queries));
@@ -693,9 +659,9 @@ BenignOutcome run_benign_client(Session& session, const data::Dataset& test, std
 /// modes measure what multi-tenancy adds over a single client:
 /// per-tenant detection windows, per-tenant budgets, and isolation of
 /// both.
-ScenarioOutcome run_multiclient_scenario(const ScenarioRunner& runner, const ScenarioSpec& spec) {
+ScenarioOutcome run_experiment(const ScenarioRunner& runner, const ScenarioSpec& spec,
+                               const MultiClientOptions& mc) {
     using Mode = MultiClientOptions::Mode;
-    const MultiClientOptions& mc = spec.multiclient;
     ScenarioOutcome outcome;
     DeployedScenario d = runner.deploy(spec);
     OracleService& service = d.service();
@@ -743,7 +709,7 @@ ScenarioOutcome run_multiclient_scenario(const ScenarioRunner& runner, const Sce
         Rng rng(mc.seed ^ 0xA77ACC3Ull);
         std::size_t target = 0;
         try {
-            const auto probe = probe_columns(attacker.oracle(), spec.probe);
+            const auto probe = probe_columns(attacker.oracle());
             target = tensor::argmax(probe.conductance_sums);
         } catch (const QueryBudgetExceeded&) {
             attacker_exhausted = true;
@@ -939,33 +905,31 @@ ReplicaSweepPoint run_replica_sweep_point(const TrainedVictim& victim,
     return point;
 }
 
-ScenarioOutcome run_replica_sweep_scenario(const ScenarioSpec& spec, ThreadPool* pool) {
+ScenarioOutcome run_experiment(const ScenarioRunner& runner, const ScenarioSpec& spec,
+                               const ReplicaSweepOptions& rs) {
     if (!spec.defenses.empty()) {
         throw ConfigError("replica-sweep scenarios do not support defense stacks (each point "
                           "deploys a bare fleet; use a fig4 or probe scenario to study defenses)");
     }
-    const ReplicaSweepOptions& rs = spec.replica_sweep;
     ScenarioOutcome outcome;
     const data::DataSplit split = load_split(spec);
-    VictimConfig victim_config = spec.victim;
-    victim_config.output = spec.output;
     // One victim, trained once: every sweep point redeploys the same
     // weights onto a fresh fleet, so fidelity differences come from the
     // fleet, not training variance.
-    const TrainedVictim victim = train_victim(split, victim_config);
+    const TrainedVictim victim = train_victim(split, spec.victim);
     outcome.label = experiment_label(spec) + "/" + to_string(rs.axis);
 
     std::vector<ReplicaSweepPoint> points;
     if (rs.axis == ReplicaSweepOptions::Axis::ReplicaCount) {
         for (const std::size_t n : rs.replica_counts) {
-            points.push_back(run_replica_sweep_point(victim, victim_config, split, rs,
-                                                     std::max<std::size_t>(1, n), spec.routing,
-                                                     pool));
+            points.push_back(run_replica_sweep_point(victim, spec.victim, split, rs,
+                                                     std::max<std::size_t>(1, n), rs.routing,
+                                                     runner.pool()));
         }
     } else {
         for (const RoutingPolicy routing : rs.routings) {
-            points.push_back(run_replica_sweep_point(victim, victim_config, split, rs,
-                                                     rs.routing_replicas, routing, pool));
+            points.push_back(run_replica_sweep_point(victim, spec.victim, split, rs,
+                                                     rs.routing_replicas, routing, runner.pool()));
         }
     }
 
@@ -1065,17 +1029,15 @@ double membership_auc(const CacheTimingSamples& samples) {
                    static_cast<double>(samples.nonmember_ns.size()));
 }
 
-ScenarioOutcome run_cache_timing_scenario(const ScenarioSpec& spec, ThreadPool* pool) {
+ScenarioOutcome run_experiment(const ScenarioRunner& runner, const ScenarioSpec& spec,
+                               const CacheTimingOptions& ct) {
     if (!spec.defenses.empty()) {
         throw ConfigError("cache-timing scenarios do not support defense stacks (the channel "
                           "lives in the serving layer, above any decorator)");
     }
-    const CacheTimingOptions& ct = spec.cache_timing;
     ScenarioOutcome outcome;
     const data::DataSplit split = load_split(spec);
-    VictimConfig victim_config = spec.victim;
-    victim_config.output = spec.output;
-    const TrainedVictim victim = train_victim(split, victim_config);
+    const TrainedVictim victim = train_victim(split, spec.victim);
     outcome.label = experiment_label(spec) + "/cache-timing";
 
     // A public candidate pool; the victim queries a secret half. The
@@ -1099,9 +1061,9 @@ ScenarioOutcome run_cache_timing_scenario(const ScenarioSpec& spec, ThreadPool* 
         CacheTimingSamples samples;
         double hit_rate = 0.0;
         for (std::size_t trial = 0; trial < std::max<std::size_t>(1, ct.probe_repeats); ++trial) {
-            run_cache_timing_trial(victim, victim_config, candidates, is_member,
+            run_cache_timing_trial(victim, spec.victim, candidates, is_member,
                                    split.train.input(0), ct, partitioned, ct.seed + 1 + trial,
-                                   pool, samples, hit_rate);
+                                   runner.pool(), samples, hit_rate);
         }
         const double auc = membership_auc(samples);
         const std::string mode = partitioned ? "partitioned" : "shared";
@@ -1250,22 +1212,21 @@ void run_arms_cell(const TrainedVictim& victim, const VictimConfig& victim_confi
     }
 }
 
-ScenarioOutcome run_arms_race_scenario(const ScenarioSpec& spec, ThreadPool* pool) {
+ScenarioOutcome run_experiment(const ScenarioRunner& runner, const ScenarioSpec& spec,
+                               const ArmsRaceOptions& ar) {
     if (!spec.defenses.empty()) {
         throw ConfigError("arms-race scenarios do not support spec defenses (the "
                           "defenses under study are session policies: rate + adaptive)");
     }
-    const ArmsRaceOptions& ar = spec.arms_race;
     if (ar.strategies.empty() || ar.defenses.empty()) {
         throw ConfigError("arms-race needs at least one strategy and one defense policy");
     }
     ScenarioOutcome outcome;
     const data::DataSplit split = load_split(spec);
-    VictimConfig victim_config = spec.victim;
-    victim_config.output = spec.output;
     // One victim, trained once: every cell redeploys the same weights,
     // so fidelity differences come from the arms race, not training.
-    const TrainedVictim victim = train_victim(split, victim_config);
+    const TrainedVictim victim = train_victim(split, spec.victim);
+    ThreadPool* const pool = runner.pool();
     outcome.label = experiment_label(spec) + "/arms-race";
 
     // Shared detector enrolment for the suspicion-scaled cells (clean
@@ -1276,7 +1237,7 @@ ScenarioOutcome run_arms_race_scenario(const ScenarioSpec& spec, ThreadPool* poo
                     [](const ArmsDefense& d) { return d.suspicion_scaled; });
     std::vector<CrossbarOracle> reference;
     if (any_scaled) {
-        reference = deploy_victim_fleet(victim.net, victim_config, 1);
+        reference = deploy_victim_fleet(victim.net, spec.victim, 1);
         const data::Dataset enrollment = ar.detector_enrollment > 0
                                              ? split.train.take(ar.detector_enrollment)
                                              : split.train;
@@ -1318,7 +1279,7 @@ ScenarioOutcome run_arms_race_scenario(const ScenarioSpec& spec, ThreadPool* poo
     // deployment and service; parallel_for is nesting-safe, so the
     // cells' pooled GEMMs compose with the outer fan-out.
     const auto run_cell = [&](std::size_t i) {
-        run_arms_cell(victim, victim_config, split, ar, detector.get(), probe_pool, camouflage,
+        run_arms_cell(victim, spec.victim, split, ar, detector.get(), probe_pool, camouflage,
                       ar.seed ^ ((i + 1) * 0x9E3779B97F4A7C15ull), pool, cells[i]);
     };
     if (pool != nullptr) {
@@ -1372,18 +1333,9 @@ ScenarioOutcome run_arms_race_scenario(const ScenarioSpec& spec, ThreadPool* poo
 }  // namespace
 
 ScenarioOutcome ScenarioRunner::run(const ScenarioSpec& spec) const {
-    ScenarioOutcome outcome;
-    switch (spec.experiment) {
-        case ExperimentKind::Fig3: outcome = run_fig3_scenario(*this, spec); break;
-        case ExperimentKind::Fig4: outcome = run_fig4_scenario(*this, spec); break;
-        case ExperimentKind::Fig5: outcome = run_fig5_scenario(spec, pool_); break;
-        case ExperimentKind::Table1: outcome = run_table1_scenario(spec, pool_); break;
-        case ExperimentKind::Probe: outcome = run_probe_scenario(*this, spec); break;
-        case ExperimentKind::MultiClient: outcome = run_multiclient_scenario(*this, spec); break;
-        case ExperimentKind::ReplicaSweep: outcome = run_replica_sweep_scenario(spec, pool_); break;
-        case ExperimentKind::CacheTiming: outcome = run_cache_timing_scenario(spec, pool_); break;
-        case ExperimentKind::ArmsRace: outcome = run_arms_race_scenario(spec, pool_); break;
-    }
+    ScenarioOutcome outcome = std::visit(
+        [&](const auto& options) { return run_experiment(*this, spec, options); },
+        spec.experiment);
     outcome.name = spec.name;
     return outcome;
 }

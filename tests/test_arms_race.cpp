@@ -6,6 +6,7 @@
 
 #include <cstring>
 #include <string>
+#include <variant>
 
 #include "xbarsec/attack/adaptive.hpp"
 #include "xbarsec/core/scenario.hpp"
@@ -116,10 +117,9 @@ TEST(AdaptiveAttacker, SpreadTracksSuspicionAndKeepsCollecting) {
 
 TEST(ArmsRaceScenario, RegistryEntryAndDefaultsAreWellFormed) {
     core::ScenarioSpec spec = core::builtin_scenarios().get("service/mnist/arms-race");
-    EXPECT_EQ(spec.experiment, core::ExperimentKind::ArmsRace);
-    EXPECT_EQ(core::to_string(spec.experiment), "arms-race");
+    ASSERT_TRUE(std::holds_alternative<core::ArmsRaceOptions>(spec.experiment));
 
-    const core::ArmsRaceOptions& ar = spec.arms_race;
+    const auto& ar = std::get<core::ArmsRaceOptions>(spec.experiment);
     EXPECT_EQ(ar.strategies.size(), 4u);
     ASSERT_EQ(ar.defenses.size(), 3u);
     EXPECT_EQ(ar.defenses[0].name, "open");

@@ -30,6 +30,14 @@ VictimConfig quick_victim(OutputConfig output) {
     return c;
 }
 
+/// Trains and deploys a quick victim, then produces its Figure 3 panel pair.
+Fig3Panel fig3_panel(OutputConfig output) {
+    const VictimConfig config = quick_victim(output);
+    const TrainedVictim victim = train_victim(tiny_split(), config);
+    CrossbarOracle oracle = deploy_victim(victim.net, config);
+    return run_fig3_on(oracle, victim, tiny_split().test, "mnist-like/" + output.name());
+}
+
 TEST(Table1Runner, ProducesPlausibleCorrelations) {
     Table1Options options;
     options.runs = 2;
@@ -58,9 +66,7 @@ TEST(Table1Runner, RenderHasFourMetricColumns) {
 }
 
 TEST(Fig3Runner, MapsHaveImageShapeAndCorrelate) {
-    const Fig3Panel panel = run_fig3_config(tiny_split(), "mnist-like",
-                                            OutputConfig::softmax_ce(),
-                                            quick_victim(OutputConfig::softmax_ce()));
+    const Fig3Panel panel = fig3_panel(OutputConfig::softmax_ce());
     EXPECT_EQ(panel.sensitivity_map.size(), 784u);
     EXPECT_EQ(panel.l1_map.size(), 784u);
     EXPECT_GT(panel.correlation, 0.3);
@@ -68,18 +74,14 @@ TEST(Fig3Runner, MapsHaveImageShapeAndCorrelate) {
 }
 
 TEST(Fig3Runner, AsciiHeatmapRendersGrid) {
-    const Fig3Panel panel = run_fig3_config(tiny_split(), "mnist-like",
-                                            OutputConfig::linear_mse(),
-                                            quick_victim(OutputConfig::linear_mse()));
+    const Fig3Panel panel = fig3_panel(OutputConfig::linear_mse());
     const std::string art = render_ascii_heatmap(panel.l1_map, panel.shape);
     // 28 lines of 28 characters.
     EXPECT_EQ(art.size(), 28u * 29u);
 }
 
 TEST(Fig3Runner, GridCsvWrites) {
-    const Fig3Panel panel = run_fig3_config(tiny_split(), "mnist-like",
-                                            OutputConfig::linear_mse(),
-                                            quick_victim(OutputConfig::linear_mse()));
+    const Fig3Panel panel = fig3_panel(OutputConfig::linear_mse());
     const auto path = std::filesystem::temp_directory_path() / "xbarsec_fig3_test.csv";
     write_grid_csv(path.string(), panel.l1_map, panel.shape);
     EXPECT_TRUE(std::filesystem::exists(path));
@@ -88,11 +90,13 @@ TEST(Fig3Runner, GridCsvWrites) {
 }
 
 TEST(Fig4Runner, SeriesCoverMethodsAndStrengths) {
+    const VictimConfig config = quick_victim(OutputConfig::softmax_ce());
+    const TrainedVictim victim = train_victim(tiny_split(), config);
+    CrossbarOracle oracle = deploy_victim(victim.net, config);
     Fig4Options options;
     options.strengths = {0.0, 5.0, 10.0};
-    options.eval_limit = 80;
-    const Fig4Result r = run_fig4_config(tiny_split(), "mnist-like", OutputConfig::softmax_ce(),
-                                         quick_victim(OutputConfig::softmax_ce()), options);
+    const Fig4Result r = run_fig4_on(oracle, oracle.hardware_for_evaluation(),
+                                     tiny_split().test.take(80), "mnist-like/softmax", options);
     ASSERT_EQ(r.series.size(), 5u);
     for (const auto& s : r.series) {
         ASSERT_EQ(s.accuracy.size(), 3u);

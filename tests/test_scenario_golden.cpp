@@ -28,6 +28,7 @@
 #include <map>
 #include <sstream>
 #include <string>
+#include <variant>
 #include <vector>
 
 #include "xbarsec/core/scenario.hpp"
@@ -61,11 +62,14 @@ ScenarioSpec tiny(const std::string& name) {
     spec.load.train_count = 300;
     spec.load.test_count = 100;
     spec.victim.train.epochs = 3;
-    spec.fig4.strengths = {0, 5};
-    spec.fig4.eval_limit = 60;
-    spec.fig5.runs = 2;
-    spec.fig5.query_counts = {10, 40};
-    spec.fig5.eval_limit = 50;
+    if (auto* fig4 = std::get_if<Fig4Options>(&spec.experiment)) {
+        fig4->strengths = {0, 5};
+        fig4->eval_limit = 60;
+    } else if (auto* fig5 = std::get_if<Fig5Options>(&spec.experiment)) {
+        fig5->runs = 2;
+        fig5->query_counts = {10, 40};
+        fig5->eval_limit = 50;
+    }
     return spec;
 }
 

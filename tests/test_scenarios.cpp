@@ -3,6 +3,9 @@
 // experiment kinds.
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <variant>
+
 #include "xbarsec/core/scenario.hpp"
 
 namespace xbarsec::core {
@@ -15,22 +18,50 @@ ScenarioSpec tiny(const std::string& name) {
     spec.load.train_count = 300;
     spec.load.test_count = 100;
     spec.victim.train.epochs = 3;
-    spec.fig4.strengths = {0, 5};
-    spec.fig4.eval_limit = 60;
+    if (auto* fig4 = std::get_if<Fig4Options>(&spec.experiment)) {
+        fig4->strengths = {0, 5};
+        fig4->eval_limit = 60;
+    }
     return spec;
 }
 
-TEST(ScenarioRegistry, BuiltinsCoverEveryExperimentKind) {
-    ScenarioRegistry& registry = builtin_scenarios();
-    EXPECT_GE(registry.size(), 20u);
-    for (const char* name :
-         {"fig3/mnist/softmax", "fig4/mnist/softmax", "fig4/cifar/linear", "fig5/mnist/label",
-          "fig5/cifar/raw", "table1/mnist/linear", "probe/mnist/undefended",
-          "probe/mnist/defended", "fig4/mnist/softmax-detected"}) {
-        EXPECT_TRUE(registry.contains(name)) << name;
+/// The variant index of experiment alternative T.
+template <typename T>
+std::size_t alternative() {
+    return ExperimentOptions(std::in_place_type<T>).index();
+}
+
+TEST(ScenarioRegistry, EveryBuiltinHoldsItsFamilysExperiment) {
+    // Name prefix → the experiment every entry under it must hold.
+    const std::vector<std::pair<std::string, std::size_t>> families = {
+        {"fig3/", alternative<Fig3Options>()},
+        {"fig4/", alternative<Fig4Options>()},
+        {"fig5/", alternative<Fig5Options>()},
+        {"table1/", alternative<Table1Options>()},
+        {"probe/", alternative<ProbeQualityOptions>()},
+        {"service/mnist/hidden-attacker", alternative<MultiClientOptions>()},
+        {"service/mnist/budget-exhaustion", alternative<MultiClientOptions>()},
+        {"service/mnist/detector-isolation", alternative<MultiClientOptions>()},
+        {"service/mnist/replica-", alternative<ReplicaSweepOptions>()},
+        {"service/mnist/cache-timing", alternative<CacheTimingOptions>()},
+        {"service/mnist/arms-race", alternative<ArmsRaceOptions>()},
+        {"service/mnist/attribution", alternative<ArmsRaceOptions>()},
+    };
+    const ScenarioRegistry& registry = builtin_scenarios();
+    EXPECT_EQ(registry.size(), 29u);
+    std::vector<std::size_t> entries(std::variant_size_v<ExperimentOptions>, 0);
+    for (const std::string& name : registry.names()) {
+        const auto family =
+            std::find_if(families.begin(), families.end(),
+                         [&](const auto& f) { return name.rfind(f.first, 0) == 0; });
+        ASSERT_NE(family, families.end()) << name << " belongs to no experiment family";
+        const std::size_t held = registry.get(name).experiment.index();
+        EXPECT_EQ(held, family->second) << name;
+        ++entries[held];
     }
-    EXPECT_EQ(registry.names("fig5/").size(), 5u);
-    EXPECT_EQ(registry.names("probe/").size(), 2u);
+    for (std::size_t i = 0; i < entries.size(); ++i) {
+        EXPECT_GT(entries[i], 0u) << "no builtin entry holds alternative " << i;
+    }
 }
 
 TEST(ScenarioRegistry, UnknownNameThrowsWithAvailableList) {
@@ -70,7 +101,7 @@ TEST(ScenarioRunner, DeploysObfuscationLayersAndSessionPolicy) {
     DeployedScenario d = runner.deploy(tiny("probe/mnist/defended"));
     EXPECT_EQ(d.spec().defenses.size(), 3u);
     // The random dummies are a device layer over the backend...
-    EXPECT_NE(&d.replica_stack_top(0), static_cast<Oracle*>(&d.backend()));
+    EXPECT_NE(&d.stack_top(), static_cast<Oracle*>(&d.backend()));
     EXPECT_EQ(d.oracle().inputs(), 784u);
     // One query through the session is counted once, at the backend.
     (void)d.oracle().query_label(tensor::Vector(784, 0.1));
@@ -155,8 +186,9 @@ TEST(ScenarioSmoke, ShrinksSweeps) {
     ScenarioSpec spec = builtin_scenarios().get("fig5/mnist/label");
     apply_smoke(spec);
     EXPECT_EQ(spec.load.train_count, 400u);
-    EXPECT_EQ(spec.fig5.runs, 2u);
-    EXPECT_EQ(spec.fig5.query_counts.size(), 2u);
+    const auto& fig5 = std::get<Fig5Options>(spec.experiment);
+    EXPECT_EQ(fig5.runs, 2u);
+    EXPECT_EQ(fig5.query_counts.size(), 2u);
 }
 
 }  // namespace

@@ -14,7 +14,6 @@
 #include <future>
 #include <thread>
 
-#include "xbarsec/core/scenario.hpp"
 #include "xbarsec/core/service.hpp"
 #include "xbarsec/core/victim.hpp"
 #include "xbarsec/tensor/ops.hpp"
@@ -518,25 +517,6 @@ TEST(ServiceReplicas, ReplicaCountersSumToFleetAggregateAndStayMonotone) {
     EXPECT_EQ(sessions[0].counters().inference, kPerThread);
     (void)sessions[0].submit_label(u).get();
     EXPECT_EQ(service.counters().inference, 1u);
-}
-
-// ---- scenario integration ---------------------------------------------------
-
-TEST(ServiceReplicas, DeployedScenarioBuildsFleetWithRouting) {
-    ScenarioSpec spec = builtin_scenarios().get("service/mnist/hidden-attacker");
-    apply_smoke(spec);
-    spec.replicas = 2;
-    spec.routing = RoutingPolicy::RoundRobin;
-    ScenarioRunner runner;
-    DeployedScenario d = runner.deploy(spec);
-    EXPECT_EQ(d.replica_count(), 2u);
-    EXPECT_EQ(d.service().replica_count(), 2u);
-    EXPECT_EQ(d.service().config().routing, RoutingPolicy::RoundRobin);
-    // Both replica stacks serve the same logical model.
-    EXPECT_EQ(d.replica_stack_top(0).inputs(), d.replica_stack_top(1).inputs());
-    // Smoke query through the default session still answers.
-    const tensor::Vector u(d.service().inputs(), 0.1);
-    EXPECT_NO_THROW((void)d.session().submit_label(u).get());
 }
 
 }  // namespace
