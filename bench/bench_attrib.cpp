@@ -69,6 +69,8 @@ int main(int argc, char** argv) {
     if (!cli.parse(argc, argv)) return 0;
 
     core::ScenarioSpec spec = core::builtin_scenarios().get("service/mnist/attribution");
+    const bool smoke = cli.boolean("smoke");
+    if (smoke) core::apply_smoke(spec);  // first, so explicit flags win
     core::ArmsRaceOptions& ar = std::get<core::ArmsRaceOptions>(spec.experiment);
     if (cli.provided("train")) spec.load.train_count = static_cast<std::size_t>(cli.integer("train"));
     if (cli.provided("test")) spec.load.test_count = static_cast<std::size_t>(cli.integer("test"));
@@ -86,8 +88,6 @@ int main(int argc, char** argv) {
         spec.load.seed = seed;
         ar.seed = seed + 101;
     }
-    const bool smoke = cli.boolean("smoke");
-    if (smoke) core::apply_smoke(spec);
 
     std::size_t threads = static_cast<std::size_t>(cli.integer("threads"));
     if (threads == 0) threads = std::max(1u, std::thread::hardware_concurrency());

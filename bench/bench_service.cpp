@@ -87,9 +87,8 @@ double run_request_response(core::OracleService& service, const tensor::Matrix& 
     std::vector<std::thread> threads;
     for (std::size_t c = 0; c < clients; ++c) {
         threads.emplace_back([&, c] {
-            core::Oracle& oracle = sessions[c].oracle();
             for (std::size_t q = 0; q < per_client; ++q) {
-                (void)oracle.query_label(pool.row((c * per_client + q) % pool.rows()));
+                (void)sessions[c].query_label(pool.row((c * per_client + q) % pool.rows()));
             }
         });
     }
@@ -206,13 +205,12 @@ ZipfRun run_zipf_clients(core::OracleService& service, const tensor::Matrix& poo
     std::vector<std::thread> threads;
     for (std::size_t c = 0; c < clients; ++c) {
         threads.emplace_back([&, c] {
-            core::Oracle& oracle = sessions[c].oracle();
             Rng rng(seed ^ (0x2F1Full * (c + 1)));
             std::uint64_t ok = 0;
             for (std::size_t q = 0; q < per_client; ++q) {
                 const std::size_t row = zipf_sample(cdf, rng.uniform());
                 try {
-                    (void)oracle.query_label(pool.row(row));
+                    (void)sessions[c].query_label(pool.row(row));
                 } catch (const core::QueryBudgetExceeded&) {
                     break;  // budget spent; the session served `ok` queries
                 }
@@ -294,12 +292,10 @@ ServiceRun measure_service_over(core::OracleService& service, const tensor::Matr
     return run;
 }
 
-ServiceRun measure_service(core::CrossbarOracle& backend, ThreadPool* pool,
-                           const tensor::Matrix& query_pool, std::size_t clients,
-                           std::size_t per_client, std::size_t max_batch,
+ServiceRun measure_service(core::CrossbarOracle& backend, const tensor::Matrix& query_pool,
+                           std::size_t clients, std::size_t per_client, std::size_t max_batch,
                            std::size_t depth = kPipeline) {
     core::ServiceConfig config;
-    config.pool = pool;
     config.max_batch = max_batch;
     core::OracleService service(backend, config);
     return measure_service_over(service, query_pool, clients, per_client, depth);
@@ -421,7 +417,6 @@ int main(int argc, char** argv) {
             double uncoalesced_qps = 0.0;
             {
                 core::ServiceConfig config;
-                config.pool = pool.get();
                 config.max_batch = 1;  // per-vector: no coalescing anywhere
                 core::OracleService service(backend, config);
                 (void)run_request_response(service, query_pool, clients, per_client / 4 + 1);
@@ -429,12 +424,11 @@ int main(int argc, char** argv) {
                     total / run_request_response(service, query_pool, clients, per_client);
             }
             const ServiceRun coalesced =
-                measure_service(backend, pool.get(), query_pool, clients, per_client, 256);
+                measure_service(backend, query_pool, clients, per_client, 256);
             double batched_qps = 0.0;
             double batched_mean_batch = 0.0;
             {
                 core::ServiceConfig config;
-                config.pool = pool.get();
                 core::OracleService service(backend, config);
                 (void)run_batched_clients(service, query_pool, clients, per_client / 4 + 1);
                 const std::uint64_t batches0 = service.flushed_batches();
@@ -483,7 +477,7 @@ int main(int argc, char** argv) {
         Table sweep_table({"max_batch", "Coalesced q/s", "Mean batch"});
         for (const long long mb : batch_sweep) {
             if (mb < 1) throw ConfigError("--max-batches entries must be >= 1");
-            const ServiceRun run = measure_service(backend, pool.get(), query_pool, sweep_clients,
+            const ServiceRun run = measure_service(backend, query_pool, sweep_clients,
                                                    per_client, static_cast<std::size_t>(mb));
             sweep_table.begin_row();
             sweep_table.add(mb);
@@ -521,7 +515,6 @@ int main(int argc, char** argv) {
                 backends.push_back(&replica);
             }
             core::ServiceConfig service_config;
-            service_config.pool = pool.get();
             service_config.routing = routing;
             core::OracleService service(backends, service_config);
             const ServiceRun run =
@@ -564,7 +557,7 @@ int main(int argc, char** argv) {
         for (const long long dd : depth_sweep) {
             if (dd < 1) throw ConfigError("--depths entries must be >= 1");
             const std::size_t depth = static_cast<std::size_t>(dd);
-            const ServiceRun run = measure_service(backend, pool.get(), query_pool, sweep_clients,
+            const ServiceRun run = measure_service(backend, query_pool, sweep_clients,
                                                    per_client, kDepthSeriesMaxBatch, depth);
             depth_table.begin_row();
             depth_table.add(dd);
@@ -601,7 +594,6 @@ int main(int argc, char** argv) {
             double off_qps = 0.0;
             for (int mode = 0; mode < 3; ++mode) {
                 core::ServiceConfig service_config;
-                service_config.pool = pool.get();
                 service_config.cache.enabled = mode > 0;
                 service_config.cache.capacity = cache_capacity;
                 service_config.cache.partition_by_session = mode == 2;
@@ -646,7 +638,6 @@ int main(int argc, char** argv) {
             budgeted.budget.max_inference = per_client / 2;
             for (const bool charge_hits : {true, false}) {
                 core::ServiceConfig service_config;
-                service_config.pool = pool.get();
                 service_config.cache.enabled = true;
                 service_config.cache.capacity = cache_capacity;
                 service_config.cache.hits_charge_budget = charge_hits;

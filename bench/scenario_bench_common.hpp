@@ -36,10 +36,12 @@ inline void register_standard_flags(Cli& cli) {
     cli.flag("smoke", "false", "tiny configuration for CI smoke runs");
 }
 
-/// Applies the CLI overrides. Experiment flags (--runs, --eval, --queries,
+/// Applies the CLI overrides. --smoke shrinks the spec first, so explicit
+/// flags win over its sizes. Experiment flags (--runs, --eval, --queries,
 /// --lambdas, --eps, the experiment seed) change only the options the spec
 /// holds.
 inline void apply_overrides(core::ScenarioSpec& spec, const Cli& cli) {
+    if (cli.boolean("smoke")) core::apply_smoke(spec);
     auto* fig4 = std::get_if<core::Fig4Options>(&spec.experiment);
     auto* fig5 = std::get_if<core::Fig5Options>(&spec.experiment);
     auto* table1 = std::get_if<core::Table1Options>(&spec.experiment);
@@ -74,7 +76,6 @@ inline void apply_overrides(core::ScenarioSpec& spec, const Cli& cli) {
         if (table1 != nullptr) table1->seed = seed;
     }
     if (cli.provided("data-dir")) spec.load.data_dir = cli.str("data-dir");
-    if (cli.boolean("smoke")) core::apply_smoke(spec);
 }
 
 inline void print_outcome(const core::ScenarioOutcome& outcome, bool ascii) {

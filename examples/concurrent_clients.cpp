@@ -85,7 +85,7 @@ int main() {
         // drive it with single-pixel inference queries.
         std::size_t flagged_attacks = 0;
         {
-            const auto probe = core::probe_columns(attacker);  // session entry point
+            const auto probe = core::probe_columns(attacker);  // a session is an Oracle
             const std::size_t target = tensor::argmax(probe.conductance_sums);
             Rng rng(9);
             for (std::size_t q = 0; q < 64; ++q) {

@@ -4,7 +4,7 @@
 // noise, a hard query budget), and we measure how much side-channel
 // quality the attacker loses under each defense.
 //
-// The attacker only ever sees `core::Oracle&` (its session's view);
+// The attacker only ever sees `core::Oracle&` (its session);
 // swapping the defense is a different stack or session policy, not
 // different attack code.
 #include <cstdio>
@@ -105,7 +105,7 @@ int main() {
             sidechannel::ProbeOptions po;
             po.repeats = row.repeats;
             const tensor::Vector est =
-                core::probe_columns(session.oracle(), po).conductance_sums;
+                core::probe_columns(session, po).conductance_sums;
             table.begin_row();
             table.add(row.name);
             table.add(sidechannel::relative_error(est, truth), 4);

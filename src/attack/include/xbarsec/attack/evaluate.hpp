@@ -4,9 +4,9 @@
 // RNG order as the scalar attack loops, so results are reproducible
 // against the per-vector implementations), and the evaluators score them
 // with batched label queries against an `Oracle&` — so the same code
-// evaluates a bare crossbar, a software model, or a fully decorated
-// defended deployment (where detector screening and query budgets apply
-// to every evaluation query).
+// evaluates a bare crossbar, a software model, or a defended deployment's
+// core::Session (where the session's detector screening and query budget
+// apply to every evaluation query).
 #pragma once
 
 #include <vector>
@@ -15,7 +15,6 @@
 #include "xbarsec/attack/pgd.hpp"
 #include "xbarsec/attack/single_pixel.hpp"
 #include "xbarsec/core/oracle.hpp"
-#include "xbarsec/core/service.hpp"
 #include "xbarsec/data/dataset.hpp"
 
 namespace xbarsec::attack {
@@ -63,25 +62,6 @@ double evaluate_fgsm_attack(core::Oracle& oracle, const nn::SingleLayerNet& surr
 /// Victim (oracle) accuracy under PGD crafted against `surrogate` —
 /// batched gradient steps, one batched label query to score.
 double evaluate_pgd_attack(core::Oracle& oracle, const nn::SingleLayerNet& surrogate,
-                           const data::Dataset& test, const PgdConfig& config);
-
-// ---- session-based evaluation -----------------------------------------------
-//
-// The same black-box scoring driven through an OracleService session:
-// crafting is unchanged, and the scoring queries ride the session's
-// coalesced submit path under that tenant's policy (budget charged,
-// detector screened, session noise applied). Convenience wrappers over
-// Session::oracle().
-
-double oracle_accuracy(core::Session& session, const tensor::Matrix& X,
-                       const std::vector<int>& labels);
-double oracle_accuracy(core::Session& session, const data::Dataset& dataset);
-
-double evaluate_fgsm_attack(core::Session& session, const nn::SingleLayerNet& surrogate,
-                            const data::Dataset& test, double epsilon,
-                            const PerturbationBudget& budget = {});
-
-double evaluate_pgd_attack(core::Session& session, const nn::SingleLayerNet& surrogate,
                            const data::Dataset& test, const PgdConfig& config);
 
 }  // namespace xbarsec::attack

@@ -74,11 +74,10 @@ AdaptiveAttackerOutcome AdaptiveAttacker::run(const tensor::Matrix& probe_pool,
     // Forge presents a fresh admission identity from the first session
     // on — the deployment never sees the tenant's real SourceId.
     if (forges) tenant_.source = config_.forge_source_base;
+    // Rotation move-assigns a fresh session into `session`, so the
+    // queries below always reach the current one, however many sessions
+    // the campaign spans.
     Session session = service_->open_session(tenant_);
-    // The Oracle& view survives session rotation: operator=(Session&&)
-    // rebinds the existing view, so one reference drives the whole
-    // campaign regardless of how many sessions it spans.
-    Oracle& oracle = session.oracle();
     std::size_t since_rotation = 0;
 
     auto note_suspicion = [&] {
@@ -113,17 +112,17 @@ AdaptiveAttackerOutcome AdaptiveAttacker::run(const tensor::Matrix& probe_pool,
         try {
             try {
                 if (!config_.query_raw) throw AccessDenied("labels only");
-                y = with_rate_retry([&] { return oracle.query_raw(u); }, config_, out.rate_hits);
+                y = with_rate_retry([&] { return session.query_raw(u); }, config_, out.rate_hits);
             } catch (const AccessDenied&) {
                 // Raw withheld (static exposure or an escalated adaptive
                 // band) — a one-hot label is the degraded fallback.
                 if (config_.query_raw) ++out.raw_denied;
                 const int label =
-                    with_rate_retry([&] { return oracle.query_label(u); }, config_, out.rate_hits);
+                    with_rate_retry([&] { return session.query_label(u); }, config_, out.rate_hits);
                 y = tensor::Vector(outputs, 0.0);
                 y[static_cast<std::size_t>(label)] = 1.0;
             }
-            p = with_rate_retry([&] { return oracle.query_power(u); }, config_, out.rate_hits);
+            p = with_rate_retry([&] { return session.query_power(u); }, config_, out.rate_hits);
         } catch (const RateLimited&) {
             ++out.refused;  // Fixed gives up; adaptive ran out of retries
             continue;

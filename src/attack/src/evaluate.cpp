@@ -86,26 +86,4 @@ double evaluate_pgd_attack(core::Oracle& oracle, const nn::SingleLayerNet& surro
     return oracle_accuracy(oracle, adv, test.labels());
 }
 
-// ---- session-based evaluation -----------------------------------------------
-
-double oracle_accuracy(core::Session& session, const tensor::Matrix& X,
-                       const std::vector<int>& labels) {
-    return oracle_accuracy(session.oracle(), X, labels);
-}
-
-double oracle_accuracy(core::Session& session, const data::Dataset& dataset) {
-    return oracle_accuracy(session.oracle(), dataset);
-}
-
-double evaluate_fgsm_attack(core::Session& session, const nn::SingleLayerNet& surrogate,
-                            const data::Dataset& test, double epsilon,
-                            const PerturbationBudget& budget) {
-    return evaluate_fgsm_attack(session.oracle(), surrogate, test, epsilon, budget);
-}
-
-double evaluate_pgd_attack(core::Session& session, const nn::SingleLayerNet& surrogate,
-                           const data::Dataset& test, const PgdConfig& config) {
-    return evaluate_pgd_attack(session.oracle(), surrogate, test, config);
-}
-
 }  // namespace xbarsec::attack

@@ -101,10 +101,7 @@ public:
     double query_power(const tensor::Vector& u) override;
     tensor::Vector query_power_batch(const tensor::Matrix& U) override;
 
-    const ObfuscationConfig& config() const { return config_; }
-
 private:
-    ObfuscationConfig config_;
     sidechannel::TotalCurrentFn obfuscated_;
     std::mutex mutex_;  ///< the dither transform draws from a stateful Rng
 };
@@ -151,11 +148,6 @@ public:
 
     /// Queries charged so far (this ledger's own view of the client).
     QueryCounters spent() const;
-
-    /// Forgets everything charged; the budget caps stay in force.
-    void reset();
-
-    const QueryBudget& budget() const { return budget_; }
 
 private:
     QueryBudget budget_;
@@ -222,7 +214,6 @@ public:
     /// concurrent acquirers, exact under a test clock).
     double available() const;
 
-    const RateLimit& limit() const { return limit_; }
     double capacity() const { return capacity_; }
 
 private:
@@ -329,12 +320,6 @@ public:
     std::uint64_t screened() const { return screened_.load(std::memory_order_relaxed); }
     std::uint64_t flagged() const { return flagged_.load(std::memory_order_relaxed); }
     double flagged_fraction() const;
-
-    /// Clears the screening window (counters); enrolment is untouched.
-    void reset();
-
-    bool blocking() const { return block_flagged_; }
-    const sidechannel::CurrentSignatureDetector& detector() const { return *detector_; }
 
 private:
     const sidechannel::CurrentSignatureDetector* detector_;

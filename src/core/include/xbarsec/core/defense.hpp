@@ -52,11 +52,15 @@ struct DefenseSpec {
 /// of relative defense magnitudes.
 double deployed_weight_scale(const CrossbarOracle& backend);
 
+/// Throws ConfigError when a policy kind appears twice. ScenarioRunner's
+/// deploy and run_fig5 call it before they train a victim.
+void check_defenses(const std::vector<DefenseSpec>& defenses);
+
 /// Pushes one ObfuscatedOracle per obfuscation entry onto `stack` and
 /// returns the SessionConfig carrying the policy entries (pass-through
 /// when there are none). Relative magnitudes are multiplied by `scale`;
-/// `detector` must be non-null when the list has a Detector entry.
-/// Throws ConfigError when a policy kind appears twice.
+/// `detector` must be non-null when the list has a Detector entry. The
+/// list must have passed check_defenses.
 SessionConfig apply_defenses(const std::vector<DefenseSpec>& defenses, DecoratorStack& stack,
                              double scale, const sidechannel::CurrentSignatureDetector* detector);
 

@@ -36,14 +36,6 @@ struct Fig5Options {
     std::uint64_t seed = 2022;
     /// Adversarial evaluation subsample of the test set (0 = all).
     std::size_t eval_limit = 0;
-    /// Optional pool for run-level parallelism.
-    ThreadPool* pool = nullptr;
-    /// Defenses deployed on each run's victim (see apply_defenses): the
-    /// attacker collects queries through a session over the run's
-    /// obfuscation stack, opened with the policy entries. Relative
-    /// magnitudes scale to each run's deployed weights. Detector entries
-    /// are not supported (no detector is enrolled per run).
-    std::vector<DefenseSpec> defenses;
 };
 
 /// Aggregated results of one (λ, Q) cell.
@@ -67,10 +59,16 @@ struct Fig5Result {
     const Fig5Cell& cell(double lambda, std::size_t queries) const;
 };
 
-/// Runs the full sweep for one dataset/output configuration.
+/// Runs the full sweep for one dataset/output configuration. Each run
+/// trains `base_config` under its own seeds and deploys `defenses` on it
+/// (see apply_defenses): the attacker collects queries through a session
+/// over the run's obfuscation stack, opened with the policy entries, and
+/// relative magnitudes scale to each run's deployed weights. Detector
+/// entries are not supported (no detector is enrolled per run). `pool`
+/// (optional) parallelises the runs and serves their batched queries.
 Fig5Result run_fig5(const data::DataSplit& split, const std::string& dataset_name,
-                    const OutputConfig& output, const VictimConfig& base_config,
-                    const Fig5Options& options);
+                    const VictimConfig& base_config, const std::vector<DefenseSpec>& defenses,
+                    const Fig5Options& options, ThreadPool* pool = nullptr);
 
 /// Default surrogate optimisation schedule for a query count Q (exposed
 /// for tests; more epochs for smaller Q).

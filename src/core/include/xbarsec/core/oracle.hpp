@@ -12,8 +12,11 @@
 //     through the crossbar's GEMM fast path);
 //   * `SoftwareOracle`  — a float SingleLayerNet backend modelling an
 //     ideal deployment (surrogate / FGSM baselines without crossbar cost);
-//   * decorator oracles (decorators.hpp) — obfuscation, noise, query
-//     budgets, and inline detection stack on top of any backend.
+//   * `ObfuscatedOracle` (decorators.hpp) — power-obfuscation device
+//     layers that stack on top of any backend;
+//   * `Session` (service.hpp) — a client's handle onto an OracleService,
+//     which applies that client's budget, detector screen and sensing
+//     noise at admission.
 //
 // Every query kind has a batched variant (`query_labels`,
 // `query_raw_batch`, `query_power_batch`); backends route these through
@@ -82,8 +85,8 @@ struct QueryCounters {
 
 /// Abstract attacker-facing query interface. Attack and side-channel code
 /// takes `Oracle&` and never a concrete backend; experiment code builds
-/// the backend (and any defensive decorator stack) and hands the top of
-/// the stack to the attacker.
+/// the backend (and any obfuscation stack), serves it through an
+/// OracleService and hands the attacker a Session.
 class Oracle {
 public:
     virtual ~Oracle() = default;
@@ -126,8 +129,6 @@ public:
 /// forward queries, so the backend counts each physical query once.
 class BackendOracle : public Oracle {
 public:
-    const OracleOptions& options() const { return options_; }
-
     QueryCounters counters() const override;
     void reset_counters() override;
 
@@ -202,9 +203,6 @@ public:
     std::vector<int> query_labels(const tensor::Matrix& U) override;
     tensor::Matrix query_raw_batch(const tensor::Matrix& U) override;
     tensor::Vector query_power_batch(const tensor::Matrix& U) override;
-
-    /// The backing network — for experiment evaluation only.
-    const nn::SingleLayerNet& network_for_evaluation() const { return net_; }
 
 private:
     nn::SingleLayerNet net_;

@@ -6,7 +6,6 @@
 
 #include "xbarsec/attack/surrogate.hpp"
 #include "xbarsec/core/oracle.hpp"
-#include "xbarsec/core/service.hpp"
 #include "xbarsec/data/dataset.hpp"
 #include "xbarsec/sidechannel/search.hpp"
 
@@ -36,32 +35,14 @@ attack::QueryDataset collect_queries(Oracle& oracle, const data::Dataset& pool,
                                      const QueryPlan& plan);
 
 /// Probes every input column through the oracle's power channel (weight
-/// units). Each probe is a counted power query; defensive decorators on
-/// the oracle apply to every measurement.
+/// units). Each probe is a counted power query; the defenses of the
+/// oracle (device layers, a session's policy) apply to every measurement.
 sidechannel::ProbeResult probe_columns(Oracle& oracle,
                                        const sidechannel::ProbeOptions& options = {});
 
 /// Query-efficient search for the largest probed column 1-norm, driving
 /// sidechannel::find_argmax through the oracle's power channel.
 sidechannel::SearchResult find_argmax(Oracle& oracle, const data::ImageShape& shape,
-                                      sidechannel::SearchStrategy strategy,
-                                      const sidechannel::SearchOptions& options = {});
-
-// ---- session-based entry points ---------------------------------------------
-//
-// The same attacker pipelines driven through an OracleService session:
-// queries route submit → coalesce → batched backend call, so one
-// tenant's collection rides the shared GEMM path while other tenants'
-// traffic interleaves. Results are bit-identical to the Oracle&
-// overloads on the session's own stream (per-session policy applies).
-
-attack::QueryDataset collect_queries(Session& session, const data::Dataset& pool,
-                                     const QueryPlan& plan);
-
-sidechannel::ProbeResult probe_columns(Session& session,
-                                       const sidechannel::ProbeOptions& options = {});
-
-sidechannel::SearchResult find_argmax(Session& session, const data::ImageShape& shape,
                                       sidechannel::SearchStrategy strategy,
                                       const sidechannel::SearchOptions& options = {});
 

@@ -287,11 +287,8 @@ public:
     /// The serving front-end over the stack (open more sessions here).
     OracleService& service() { return *service_; }
 
-    /// The attacker-facing oracle: the default session's synchronous
-    /// view onto the service. Existing attack code runs unchanged.
-    Oracle& oracle() { return session_.oracle(); }
-
-    /// The default session every single-client experiment runs through.
+    /// The default session every single-client experiment runs through:
+    /// the attacker-facing Oracle, so existing attack code runs unchanged.
     Session& session() { return session_; }
 
     /// The enrolled detector (non-null when the spec asked for one or a

@@ -196,20 +196,11 @@ struct AttributionConfig {
     TokenBucket::ClockFn source_clock = nullptr;
 };
 
-/// Service-wide knobs: the worker pool behind the backend's batched
-/// query paths and the coalescing-queue flush policy.
+/// Service-wide knobs: the coalescing-queue flush policy, routing, and
+/// the optional cache and attribution tiers. The worker pool behind the
+/// backends' batched paths belongs to the backends
+/// (BackendOracle::set_thread_pool), not to the service.
 struct ServiceConfig {
-    /// Workers for a service-owned ThreadPool (0 = none: the backend
-    /// runs its batched paths serially unless it already carries a
-    /// pool). Ignored when `pool` is set.
-    std::size_t workers = 0;
-
-    /// External pool to use instead of owning one (not owned; must
-    /// outlive the service). The scenario benches pass their shared pool
-    /// through here. With a replica fleet, all replica flushers share
-    /// this one nesting-safe pool for their backend GEMMs.
-    ThreadPool* pool = nullptr;
-
     /// Flush a replica's coalescing queue once this many input rows are
     /// pending on it. Also the maximum rows per backend batch call —
     /// larger submissions are split, in order, which the backend
@@ -319,16 +310,22 @@ struct SessionState;
 
 class OracleService;
 
-/// A client's handle onto the service. Movable; closing (or destroying)
-/// it rejects *new* submissions with SessionClosed while in-flight ones
-/// complete normally. Distinct sessions are safe to drive fully
-/// concurrently, and a single session's submissions may also race
-/// (ordinals and charges are atomic) at the cost of nondeterministic
-/// interleaving order.
-class Session {
+/// A client's handle onto the service, and an Oracle: the synchronous
+/// query_* calls submit with an immediate-flush hint and wait, so
+/// collect_queries, probe_columns and the evaluators run unchanged
+/// through a session. Movable; closing (or destroying) it rejects *new*
+/// submissions with SessionClosed while in-flight ones complete
+/// normally. An Oracle& taken from a session refers to the session
+/// object itself, so it follows a move-assignment into that object but
+/// not a move of the session elsewhere. An empty or moved-from session
+/// throws SessionClosed from every query and from inputs()/outputs().
+/// Distinct sessions are safe to drive fully concurrently, and a single
+/// session's submissions may also race (ordinals and charges are atomic)
+/// at the cost of nondeterministic interleaving order.
+class Session : public Oracle {
 public:
     Session() = default;
-    ~Session();
+    ~Session() override;
     Session(Session&&) noexcept = default;
     Session& operator=(Session&&) noexcept;
     Session(const Session&) = delete;
@@ -347,17 +344,20 @@ public:
     std::future<tensor::Matrix> submit_raw_batch(tensor::Matrix U);
     std::future<tensor::Vector> submit_power_batch(tensor::Matrix U);
 
-    /// Synchronous Oracle view of this session: query_* submits with an
-    /// immediate-flush hint and waits. Existing attack and side-channel
-    /// entry points (collect_queries, probe_columns, evaluate_*) take
-    /// Oracle& and therefore run unchanged through a session. counters()
-    /// / reset_counters() act on the *session* counters.
-    Oracle& oracle();
+    std::size_t inputs() const override;
+    std::size_t outputs() const override;
+
+    int query_label(const tensor::Vector& u) override;
+    tensor::Vector query_raw(const tensor::Vector& u) override;
+    double query_power(const tensor::Vector& u) override;
+    std::vector<int> query_labels(const tensor::Matrix& U) override;
+    tensor::Matrix query_raw_batch(const tensor::Matrix& U) override;
+    tensor::Vector query_power_batch(const tensor::Matrix& U) override;
 
     /// This session's accepted-query counters (monotone between resets;
-    /// refused submissions are not counted).
-    QueryCounters counters() const;
-    void reset_counters();
+    /// refused submissions are not counted; zero on an empty session).
+    QueryCounters counters() const override;
+    void reset_counters() override;
 
     /// Budget ledger view (what reset_counters does NOT clear — the
     /// budget keeps protecting the deployment across counter resets).
@@ -388,17 +388,15 @@ private:
     explicit Session(std::shared_ptr<detail::SessionState> state);
 
     std::shared_ptr<detail::SessionState> state_;
-    std::unique_ptr<Oracle> oracle_view_;
 };
 
 /// Thread-safe serving front-end: owns the per-replica coalescing
-/// queues, their flusher threads, and (optionally) the worker pool;
-/// serves any number of concurrently open sessions over one shared
-/// backend Oracle stack — or a fleet of N replica stacks with a
-/// RoutingPolicy. Backends are not owned and must outlive the service
-/// (each is typically a DecoratorStack top over a CrossbarOracle —
-/// device layers below the service apply to all tenants of that
-/// replica).
+/// queues and their flusher threads; serves any number of concurrently
+/// open sessions over one shared backend Oracle stack — or a fleet of N
+/// replica stacks with a RoutingPolicy. Backends are not owned and must
+/// outlive the service (each is typically a DecoratorStack top over a
+/// CrossbarOracle — device layers below the service apply to all
+/// tenants of that replica).
 class OracleService {
 public:
     explicit OracleService(Oracle& backend, ServiceConfig config = {});
@@ -481,18 +479,10 @@ public:
     /// what bench_attrib embeds in BENCH_attrib.json.
     std::string attribution_snapshot() const;
 
-    /// The pool this service carries for the backend's batched paths:
-    /// the external `config.pool` if one was given, else the owned pool
-    /// (`config.workers > 0`), else null. The service does not rewire
-    /// the backends — callers connect it (e.g. via
-    /// `BackendOracle::set_thread_pool(service.pool())`).
-    ThreadPool* pool();
-
     const ServiceConfig& config() const;
 
 private:
     std::shared_ptr<detail::ServiceState> state_;
-    std::unique_ptr<ThreadPool> owned_pool_;
     std::vector<std::thread> flushers_;  ///< one per replica
 };
 

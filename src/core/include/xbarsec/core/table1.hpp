@@ -22,12 +22,7 @@ namespace xbarsec::core {
 
 struct Table1Options {
     std::size_t runs = 5;
-    VictimConfig victim = VictimConfig::defaults(OutputConfig::softmax_ce());
     std::uint64_t seed = 2022;
-
-    /// Optional pool for each run's batched probe queries (runs stay
-    /// serial: the row accumulates across them in run order).
-    ThreadPool* pool = nullptr;
 };
 
 /// One row of Table I (already averaged over runs).
@@ -41,10 +36,13 @@ struct Table1Row {
     double victim_test_accuracy = 0.0;  ///< extra context, not in the paper's table
 };
 
-/// Runs one (dataset, activation) configuration; `options.victim.output`
-/// is overridden by `output`.
+/// Runs one (dataset, activation) configuration: each run trains
+/// `base_config` under its own seeds. `pool` (optional) serves each run's
+/// batched probe queries (runs stay serial: the row accumulates across
+/// them in run order).
 Table1Row run_table1_config(const data::DataSplit& split, const std::string& dataset_name,
-                            const OutputConfig& output, const Table1Options& options);
+                            const VictimConfig& base_config, const Table1Options& options,
+                            ThreadPool* pool = nullptr);
 
 /// Renders rows in the paper's layout.
 Table render_table1(const std::vector<Table1Row>& rows);

@@ -31,7 +31,7 @@ sidechannel::TotalCurrentFn build_obfuscation(Oracle& inner, const ObfuscationCo
 }  // namespace
 
 ObfuscatedOracle::ObfuscatedOracle(Oracle& inner, ObfuscationConfig config)
-    : OracleDecorator(inner), config_(config), obfuscated_(build_obfuscation(inner, config)) {}
+    : OracleDecorator(inner), obfuscated_(build_obfuscation(inner, config)) {}
 
 double ObfuscatedOracle::query_power(const tensor::Vector& u) {
     // The dither transform draws from a stateful Rng inside the wrapper;
@@ -91,12 +91,6 @@ QueryCounters BudgetLedger::spent() const {
     c.inference = spent_inference_;
     c.power = spent_power_;
     return c;
-}
-
-void BudgetLedger::reset() {
-    std::lock_guard lock(mutex_);
-    spent_inference_ = 0;
-    spent_power_ = 0;
 }
 
 // ---- TokenBucket ------------------------------------------------------------
@@ -216,11 +210,6 @@ std::size_t DetectorScreen::screen_batch(const tensor::Matrix& U) {
         if (screen(U.row_span(r))) ++flagged;
     }
     return flagged;
-}
-
-void DetectorScreen::reset() {
-    screened_.store(0, std::memory_order_relaxed);
-    flagged_.store(0, std::memory_order_relaxed);
 }
 
 }  // namespace xbarsec::core

@@ -11,10 +11,7 @@ double deployed_weight_scale(const CrossbarOracle& backend) {
         tensor::column_abs_sums(backend.hardware_for_evaluation().effective_network().weights()));
 }
 
-SessionConfig apply_defenses(const std::vector<DefenseSpec>& defenses, DecoratorStack& stack,
-                             double scale, const sidechannel::CurrentSignatureDetector* detector) {
-    using Kind = DefenseSpec::Kind;
-    SessionConfig session;
+void check_defenses(const std::vector<DefenseSpec>& defenses) {
     for (const DefenseSpec& d : defenses) {
         if (d.session_policy() &&
             std::count_if(defenses.begin(), defenses.end(),
@@ -23,6 +20,14 @@ SessionConfig apply_defenses(const std::vector<DefenseSpec>& defenses, Decorator
                 "a defense list may name each session policy (sensing noise, query budget, "
                 "detector) once: one session holds one of each");
         }
+    }
+}
+
+SessionConfig apply_defenses(const std::vector<DefenseSpec>& defenses, DecoratorStack& stack,
+                             double scale, const sidechannel::CurrentSignatureDetector* detector) {
+    using Kind = DefenseSpec::Kind;
+    SessionConfig session;
+    for (const DefenseSpec& d : defenses) {
         const double magnitude = d.relative ? d.magnitude * scale : d.magnitude;
         switch (d.kind) {
             case Kind::DitherPower:

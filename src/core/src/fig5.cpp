@@ -49,10 +49,10 @@ struct RunOutput {
     double clean_acc = 0.0;
 };
 
-RunOutput execute_run(std::size_t run, const data::DataSplit& split, const OutputConfig& output,
-                      const VictimConfig& base_config, const Fig5Options& options) {
+RunOutput execute_run(std::size_t run, const data::DataSplit& split,
+                      const VictimConfig& base_config, const std::vector<DefenseSpec>& defenses,
+                      const Fig5Options& options, ThreadPool* pool) {
     VictimConfig config = base_config;
-    config.output = output;
     config.init_seed = options.seed + 10007 * run;
     config.train.shuffle_seed = options.seed + 10007 * run + 31;
 
@@ -62,15 +62,14 @@ RunOutput execute_run(std::size_t run, const data::DataSplit& split, const Outpu
     // kernel layer is bit-identical under any partition, and nested
     // parallel_for is safe (the calling thread drains tasks), so this
     // composes with the run-level parallel_for below.
-    backend.set_thread_pool(options.pool);
+    backend.set_thread_pool(pool);
     // The attacker queries through a session over this run's stack (a
     // pass-through session when there are no defenses).
     DecoratorStack stack(backend);
     const SessionConfig attacker =
-        apply_defenses(options.defenses, stack, deployed_weight_scale(backend), nullptr);
+        apply_defenses(defenses, stack, deployed_weight_scale(backend), nullptr);
     OracleService service(stack.top());
-    Session session = service.open_session(attacker);
-    Oracle& oracle = session.oracle();  // what the attacker sees
+    Session session = service.open_session(attacker);  // what the attacker sees
     const nn::SingleLayerNet deployed = backend.hardware_for_evaluation().effective_network();
 
     const data::Dataset eval_set =
@@ -88,7 +87,7 @@ RunOutput execute_run(std::size_t run, const data::DataSplit& split, const Outpu
         plan.raw_outputs = options.raw_outputs;
         plan.record_power = true;
         plan.seed = options.seed + 7919 * run + qi;
-        const attack::QueryDataset queries = collect_queries(oracle, split.train, plan);
+        const attack::QueryDataset queries = collect_queries(session, split.train, plan);
 
         const double mean_sq_norm = tensor::mean_squared_row_norm(queries.inputs, 512);
         for (std::size_t li = 0; li < options.lambdas.size(); ++li) {
@@ -115,8 +114,9 @@ RunOutput execute_run(std::size_t run, const data::DataSplit& split, const Outpu
 }  // namespace
 
 Fig5Result run_fig5(const data::DataSplit& split, const std::string& dataset_name,
-                    const OutputConfig& output, const VictimConfig& base_config,
-                    const Fig5Options& options) {
+                    const VictimConfig& base_config, const std::vector<DefenseSpec>& defenses,
+                    const Fig5Options& options, ThreadPool* pool) {
+    check_defenses(defenses);
     XS_EXPECTS(options.runs >= 2);
     XS_EXPECTS(!options.query_counts.empty());
     XS_EXPECTS_MSG(std::find(options.lambdas.begin(), options.lambdas.end(), 0.0) !=
@@ -124,18 +124,19 @@ Fig5Result run_fig5(const data::DataSplit& split, const std::string& dataset_nam
                    "the lambda sweep must include the λ=0 baseline");
 
     Fig5Result result;
-    result.label = dataset_name + "/" + output.name() + (options.raw_outputs ? "/raw" : "/label");
+    result.label =
+        dataset_name + "/" + base_config.output.name() + (options.raw_outputs ? "/raw" : "/label");
     result.options = options;
 
     std::vector<RunOutput> runs(options.runs);
     std::mutex log_mutex;
     auto body = [&](std::size_t run) {
-        runs[run] = execute_run(run, split, output, base_config, options);
+        runs[run] = execute_run(run, split, base_config, defenses, options, pool);
         std::lock_guard lock(log_mutex);
         log::info("fig5 ", result.label, " run ", run + 1, "/", options.runs, " done");
     };
-    if (options.pool != nullptr) {
-        parallel_for(*options.pool, options.runs, body);
+    if (pool != nullptr) {
+        parallel_for(*pool, options.runs, body);
     } else {
         for (std::size_t run = 0; run < options.runs; ++run) body(run);
     }

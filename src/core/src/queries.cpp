@@ -63,20 +63,4 @@ sidechannel::SearchResult find_argmax(Oracle& oracle, const data::ImageShape& sh
     return sidechannel::find_argmax(field, shape, strategy, options);
 }
 
-attack::QueryDataset collect_queries(Session& session, const data::Dataset& pool,
-                                     const QueryPlan& plan) {
-    return collect_queries(session.oracle(), pool, plan);
-}
-
-sidechannel::ProbeResult probe_columns(Session& session,
-                                       const sidechannel::ProbeOptions& options) {
-    return probe_columns(session.oracle(), options);
-}
-
-sidechannel::SearchResult find_argmax(Session& session, const data::ImageShape& shape,
-                                      sidechannel::SearchStrategy strategy,
-                                      const sidechannel::SearchOptions& options) {
-    return find_argmax(session.oracle(), shape, strategy, options);
-}
-
 }  // namespace xbarsec::core

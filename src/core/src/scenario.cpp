@@ -421,6 +421,7 @@ bool has_defense(const ScenarioSpec& spec, DefenseSpec::Kind kind) {
 }  // namespace
 
 DeployedScenario ScenarioRunner::deploy(const ScenarioSpec& spec) const {
+    check_defenses(spec.defenses);
     const auto* multiclient = std::get_if<MultiClientOptions>(&spec.experiment);
     if (multiclient != nullptr &&
         std::any_of(spec.defenses.begin(), spec.defenses.end(),
@@ -464,9 +465,7 @@ DeployedScenario ScenarioRunner::deploy(const ScenarioSpec& spec) const {
     // Front the stack with the serving layer. Single-client experiments
     // run through the default session; multi-client experiments open
     // further sessions on the same service.
-    ServiceConfig service_config;
-    service_config.pool = pool_;
-    d.service_ = std::make_unique<OracleService>(d.stack_->top(), service_config);
+    d.service_ = std::make_unique<OracleService>(d.stack_->top());
     d.session_ = d.service_->open_session(attacker);
     return d;
 }
@@ -490,7 +489,7 @@ ScenarioOutcome run_experiment(const ScenarioRunner& runner, const ScenarioSpec&
                                const Fig3Options&) {
     ScenarioOutcome outcome;
     DeployedScenario d = runner.deploy(spec);
-    const Fig3Panel panel = run_fig3_on(d.oracle(), d.victim(), d.split().test,
+    const Fig3Panel panel = run_fig3_on(d.session(), d.victim(), d.split().test,
                                         experiment_label(spec));
     outcome.label = panel.label;
 
@@ -521,7 +520,7 @@ ScenarioOutcome run_experiment(const ScenarioRunner& runner, const ScenarioSpec&
     DeployedScenario d = runner.deploy(spec);
     const data::Dataset eval_set =
         options.eval_limit > 0 ? d.split().test.take(options.eval_limit) : d.split().test;
-    const Fig4Result result = run_fig4_on(d.oracle(), d.backend().hardware_for_evaluation(),
+    const Fig4Result result = run_fig4_on(d.session(), d.backend().hardware_for_evaluation(),
                                           eval_set, experiment_label(spec), options);
     outcome.label = result.label;
     outcome.tables.emplace_back("fig4", render_fig4(result));
@@ -531,18 +530,16 @@ ScenarioOutcome run_experiment(const ScenarioRunner& runner, const ScenarioSpec&
 }
 
 ScenarioOutcome run_experiment(const ScenarioRunner& runner, const ScenarioSpec& spec,
-                               const Fig5Options& fig5) {
+                               const Fig5Options& options) {
     if (has_defense(spec, DefenseSpec::Kind::Detector)) {
         throw ConfigError("fig5 scenarios do not support detector defenses (each run deploys "
                           "a fresh victim; use a fig4 or probe scenario)");
     }
+    check_defenses(spec.defenses);  // before the data load, as in deploy
     ScenarioOutcome outcome;
     const data::DataSplit split = load_split(spec);
-    Fig5Options options = fig5;
-    options.pool = runner.pool();
-    options.defenses = spec.defenses;
-    const Fig5Result result =
-        run_fig5(split, to_string(spec.dataset), spec.victim.output, spec.victim, options);
+    const Fig5Result result = run_fig5(split, to_string(spec.dataset), spec.victim,
+                                       spec.defenses, options, runner.pool());
     outcome.label = result.label;
     outcome.tables.emplace_back("surrogate_acc", render_fig5_surrogate_accuracy(result));
     outcome.tables.emplace_back("adv_acc", render_fig5_adversarial_accuracy(result));
@@ -552,18 +549,15 @@ ScenarioOutcome run_experiment(const ScenarioRunner& runner, const ScenarioSpec&
 }
 
 ScenarioOutcome run_experiment(const ScenarioRunner& runner, const ScenarioSpec& spec,
-                               const Table1Options& table1) {
+                               const Table1Options& options) {
     if (!spec.defenses.empty()) {
         throw ConfigError("table1 scenarios do not support defense stacks (the probe is the "
                           "measurement itself; use a probe scenario to study defenses)");
     }
     ScenarioOutcome outcome;
     const data::DataSplit split = load_split(spec);
-    Table1Options options = table1;
-    options.victim = spec.victim;
-    options.pool = runner.pool();
     const Table1Row row =
-        run_table1_config(split, to_string(spec.dataset), spec.victim.output, options);
+        run_table1_config(split, to_string(spec.dataset), spec.victim, options, runner.pool());
     outcome.label = row.dataset + "/" + row.activation;
     outcome.tables.emplace_back("table1", render_table1({row}));
     outcome.metrics["mean_corr_test"] = row.mean_corr_test;
@@ -580,7 +574,7 @@ ScenarioOutcome run_experiment(const ScenarioRunner& runner, const ScenarioSpec&
 
     const tensor::Vector truth = tensor::column_abs_sums(
         d.backend().hardware_for_evaluation().effective_network().weights());
-    const sidechannel::ProbeResult probe = probe_columns(d.oracle(), options.probe);
+    const sidechannel::ProbeResult probe = probe_columns(d.session(), options.probe);
     const double rel_error = sidechannel::relative_error(probe.conductance_sums, truth);
     const double agreement =
         sidechannel::topk_agreement(probe.conductance_sums, truth, options.topk);
@@ -709,7 +703,7 @@ ScenarioOutcome run_experiment(const ScenarioRunner& runner, const ScenarioSpec&
         Rng rng(mc.seed ^ 0xA77ACC3Ull);
         std::size_t target = 0;
         try {
-            const auto probe = probe_columns(attacker.oracle());
+            const auto probe = probe_columns(attacker);
             target = tensor::argmax(probe.conductance_sums);
         } catch (const QueryBudgetExceeded&) {
             attacker_exhausted = true;
@@ -815,7 +809,7 @@ attack::QueryDataset collect_queries_pipelined(Session& session, const data::Dat
         auto dst = q.inputs.row_span(r);
         std::copy(src.begin(), src.end(), dst.begin());
     }
-    q.outputs = tensor::Matrix(count, session.oracle().outputs());
+    q.outputs = tensor::Matrix(count, session.outputs());
     q.power = tensor::Vector(count, 0.0);
 
     constexpr std::size_t kWindow = 64;
@@ -883,7 +877,6 @@ ReplicaSweepPoint run_replica_sweep_point(const TrainedVictim& victim,
         backends.push_back(&oracle);
     }
     ServiceConfig service_config;
-    service_config.pool = pool;
     service_config.routing = routing;
     service_config.max_batch = 64;
     OracleService service(backends, service_config);
@@ -972,7 +965,6 @@ void run_cache_timing_trial(const TrainedVictim& victim, const VictimConfig& vic
     std::vector<CrossbarOracle> fleet = deploy_victim_fleet(victim.net, victim_config, 1);
     fleet.front().set_thread_pool(pool);
     ServiceConfig service_config;
-    service_config.pool = pool;
     service_config.cache.enabled = true;
     service_config.cache.capacity = ct.cache_capacity;
     service_config.cache.partition_by_session = partitioned;
@@ -980,15 +972,14 @@ void run_cache_timing_trial(const TrainedVictim& victim, const VictimConfig& vic
 
     Session victim_session = service.open_session();
     for (std::size_t i = 0; i < candidates.size(); ++i) {
-        if (is_member[i]) victim_session.oracle().query_label(candidates.input(i));
+        if (is_member[i]) victim_session.query_label(candidates.input(i));
     }
 
     Session attacker = service.open_session();
-    Oracle& probe = attacker.oracle();
     // Warm the attacker's submission path (first-query thread wakeup,
     // lazy allocations) on an input *outside* the candidate pool, so the
     // warm-up cannot seed any candidate into the attacker's partition.
-    probe.query_label(warmup);
+    attacker.query_label(warmup);
     // Probe in an attacker-shuffled order so queue/scheduling drift over
     // the pass cannot correlate with membership.
     std::vector<std::size_t> order(candidates.size());
@@ -1000,7 +991,7 @@ void run_cache_timing_trial(const TrainedVictim& victim, const VictimConfig& vic
     for (const std::size_t i : order) {
         const tensor::Vector u = candidates.input(i);
         const auto t0 = std::chrono::steady_clock::now();
-        probe.query_label(u);
+        attacker.query_label(u);
         const auto t1 = std::chrono::steady_clock::now();
         const double ns =
             static_cast<double>(std::chrono::duration_cast<std::chrono::nanoseconds>(t1 - t0)
@@ -1112,7 +1103,6 @@ void run_arms_cell(const TrainedVictim& victim, const VictimConfig& victim_confi
     std::vector<CrossbarOracle> fleet = deploy_victim_fleet(victim.net, victim_config, 1);
     fleet.front().set_thread_pool(pool);
     ServiceConfig service_config;
-    service_config.pool = pool;
     service_config.max_batch = 64;
     if (cell.defense->attribution) {
         service_config.attribution.enabled = true;

@@ -233,7 +233,6 @@ struct AttribState {
 };
 
 struct ServiceState {
-    ThreadPool* pool = nullptr;  ///< the pool behind the backends' batched paths (may be null)
     ServiceConfig config;
     std::size_t inputs = 0;
     std::size_t outputs = 0;
@@ -855,13 +854,14 @@ void execute_group(ReplicaState& replica, std::vector<Unit>& units, std::size_t 
 /// never split, preserving the backend stack's all-or-nothing charging
 /// and its noise-stream layout).
 ///
-/// A backend-stack exception (shared blocking detector, shared budget
-/// cap) from a *merged* group must not take innocent tenants' queries
-/// down with the one that tripped it, so the group falls back to
-/// per-unit backend calls — each unit then succeeds or fails exactly as
-/// it would have under serial issue. (Stack-level screening counters
-/// may see the offending rows once more on the retry; isolation of the
-/// tenants' answers is the contract that matters.)
+/// A backend-stack exception (a deployment that withholds a query kind,
+/// a faulting backend) from a *merged* group must not take innocent
+/// tenants' queries down with the one that tripped it, so the group falls
+/// back to per-unit backend calls — each unit then succeeds or fails
+/// exactly as it would have under serial issue. (A stack that counts or
+/// draws noise before it throws sees the group's rows once more on the
+/// retry; isolation of the tenants' answers is the contract that
+/// matters.)
 void flush(ReplicaState& replica, std::size_t max_batch, std::vector<Unit>& units,
            tensor::Matrix& storage) {
     std::size_t first = 0;
@@ -933,76 +933,9 @@ void flusher_loop(const std::shared_ptr<ServiceState>& svc, ReplicaState& replic
 }  // namespace
 }  // namespace detail
 
-// ---- SessionOracleView ------------------------------------------------------
-
-namespace {
+// ---- Session ----------------------------------------------------------------
 
 using detail::QueryKind;
-
-/// Synchronous Oracle adapter over a session: every query submits with a
-/// flush hint (the caller is about to block on the result) and waits.
-/// This is what lets collect_queries, probe_columns, the attack
-/// evaluators, and the figure sweeps run unchanged through a session.
-class SessionOracleView : public Oracle {
-public:
-    explicit SessionOracleView(std::shared_ptr<detail::SessionState> state)
-        : state_(std::move(state)) {}
-
-    std::size_t inputs() const override { return state_->service->inputs; }
-    std::size_t outputs() const override { return state_->service->outputs; }
-
-    int query_label(const tensor::Vector& u) override {
-        return detail::submit<std::promise<int>>(state_, QueryKind::Label, true, tensor::Matrix::from_row(u), true)
-            .get();
-    }
-    tensor::Vector query_raw(const tensor::Vector& u) override {
-        return detail::submit<std::promise<tensor::Vector>>(state_, QueryKind::Raw, true,
-                                                            tensor::Matrix::from_row(u), true)
-            .get();
-    }
-    double query_power(const tensor::Vector& u) override {
-        return detail::submit<std::promise<double>>(state_, QueryKind::Power, true, tensor::Matrix::from_row(u),
-                                                    true)
-            .get();
-    }
-    std::vector<int> query_labels(const tensor::Matrix& U) override {
-        return detail::submit<std::promise<std::vector<int>>>(state_, QueryKind::Label, false, U,
-                                                              true)
-            .get();
-    }
-    tensor::Matrix query_raw_batch(const tensor::Matrix& U) override {
-        return detail::submit<std::promise<tensor::Matrix>>(state_, QueryKind::Raw, false, U, true)
-            .get();
-    }
-    tensor::Vector query_power_batch(const tensor::Matrix& U) override {
-        return detail::submit<std::promise<tensor::Vector>>(state_, QueryKind::Power, false, U,
-                                                            true)
-            .get();
-    }
-
-    QueryCounters counters() const override {
-        QueryCounters c;
-        c.inference = state_->inference_count.load(std::memory_order_relaxed);
-        c.power = state_->power_count.load(std::memory_order_relaxed);
-        return c;
-    }
-    void reset_counters() override {
-        state_->inference_count.store(0, std::memory_order_relaxed);
-        state_->power_count.store(0, std::memory_order_relaxed);
-    }
-
-    /// Re-point the view at a different session. Session::operator=(&&)
-    /// keeps the view object alive across the move so Oracle& references
-    /// handed out by oracle() stay valid and track the new state.
-    void rebind(std::shared_ptr<detail::SessionState> state) { state_ = std::move(state); }
-
-private:
-    std::shared_ptr<detail::SessionState> state_;
-};
-
-}  // namespace
-
-// ---- Session ----------------------------------------------------------------
 
 Session::Session(std::shared_ptr<detail::SessionState> state) : state_(std::move(state)) {}
 
@@ -1010,22 +943,9 @@ Session::~Session() { close(); }
 
 Session& Session::operator=(Session&& other) noexcept {
     if (this != &other) {
-        // The displaced session is closed (not leaked open on the
-        // service), and an existing oracle_view_ is rebound rather than
-        // replaced: Oracle& references previously returned by oracle()
-        // must keep working against the newly adopted state.
+        // The displaced session is closed, not leaked open on the service.
         close();
         state_ = std::move(other.state_);
-        if (oracle_view_ != nullptr) {
-            if (state_ != nullptr) {
-                static_cast<SessionOracleView*>(oracle_view_.get())->rebind(state_);
-            } else {
-                oracle_view_.reset();
-            }
-            other.oracle_view_.reset();
-        } else {
-            oracle_view_ = std::move(other.oracle_view_);
-        }
     }
     return *this;
 }
@@ -1059,10 +979,50 @@ std::future<tensor::Vector> Session::submit_power_batch(tensor::Matrix U) {
                                                         std::move(U), false);
 }
 
-Oracle& Session::oracle() {
-    if (state_ == nullptr) throw SessionClosed("oracle() on a moved-from session");
-    if (oracle_view_ == nullptr) oracle_view_ = std::make_unique<SessionOracleView>(state_);
-    return *oracle_view_;
+// The synchronous Oracle calls: submit with a flush hint (the caller is
+// about to block on the result), then wait.
+
+std::size_t Session::inputs() const {
+    if (state_ == nullptr) throw SessionClosed("inputs() on an empty session");
+    return state_->service->inputs;
+}
+
+std::size_t Session::outputs() const {
+    if (state_ == nullptr) throw SessionClosed("outputs() on an empty session");
+    return state_->service->outputs;
+}
+
+int Session::query_label(const tensor::Vector& u) {
+    return detail::submit<std::promise<int>>(state_, QueryKind::Label, true,
+                                             tensor::Matrix::from_row(u), true)
+        .get();
+}
+
+tensor::Vector Session::query_raw(const tensor::Vector& u) {
+    return detail::submit<std::promise<tensor::Vector>>(state_, QueryKind::Raw, true,
+                                                        tensor::Matrix::from_row(u), true)
+        .get();
+}
+
+double Session::query_power(const tensor::Vector& u) {
+    return detail::submit<std::promise<double>>(state_, QueryKind::Power, true,
+                                                tensor::Matrix::from_row(u), true)
+        .get();
+}
+
+std::vector<int> Session::query_labels(const tensor::Matrix& U) {
+    return detail::submit<std::promise<std::vector<int>>>(state_, QueryKind::Label, false, U, true)
+        .get();
+}
+
+tensor::Matrix Session::query_raw_batch(const tensor::Matrix& U) {
+    return detail::submit<std::promise<tensor::Matrix>>(state_, QueryKind::Raw, false, U, true)
+        .get();
+}
+
+tensor::Vector Session::query_power_batch(const tensor::Matrix& U) {
+    return detail::submit<std::promise<tensor::Vector>>(state_, QueryKind::Power, false, U, true)
+        .get();
 }
 
 QueryCounters Session::counters() const {
@@ -1155,10 +1115,6 @@ OracleService::OracleService(const std::vector<Oracle*>& replicas, ServiceConfig
             throw ConfigError("OracleService replicas must share one input/output shape");
         }
     }
-    if (config.pool == nullptr && config.workers > 0) {
-        owned_pool_ = std::make_unique<ThreadPool>(config.workers);
-    }
-    state_->pool = config.pool != nullptr ? config.pool : owned_pool_.get();
     state_->config = config;
     if (config.cache.enabled) {
         if (config.cache.capacity == 0) {
@@ -1361,8 +1317,6 @@ attrib::CampaignCounters OracleService::attribution_campaign_of(std::uint64_t se
 std::string OracleService::attribution_snapshot() const {
     return state_->attrib != nullptr ? state_->attrib->engine.json_snapshot() : "{}";
 }
-
-ThreadPool* OracleService::pool() { return state_->pool; }
 
 const ServiceConfig& OracleService::config() const { return state_->config; }
 

@@ -7,21 +7,21 @@
 namespace xbarsec::core {
 
 Table1Row run_table1_config(const data::DataSplit& split, const std::string& dataset_name,
-                            const OutputConfig& output, const Table1Options& options) {
+                            const VictimConfig& base_config, const Table1Options& options,
+                            ThreadPool* pool) {
     XS_EXPECTS(options.runs >= 1);
     Table1Row row;
     row.dataset = dataset_name;
-    row.activation = output.name();
+    row.activation = base_config.output.name();
 
     for (std::size_t run = 0; run < options.runs; ++run) {
-        VictimConfig config = options.victim;
-        config.output = output;
+        VictimConfig config = base_config;
         config.init_seed = options.seed + 1000 * run;
         config.train.shuffle_seed = options.seed + 1000 * run + 17;
 
         const TrainedVictim victim = train_victim(split, config);
         CrossbarOracle oracle = deploy_victim(victim.net, config);
-        oracle.set_thread_pool(options.pool);
+        oracle.set_thread_pool(pool);
 
         // The attacker's view of the 1-norms: probe the deployed array.
         const sidechannel::ProbeResult probe = probe_columns(oracle);

@@ -41,9 +41,8 @@ Fig3Panel fig3_panel(OutputConfig output) {
 TEST(Table1Runner, ProducesPlausibleCorrelations) {
     Table1Options options;
     options.runs = 2;
-    options.victim = quick_victim(OutputConfig::softmax_ce());
-    const Table1Row row =
-        run_table1_config(tiny_split(), "mnist-like", OutputConfig::softmax_ce(), options);
+    const Table1Row row = run_table1_config(tiny_split(), "mnist-like",
+                                            quick_victim(OutputConfig::softmax_ce()), options);
     EXPECT_EQ(row.dataset, "mnist-like");
     EXPECT_EQ(row.activation, "softmax");
     // Directional expectations from the paper: all positive, and the
@@ -123,8 +122,8 @@ TEST(Fig5Runner, MiniatureSweepAggregatesAndTests) {
     options.runs = 2;
     options.raw_outputs = true;
     options.eval_limit = 60;
-    const Fig5Result r = run_fig5(tiny_split(), "mnist-like", OutputConfig::linear_mse(),
-                                  quick_victim(OutputConfig::linear_mse()), options);
+    const Fig5Result r =
+        run_fig5(tiny_split(), "mnist-like", quick_victim(OutputConfig::linear_mse()), {}, options);
     EXPECT_EQ(r.cells.size(), 4u);
     const Fig5Cell& cell = r.cell(0.005, 100);
     EXPECT_EQ(cell.oracle_adv_accuracy.count, 2u);
@@ -148,8 +147,7 @@ TEST(Fig5Runner, ValidatesOptions) {
     Fig5Options options;
     options.lambdas = {0.005};  // missing the λ=0 baseline
     options.runs = 2;
-    EXPECT_THROW(run_fig5(tiny_split(), "x", OutputConfig::linear_mse(),
-                          quick_victim(OutputConfig::linear_mse()), options),
+    EXPECT_THROW(run_fig5(tiny_split(), "x", quick_victim(OutputConfig::linear_mse()), {}, options),
                  ContractViolation);
 }
 

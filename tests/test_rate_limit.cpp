@@ -370,6 +370,69 @@ TEST(PerSourceBucket, RefusalDownstreamRefundsTheSourceBucket) {
     EXPECT_THROW(session.submit_power(u), RateLimited);  // 10 spent exactly
 }
 
+TEST(PerSourceBucket, SourceRefusalRefundsTheSessionBucket) {
+    set_clock_ms(0);
+    Rng rng(11);
+    const nn::SingleLayerNet net = make_net(rng);
+    CrossbarOracle backend = make_oracle(net);
+    ServiceConfig config;
+    config.attribution.enabled = true;
+    config.attribution.source_rate = RateLimit{1000.0, 100.0};
+    config.attribution.source_clock = &test_clock;
+    OracleService service(backend, config);
+
+    SessionConfig tenant;
+    tenant.source = 3;
+    Session drain = service.open_session(tenant);
+    (void)drain.submit_labels(tensor::Matrix::random_uniform(rng, 100, net.inputs())).get();
+
+    // A session bucket that barely refills: only a refund can give its
+    // tokens back.
+    SessionConfig limited = tenant;
+    limited.rate = RateLimit{1.0, 4.0};
+    limited.rate_clock = &test_clock;
+    Session session = service.open_session(limited);
+    const tensor::Vector u(net.inputs(), 0.5);
+    // The session bucket admits each of these; the drained source bucket
+    // refuses them.
+    for (int i = 0; i < 3; ++i) EXPECT_THROW(session.submit_label(u), RateLimited);
+
+    set_clock_ms(10);  // 10 source tokens back, 0.01 session tokens
+    for (int i = 0; i < 4; ++i) (void)session.submit_label(u).get();
+    EXPECT_THROW(session.submit_label(u), RateLimited);  // the session's 4 spent exactly
+    EXPECT_EQ(session.counters().inference, 4u);
+}
+
+TEST(PerSourceBucket, RefusedCacheHitRefundsBothBuckets) {
+    set_clock_ms(0);
+    Rng rng(12);
+    const nn::SingleLayerNet net = make_net(rng);
+    CrossbarOracle backend = make_oracle(net);
+    ServiceConfig config;
+    config.cache.enabled = true;  // hits charge the budget by default
+    config.attribution.enabled = true;
+    config.attribution.source_rate = RateLimit{400.0, 10.0};
+    config.attribution.source_clock = &test_clock;
+    OracleService service(backend, config);
+
+    SessionConfig tenant;
+    tenant.source = 3;
+    tenant.rate = RateLimit{400.0, 10.0};
+    tenant.rate_clock = &test_clock;
+    tenant.budget.max_inference = 1;
+    Session session = service.open_session(tenant);
+    const tensor::Vector u(net.inputs(), 0.5);
+
+    (void)session.submit_label(u).get();  // a miss: spends the budget, caches the label
+    // Each repeat is a cache hit that both buckets admit and the budget
+    // refuses: the tokens must go back to both.
+    for (int i = 0; i < 8; ++i) EXPECT_THROW(session.submit_label(u), QueryBudgetExceeded);
+    EXPECT_EQ(service.cache_hits(), 8u);
+    EXPECT_EQ(session.budget_spent().inference, 1u);
+    for (int i = 0; i < 9; ++i) (void)session.submit_power(u).get();
+    EXPECT_THROW(session.submit_power(u), RateLimited);  // 10 spent exactly, in each bucket
+}
+
 // ---- suspicion-scaled defenses ----------------------------------------------
 
 TEST(SuspicionScaled, EscalationWithholdsRawOutputs) {

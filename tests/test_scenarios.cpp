@@ -102,12 +102,12 @@ TEST(ScenarioRunner, DeploysObfuscationLayersAndSessionPolicy) {
     EXPECT_EQ(d.spec().defenses.size(), 3u);
     // The random dummies are a device layer over the backend...
     EXPECT_NE(&d.stack_top(), static_cast<Oracle*>(&d.backend()));
-    EXPECT_EQ(d.oracle().inputs(), 784u);
+    EXPECT_EQ(d.session().inputs(), 784u);
     // One query through the session is counted once, at the backend.
-    (void)d.oracle().query_label(tensor::Vector(784, 0.1));
+    (void)d.session().query_label(tensor::Vector(784, 0.1));
     EXPECT_EQ(d.backend().counters().inference, 1u);
     // ...and the power budget is charged to the default session.
-    (void)d.oracle().query_power(tensor::Vector(784, 0.1));
+    (void)d.session().query_power(tensor::Vector(784, 0.1));
     EXPECT_EQ(d.session().budget_spent().power, 1u);
 }
 
@@ -174,12 +174,20 @@ TEST(ScenarioRunner, RejectsUnsupportedDefenseCombinations) {
     EXPECT_THROW(runner.run(multiclient), ConfigError);
 
     // One session holds one budget: a second budget entry cannot compose.
+    // No training set, so the list must be rejected before any data is
+    // loaded or any victim is trained.
     ScenarioSpec twice = tiny("probe/mnist/defended");
+    twice.load.train_count = 0;
     DefenseSpec budget;
     budget.kind = DefenseSpec::Kind::QueryBudget;
     budget.budget.max_power = 1;
     twice.defenses.push_back(budget);
     EXPECT_THROW(runner.deploy(twice), ConfigError);
+
+    ScenarioSpec fig5_twice = tiny("fig5/mnist/label");
+    fig5_twice.load.train_count = 0;
+    fig5_twice.defenses = {defense, defense};
+    EXPECT_THROW(runner.run(fig5_twice), ConfigError);
 }
 
 TEST(ScenarioSmoke, ShrinksSweeps) {

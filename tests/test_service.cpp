@@ -185,14 +185,14 @@ TEST(Service, ExplicitBatchSubmissionsAreNeverSplit) {
     EXPECT_EQ(service.flushed_rows(), 64u);
 }
 
-TEST(Service, SessionOracleViewRunsExistingOracleCode) {
+TEST(Service, SessionRunsExistingOracleCode) {
     Rng rng(7);
     const nn::SingleLayerNet net = make_net(rng);
     CrossbarOracle reference = make_oracle(net);
     CrossbarOracle backend = make_oracle(net);
     OracleService service(backend);
     Session session = service.open_session();
-    Oracle& oracle = session.oracle();
+    Oracle& oracle = session;
 
     EXPECT_EQ(oracle.inputs(), net.inputs());
     EXPECT_EQ(oracle.outputs(), net.outputs());
@@ -286,9 +286,9 @@ TEST(Service, BackendExposureStillDeniesSessionRawQueries) {
     CrossbarOracle backend = make_oracle(make_net(rng), closed);
     OracleService service(backend);
     Session session = service.open_session();
-    EXPECT_THROW((void)session.oracle().query_raw(tensor::Vector(backend.inputs(), 0.1)),
+    EXPECT_THROW((void)session.query_raw(tensor::Vector(backend.inputs(), 0.1)),
                  AccessDenied);
-    EXPECT_NO_THROW((void)session.oracle().query_label(tensor::Vector(backend.inputs(), 0.1)));
+    EXPECT_NO_THROW((void)session.query_label(tensor::Vector(backend.inputs(), 0.1)));
 }
 
 // ---- counters ---------------------------------------------------------------
@@ -399,7 +399,7 @@ TEST(Service, MoveAssignClosesDisplacedSessionAndRebindsOracleView) {
     const tensor::Vector u(net.inputs(), 0.5);
 
     Session session = service.open_session();
-    Oracle& view = session.oracle();  // reference taken BEFORE the move
+    Oracle& view = session;  // reference taken BEFORE the move
     (void)view.query_label(u);
     const std::uint64_t displaced_id = session.id();
 
@@ -408,16 +408,17 @@ TEST(Service, MoveAssignClosesDisplacedSessionAndRebindsOracleView) {
     EXPECT_TRUE(session.open());
 
     // Both the handle and the pre-move Oracle& must drive the NEW
-    // session: the old view state is gone, not dangling.
+    // session: the displaced state is gone, not dangling.
     (void)session.submit_label(u).get();
     (void)view.query_label(u);
     EXPECT_EQ(session.counters().inference, 2u);
 
-    // Move-assigning an empty session over an open one closes it and
-    // invalidates the view path cleanly.
+    // Move-assigning an empty session over an open one closes it, and
+    // the emptied session refuses every Oracle call.
     session = Session();
     EXPECT_FALSE(session.open());
-    EXPECT_THROW(session.oracle(), SessionClosed);
+    EXPECT_THROW((void)view.query_label(u), SessionClosed);
+    EXPECT_THROW((void)view.inputs(), SessionClosed);
 }
 
 TEST(Service, MoveAssignedOverSessionIsClosedOnTheService) {

@@ -69,8 +69,8 @@ TEST(ServiceCache, OffByDefaultAndBitIdenticalToUncachedService) {
     const tensor::Matrix U = tensor::Matrix::random_uniform(rng, 12, net.inputs());
     for (int repeat = 0; repeat < 2; ++repeat) {  // repeats would hit, were a cache on
         for (std::size_t r = 0; r < U.rows(); ++r) {
-            EXPECT_EQ(a.oracle().query_label(U.row(r)), b.oracle().query_label(U.row(r)));
-            EXPECT_DOUBLE_EQ(a.oracle().query_power(U.row(r)), b.oracle().query_power(U.row(r)));
+            EXPECT_EQ(a.query_label(U.row(r)), b.query_label(U.row(r)));
+            EXPECT_DOUBLE_EQ(a.query_power(U.row(r)), b.query_power(U.row(r)));
         }
     }
     EXPECT_EQ(off.cache_hits(), 0u);
@@ -109,13 +109,13 @@ TEST(ServiceCache, HitsAreBitIdenticalToCacheOffOnDeterministicStack) {
 
     for (int repeat = 0; repeat < 3; ++repeat) {
         for (std::size_t r = 0; r < U.rows(); ++r) {
-            EXPECT_EQ(a.oracle().query_label(U.row(r)), b.oracle().query_label(U.row(r)))
+            EXPECT_EQ(a.query_label(U.row(r)), b.query_label(U.row(r)))
                 << "repeat " << repeat << " row " << r;
-            const tensor::Vector ya = a.oracle().query_raw(U.row(r));
-            const tensor::Vector yb = b.oracle().query_raw(U.row(r));
+            const tensor::Vector ya = a.query_raw(U.row(r));
+            const tensor::Vector yb = b.query_raw(U.row(r));
             ASSERT_EQ(ya.size(), yb.size());
             for (std::size_t j = 0; j < ya.size(); ++j) EXPECT_DOUBLE_EQ(ya[j], yb[j]);
-            EXPECT_DOUBLE_EQ(a.oracle().query_power(U.row(r)), b.oracle().query_power(U.row(r)));
+            EXPECT_DOUBLE_EQ(a.query_power(U.row(r)), b.query_power(U.row(r)));
         }
     }
     // Repeats 2 and 3 hit for all three kinds; only the first pass
@@ -169,15 +169,15 @@ TEST(ServiceCache, PowerHitsAdvanceTheSessionNoiseOrdinalIdentically) {
     // (bypasses the cache): the ordinal stream must stay in lockstep.
     std::uint64_t ordinal = 0;
     for (std::size_t r = 0; r < U.rows(); ++r) {  // misses: ordinals 0..3
-        const double pa = a.oracle().query_power(U.row(r));
-        const double pb = b.oracle().query_power(U.row(r));
+        const double pa = a.query_power(U.row(r));
+        const double pb = b.query_power(U.row(r));
         EXPECT_DOUBLE_EQ(pa, pb);
         EXPECT_DOUBLE_EQ(pb, clean[r] + 0.25 * Rng::normal_at(99, ordinal, 0));
         ++ordinal;
     }
     for (std::size_t r = 0; r < U.rows(); ++r) {  // hits: ordinals 4..7
-        const double pa = a.oracle().query_power(U.row(r));
-        const double pb = b.oracle().query_power(U.row(r));
+        const double pa = a.query_power(U.row(r));
+        const double pb = b.query_power(U.row(r));
         EXPECT_DOUBLE_EQ(pa, pb);
         EXPECT_DOUBLE_EQ(pb, clean[r] + 0.25 * Rng::normal_at(99, ordinal, 0));
         ++ordinal;
@@ -202,8 +202,8 @@ TEST(ServiceCache, ExposurePolicyStillDeniesOnResidentEntries) {
     OracleService service(backend, cached_config());
     Session privileged = service.open_session();
     const tensor::Vector u(net.inputs(), 0.5);
-    (void)privileged.oracle().query_power(u);
-    (void)privileged.oracle().query_raw(u);
+    (void)privileged.query_power(u);
+    (void)privileged.query_raw(u);
 
     SessionConfig restricted;
     restricted.expose_power = false;
@@ -212,7 +212,7 @@ TEST(ServiceCache, ExposurePolicyStillDeniesOnResidentEntries) {
     EXPECT_THROW(blocked.submit_power(u), AccessDenied);
     EXPECT_THROW(blocked.submit_raw(u), AccessDenied);
     EXPECT_EQ(blocked.counters().total(), 0u);  // refusals count nothing
-    (void)blocked.oracle().query_label(u);      // labels stay available
+    (void)blocked.query_label(u);      // labels stay available
 }
 
 TEST(ServiceCache, HitChargingTogglesBudgetSemantics) {
@@ -227,8 +227,8 @@ TEST(ServiceCache, HitChargingTogglesBudgetSemantics) {
     budgeted.budget.max_inference = 2;
     Session a = charging.open_session(budgeted);
     const tensor::Vector u(net.inputs(), 0.5);
-    (void)a.oracle().query_label(u);  // miss, charges 1
-    (void)a.oracle().query_label(u);  // hit, still charges 1
+    (void)a.query_label(u);  // miss, charges 1
+    (void)a.query_label(u);  // hit, still charges 1
     EXPECT_EQ(a.budget_spent().inference, 2u);
     EXPECT_THROW(a.submit_label(u), QueryBudgetExceeded);
     EXPECT_EQ(a.counters().inference, 2u);  // the refused submission counted nothing
@@ -237,8 +237,8 @@ TEST(ServiceCache, HitChargingTogglesBudgetSemantics) {
     // repeat traffic stretches the same budget.
     OracleService free_hits(free_backend, cached_config(64, false, false));
     Session b = free_hits.open_session(budgeted);
-    (void)b.oracle().query_label(u);                            // miss, charges 1
-    for (int q = 0; q < 8; ++q) (void)b.oracle().query_label(u);  // hits, free
+    (void)b.query_label(u);                            // miss, charges 1
+    for (int q = 0; q < 8; ++q) (void)b.query_label(u);  // hits, free
     EXPECT_EQ(b.budget_spent().inference, 1u);
     EXPECT_EQ(b.counters().inference, 9u);  // session telemetry still counts them
     EXPECT_EQ(free_hits.cache_hits(), 8u);
@@ -256,8 +256,8 @@ TEST(ServiceCache, PartitioningIsolatesSessionsSharedDoesNot) {
     OracleService shared(shared_backend, cached_config(64, false));
     Session sa = shared.open_session();
     Session sb = shared.open_session();
-    (void)sa.oracle().query_label(u);
-    (void)sb.oracle().query_label(u);  // cross-session hit: the timing channel
+    (void)sa.query_label(u);
+    (void)sb.query_label(u);  // cross-session hit: the timing channel
     EXPECT_EQ(shared.cache_hits(), 1u);
     EXPECT_EQ(shared.cache_misses(), 1u);
     EXPECT_EQ(shared.cache_entries(), 1u);
@@ -266,15 +266,15 @@ TEST(ServiceCache, PartitioningIsolatesSessionsSharedDoesNot) {
     OracleService partitioned(partitioned_backend, cached_config(64, true));
     Session pa = partitioned.open_session();
     Session pb = partitioned.open_session();
-    (void)pa.oracle().query_label(u);
-    (void)pb.oracle().query_label(u);  // same input, other partition: a miss
+    (void)pa.query_label(u);
+    (void)pb.query_label(u);  // same input, other partition: a miss
     EXPECT_EQ(partitioned.cache_hits(), 0u);
     EXPECT_EQ(partitioned.cache_misses(), 2u);
     EXPECT_EQ(partitioned.cache_entries(), 2u);
     EXPECT_EQ(partitioned.counters().inference, 2u);
     // Each session still hits its *own* entries.
-    (void)pa.oracle().query_label(u);
-    (void)pb.oracle().query_label(u);
+    (void)pa.query_label(u);
+    (void)pb.query_label(u);
     EXPECT_EQ(partitioned.cache_hits(), 2u);
 }
 
@@ -297,24 +297,24 @@ TEST(ServiceCache, KeysSeparateBitPatternsKindsReplicasAndPartitions) {
     {
         OracleService service(backend_a, cached_config());
         Session s = service.open_session();
-        (void)s.oracle().query_label(zero_row);
+        (void)s.query_label(zero_row);
         const tensor::Vector equal_row(std::vector<double>(zero_row.begin(), zero_row.end()));
-        (void)s.oracle().query_label(equal_row);
+        (void)s.query_label(equal_row);
         EXPECT_EQ(service.cache_hits(), 1u);  // an equal row built apart hits
-        (void)s.oracle().query_label(negative_zero_row);
+        (void)s.query_label(negative_zero_row);
         EXPECT_EQ(service.cache_misses(), 2u);  // −0.0 is its own entry...
-        (void)s.oracle().query_label(zero_row);
-        (void)s.oracle().query_label(negative_zero_row);
+        (void)s.query_label(zero_row);
+        (void)s.query_label(negative_zero_row);
         EXPECT_EQ(service.cache_hits(), 3u);  // ...and displaced neither
         EXPECT_EQ(service.cache_entries(), 2u);
 
         // One row, three kinds: three entries, each hit on replay.
-        (void)s.oracle().query_raw(zero_row);
-        (void)s.oracle().query_power(zero_row);
+        (void)s.query_raw(zero_row);
+        (void)s.query_power(zero_row);
         EXPECT_EQ(service.cache_entries(), 4u);
-        (void)s.oracle().query_label(zero_row);
-        (void)s.oracle().query_raw(zero_row);
-        (void)s.oracle().query_power(zero_row);
+        (void)s.query_label(zero_row);
+        (void)s.query_raw(zero_row);
+        (void)s.query_power(zero_row);
         EXPECT_EQ(service.cache_hits(), 6u);
         EXPECT_EQ(service.cache_misses(), 4u);
     }
@@ -325,7 +325,7 @@ TEST(ServiceCache, KeysSeparateBitPatternsKindsReplicasAndPartitions) {
         config.routing = RoutingPolicy::RoundRobin;
         OracleService service(std::vector<Oracle*>{&backend_a, &backend_b}, config);
         Session s = service.open_session();
-        for (int k = 0; k < 6; ++k) (void)s.oracle().query_label(zero_row);
+        for (int k = 0; k < 6; ++k) (void)s.query_label(zero_row);
         EXPECT_EQ(service.cache_misses(), 2u);
         EXPECT_EQ(service.cache_hits(), 4u);
         EXPECT_EQ(service.cache_entries(), 2u);
@@ -336,8 +336,8 @@ TEST(ServiceCache, KeysSeparateBitPatternsKindsReplicasAndPartitions) {
         Session a = service.open_session();
         Session b = service.open_session();
         for (int k = 0; k < 2; ++k) {
-            (void)a.oracle().query_label(zero_row);
-            (void)b.oracle().query_label(zero_row);
+            (void)a.query_label(zero_row);
+            (void)b.query_label(zero_row);
         }
         EXPECT_EQ(service.cache_misses(), 2u);
         EXPECT_EQ(service.cache_hits(), 2u);
@@ -380,10 +380,9 @@ TEST(ServiceCache, EvictionStressKeepsStatsMonotoneAndBounded) {
     std::vector<std::thread> threads;
     for (std::size_t t = 0; t < kThreads; ++t) {
         threads.emplace_back([&, t] {
-            Oracle& oracle = sessions[t].oracle();
             for (int pass = 0; pass < 3; ++pass) {
                 for (std::size_t r = 0; r < U.rows(); ++r) {
-                    (void)oracle.query_label(U.row(r));
+                    (void)sessions[t].query_label(U.row(r));
                 }
             }
         });

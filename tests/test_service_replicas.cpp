@@ -238,12 +238,11 @@ TEST(ServiceReplicas, RoundRobinAssignmentIsDeterministicAndBitIdentical) {
     OracleService service(std::vector<Oracle*>{&replica0, &replica1},
                           coalescing_config(RoutingPolicy::RoundRobin));
     Session session = service.open_session();
-    Oracle& view = session.oracle();
     CrossbarOracle* references[] = {&reference0, &reference1};
 
     const tensor::Matrix U = tensor::Matrix::random_uniform(rng, 12, net.inputs());
     for (std::size_t i = 0; i < U.rows(); ++i) {
-        EXPECT_DOUBLE_EQ(view.query_power(U.row(i)), references[i % 2]->query_power(U.row(i)));
+        EXPECT_DOUBLE_EQ(session.query_power(U.row(i)), references[i % 2]->query_power(U.row(i)));
     }
     EXPECT_EQ(service.replica_counters(0).power, U.rows() / 2);
     EXPECT_EQ(service.replica_counters(1).power, U.rows() / 2);
@@ -432,7 +431,9 @@ TEST(ServiceReplicas, SessionAffinityStaysOnHomeReplicaAcrossFlushes) {
     EXPECT_EQ(service.replica_counters(second.home_replica()).inference, 48u);
     EXPECT_GE(service.flushed_batches(second.home_replica()), 3u);
     for (std::size_t k = 0; k < service.replica_count(); ++k) {
-        if (k != second.home_replica()) EXPECT_EQ(service.replica_counters(k).total(), 0u);
+        if (k != second.home_replica()) {
+            EXPECT_EQ(service.replica_counters(k).total(), 0u);
+        }
     }
 }
 
