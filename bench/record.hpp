@@ -35,9 +35,7 @@ public:
         add("label", label);
     }
 
-    void add(const std::string& key, const std::string& value) {
-        field(key, "\"" + escaped(value) + "\"");
-    }
+    void add(const std::string& key, const std::string& value) { field(key, quoted(value)); }
     void add(const std::string& key, const char* value) { add(key, std::string(value)); }
     void add(const std::string& key, double value) {
         std::ostringstream os;
@@ -56,8 +54,8 @@ public:
     bool write(const std::string& path) const {
         std::ofstream out(path);
         if (!out) return false;
-        out << "{\n  \"bench\": \"" << escaped(name_) << "\",\n  \"setup\": \"" << escaped(setup_)
-            << "\",\n  \"results\": [\n";
+        out << "{\n  \"bench\": " << quoted(name_) << ",\n  \"setup\": " << quoted(setup_)
+            << ",\n  \"results\": [\n";
         for (std::size_t r = 0; r < rows_.size(); ++r) {
             out << "    {";
             for (std::size_t f = 0; f < rows_[r].size(); ++f) {
@@ -76,13 +74,18 @@ private:
         rows_.back().emplace_back(key, std::move(serialized));
     }
 
-    static std::string escaped(const std::string& s) {
+    /// `s` as a JSON string literal: quotes and backslashes escaped.
+    /// Built by appending (a `"\"" + ...` concatenation draws a false
+    /// GCC 12 -Wrestrict warning from libstdc++'s insert).
+    static std::string quoted(const std::string& s) {
         std::string out;
-        out.reserve(s.size());
+        out.reserve(s.size() + 2);
+        out.push_back('"');
         for (const char c : s) {
             if (c == '"' || c == '\\') out.push_back('\\');
             out.push_back(c);
         }
+        out.push_back('"');
         return out;
     }
 

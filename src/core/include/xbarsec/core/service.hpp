@@ -24,9 +24,10 @@
 // thread gathers individually-submitted vectors from all sessions into
 // `query_*_batch` calls against the backend — the one-GEMM fast path the
 // kernel layer provides — flushing when `max_batch` rows are pending or
-// after `max_wait`. Coalescing preserves submission order and groups
-// only *consecutive* same-kind submissions into one backend batch, so a
-// coalesced stream is bit-identical to the same queries issued serially
+// `max_wait` after the oldest pending submission arrived. Coalescing
+// preserves submission order and groups only *consecutive* same-kind
+// submissions into one backend batch, so a coalesced stream is
+// bit-identical to the same queries issued serially
 // (the backend's batched paths already guarantee batch = in-order
 // scalars; see crossbar.hpp). Per-session sensing noise is drawn from a
 // counter-based stream indexed by the session's own query ordinal, so it
@@ -219,7 +220,11 @@ struct ServiceConfig {
     std::size_t max_batch = 256;
 
     /// Flush latency bound: pending work never waits longer than this
-    /// for more submissions to coalesce with. See the max_batch note —
+    /// for more submissions to coalesce with. The window is timed from
+    /// the oldest pending unit's arrival, so a unit that joins an open
+    /// window waits only for what is left of it, and on Linux the
+    /// flusher sleeps with 1 us timer slack, so the deadline is not
+    /// stretched by the kernel's default 50 us. See the max_batch note —
     /// under a finite client pipeline this window, not max_batch, is
     /// what usually closes a batch. Zero means *flush immediately*:
     /// the flusher skips the coalescing window outright (no zero-length

@@ -10,6 +10,10 @@
 #include <unordered_map>
 #include <utility>
 
+#ifdef __linux__
+#include <sys/prctl.h>
+#endif
+
 #include "xbarsec/attrib/sketch.hpp"
 #include "xbarsec/common/arena.hpp"
 #include "xbarsec/common/rng.hpp"
@@ -204,6 +208,9 @@ struct ReplicaState {
     /// promise) and 7 per miss.
     std::vector<Unit> queue;
     std::size_t pending_rows = 0;
+    /// When the queue last turned non-empty: the oldest pending unit's
+    /// arrival, from which the coalescing window is timed.
+    std::chrono::steady_clock::time_point first_pending;
     bool flush_now = false;
     bool stopping = false;
 
@@ -561,6 +568,7 @@ auto enqueue(const std::shared_ptr<SessionState>& session, ReplicaState& replica
         // every submission would context-switch once per query under
         // pipelined load.
         wake = replica.queue.empty();
+        if (wake) replica.first_pending = std::chrono::steady_clock::now();
         replica.queue.push_back(std::move(unit));
         replica.pending_rows += rows;
         if ((flush_hint || replica.pending_rows >= config.max_batch) && !replica.flush_now) {
@@ -895,6 +903,12 @@ void flush(ReplicaState& replica, std::size_t max_batch, std::vector<Unit>& unit
 }
 
 void flusher_loop(const std::shared_ptr<ServiceState>& svc, ReplicaState& replica) {
+#ifdef __linux__
+    // The kernel may fire a sleeping thread's timer up to its timer slack
+    // late (50 us by default), which would stretch every coalescing
+    // window by as much; 1 us keeps the deadline precise.
+    prctl(PR_SET_TIMERSLACK, 1000UL, 0UL, 0UL, 0UL);
+#endif
     const ServiceConfig& config = svc->config;
     std::unique_lock lock(replica.mutex);
     bool saturated = false;    ///< new work arrived while the last flush ran
@@ -905,12 +919,14 @@ void flusher_loop(const std::shared_ptr<ServiceState>& svc, ReplicaState& replic
         if (replica.queue.empty()) return;  // stopping, fully drained
         if (!saturated && !replica.stopping && !replica.flush_now &&
             config.max_wait.count() > 0 && replica.pending_rows < config.max_batch) {
-            // Coalescing window: give concurrent submitters max_wait to
-            // pile more rows on before paying for a backend call.
-            // max_wait == 0 means flush-immediately and skips the window
-            // outright — a zero-length timed wait would have the flusher
-            // spinning through wakeups instead of batching what's there.
-            replica.cv.wait_for(lock, config.max_wait, [&] {
+            // Coalescing window: give concurrent submitters until max_wait
+            // after the oldest pending unit arrived to pile more rows on
+            // before paying for a backend call, however late this thread
+            // woke. max_wait == 0 means flush-immediately and skips the
+            // window outright — a zero-length timed wait would have the
+            // flusher spinning through wakeups instead of batching what's
+            // there.
+            replica.cv.wait_until(lock, replica.first_pending + config.max_wait, [&] {
                 return replica.stopping || replica.flush_now ||
                        replica.pending_rows >= config.max_batch;
             });
@@ -1077,11 +1093,14 @@ void Session::close() {
         // windows survive — that is the point of the attribution layer.
         state_->service->attrib->engine.note_session_close(state_->id);
     }
-    // In-flight submissions complete normally; nudge every flusher so
-    // their futures resolve promptly.
+    // In-flight submissions complete normally; nudge every flusher with
+    // pending units so their futures resolve promptly. An idle replica is
+    // left alone: a flush_now set on an empty queue would outlive this
+    // close and cut the next unit's window, whatever session sent it.
     for (auto& replica : state_->service->replicas) {
         {
             std::lock_guard lock(replica->mutex);
+            if (replica->queue.empty()) continue;
             replica->flush_now = true;
         }
         replica->cv.notify_all();

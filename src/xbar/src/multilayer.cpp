@@ -46,7 +46,9 @@ int MultiLayerCrossbarNetwork::classify(const tensor::Vector& u) const {
 
 double MultiLayerCrossbarNetwork::layer_total_current(std::size_t l,
                                                       const tensor::Vector& u) const {
-    return layers_[l].total_current(input_to_layer(l, u));
+    // input_to_layer checks l, so it must run before layers_[l] is read.
+    const tensor::Vector x = input_to_layer(l, u);
+    return layers_[l].total_current(x);
 }
 
 double MultiLayerCrossbarNetwork::accuracy(const data::Dataset& dataset) const {

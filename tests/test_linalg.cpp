@@ -61,8 +61,8 @@ TEST(Lstsq, RankDeficientThrows) {
 
 TEST(Pinv, MoorePenroseIdentitiesTallAndWide) {
     Rng rng(2);
-    for (const auto [m, n] : {std::pair<std::size_t, std::size_t>{9, 4},
-                              std::pair<std::size_t, std::size_t>{4, 9}}) {
+    for (const auto& [m, n] : {std::pair<std::size_t, std::size_t>{9, 4},
+                               std::pair<std::size_t, std::size_t>{4, 9}}) {
         const Matrix A = Matrix::random_normal(rng, m, n);
         const Matrix Ap = pinv(A);
         ASSERT_EQ(Ap.rows(), n);

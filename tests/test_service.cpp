@@ -3,11 +3,13 @@
 // query kinds (on noisy hardware, where measurement-counter order is
 // observable — and re-run per kernel variant via the CMake-registered
 // XBARSEC_FORCE_KERNEL environments), per-session policy enforcement at
-// submit time, and counter semantics.
+// submit time, counter semantics, and the coalescing window's deadline.
 #include <gtest/gtest.h>
 
+#include <chrono>
 #include <cmath>
 #include <future>
+#include <thread>
 
 #include "xbarsec/core/service.hpp"
 #include "xbarsec/tensor/ops.hpp"
@@ -472,6 +474,58 @@ TEST(Service, ZeroMaxWaitFlushesImmediately) {
     Session session = service.open_session();
     const tensor::Vector u(net.inputs(), 0.5);
     for (int i = 0; i < 32; ++i) EXPECT_EQ(session.submit_label(u).get(), backend.query_label(u));
+}
+
+// ---- coalescing window --------------------------------------------------------
+
+using Clock = std::chrono::steady_clock;
+
+TEST(Service, WindowIsTimedFromTheOldestPendingUnit) {
+    // Two async units ~20 ms apart share one window, which closes
+    // max_wait after the first arrived: the first waits the whole
+    // window, the second only what was left of it. Lower bounds are
+    // exact; upper bounds leave room for a loaded host.
+    Rng rng(19);
+    const nn::SingleLayerNet net = make_net(rng);
+    CrossbarOracle backend = make_oracle(net);
+    ServiceConfig config;
+    config.max_wait = std::chrono::milliseconds(40);
+    OracleService service(backend, config);
+    Session session = service.open_session();
+    const tensor::Vector u(net.inputs(), 0.5);
+
+    const Clock::time_point first_submitted = Clock::now();
+    auto first = session.submit_label(u);
+    std::this_thread::sleep_for(std::chrono::milliseconds(20));
+    const Clock::time_point second_submitted = Clock::now();
+    auto second = session.submit_label(u);
+    (void)first.get();
+    const Clock::time_point first_resolved = Clock::now();
+    (void)second.get();
+    const Clock::time_point second_resolved = Clock::now();
+
+    EXPECT_EQ(service.flushed_batches(), 1u);
+    EXPECT_GE(first_resolved - first_submitted, config.max_wait);
+    EXPECT_LT(second_resolved - second_submitted, config.max_wait);
+}
+
+TEST(Service, ClosingAnIdleSessionLeavesTheNextWindowWhole) {
+    // Closing a session nudges only flushers with pending units: a nudge
+    // on an empty queue would survive until the next unit arrived and
+    // flush it with no window, whichever session sent it.
+    Rng rng(20);
+    const nn::SingleLayerNet net = make_net(rng);
+    CrossbarOracle backend = make_oracle(net);
+    ServiceConfig config;
+    config.max_wait = std::chrono::milliseconds(40);
+    OracleService service(backend, config);
+    Session idle = service.open_session();
+    Session busy = service.open_session();
+    idle.close();
+
+    const Clock::time_point submitted = Clock::now();
+    (void)busy.submit_label(tensor::Vector(net.inputs(), 0.5)).get();
+    EXPECT_GE(Clock::now() - submitted, config.max_wait);
 }
 
 TEST(Service, ReplicaTelemetryAccessorsBoundsCheck) {

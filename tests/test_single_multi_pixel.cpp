@@ -65,7 +65,9 @@ TEST(SinglePixel, WorstCaseFollowsTheGradient) {
     EXPECT_EQ(adv[j] > u[j], g[j] > 0.0);
     // Other pixels untouched.
     for (std::size_t k = 0; k < 3; ++k) {
-        if (k != j) EXPECT_DOUBLE_EQ(adv[k], u[k]);
+        if (k != j) {
+            EXPECT_DOUBLE_EQ(adv[k], u[k]);
+        }
     }
 }
 
