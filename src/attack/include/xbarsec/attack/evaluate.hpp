@@ -12,7 +12,6 @@
 #include <vector>
 
 #include "xbarsec/attack/multi_pixel.hpp"
-#include "xbarsec/attack/pgd.hpp"
 #include "xbarsec/attack/single_pixel.hpp"
 #include "xbarsec/core/oracle.hpp"
 #include "xbarsec/data/dataset.hpp"
@@ -51,17 +50,5 @@ double evaluate_multi_pixel_attack(core::Oracle& oracle, const data::Dataset& te
                                    const tensor::Vector& power_l1, std::size_t n, double strength,
                                    MultiPixelDirection direction,
                                    const nn::SingleLayerNet* white_box, Rng& rng);
-
-/// Victim (oracle) accuracy when every test sample is attacked with FGSM
-/// crafted against `surrogate` (Figure 5's transfer attack). Crafting is
-/// two GEMMs over the whole set; scoring is one batched label query.
-double evaluate_fgsm_attack(core::Oracle& oracle, const nn::SingleLayerNet& surrogate,
-                            const data::Dataset& test, double epsilon,
-                            const PerturbationBudget& budget = {});
-
-/// Victim (oracle) accuracy under PGD crafted against `surrogate` —
-/// batched gradient steps, one batched label query to score.
-double evaluate_pgd_attack(core::Oracle& oracle, const nn::SingleLayerNet& surrogate,
-                           const data::Dataset& test, const PgdConfig& config);
 
 }  // namespace xbarsec::attack

@@ -1,7 +1,5 @@
 #include "xbarsec/attack/evaluate.hpp"
 
-#include "xbarsec/attack/fgsm.hpp"
-
 namespace xbarsec::attack {
 
 double oracle_accuracy(core::Oracle& oracle, const tensor::Matrix& X,
@@ -64,25 +62,6 @@ double evaluate_multi_pixel_attack(core::Oracle& oracle, const data::Dataset& te
     XS_EXPECTS(test.input_dim() == oracle.inputs());
     const tensor::Matrix adv =
         craft_multi_pixel_batch(test, power_l1, n, strength, direction, white_box, rng);
-    return oracle_accuracy(oracle, adv, test.labels());
-}
-
-double evaluate_fgsm_attack(core::Oracle& oracle, const nn::SingleLayerNet& surrogate,
-                            const data::Dataset& test, double epsilon,
-                            const PerturbationBudget& budget) {
-    XS_EXPECTS(test.input_dim() == oracle.inputs());
-    XS_EXPECTS(test.size() > 0);
-    const tensor::Matrix adv = fgsm_attack_batch(surrogate, test.inputs(), test.labels(),
-                                                 test.num_classes(), epsilon, budget);
-    return oracle_accuracy(oracle, adv, test.labels());
-}
-
-double evaluate_pgd_attack(core::Oracle& oracle, const nn::SingleLayerNet& surrogate,
-                           const data::Dataset& test, const PgdConfig& config) {
-    XS_EXPECTS(test.input_dim() == oracle.inputs());
-    XS_EXPECTS(test.size() > 0);
-    const tensor::Matrix adv =
-        pgd_attack_batch(surrogate, test.inputs(), test.labels(), test.num_classes(), config);
     return oracle_accuracy(oracle, adv, test.labels());
 }
 

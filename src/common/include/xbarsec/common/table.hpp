@@ -18,9 +18,6 @@ public:
     Table() = default;
     explicit Table(std::vector<std::string> header) : header_(std::move(header)) {}
 
-    /// Replaces the header row.
-    void set_header(std::vector<std::string> header) { header_ = std::move(header); }
-
     /// Starts a new (empty) row and returns its index.
     std::size_t begin_row();
 

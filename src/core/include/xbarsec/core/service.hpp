@@ -413,7 +413,10 @@ public:
     explicit OracleService(const std::vector<Oracle*>& replicas, ServiceConfig config = {});
 
     /// Drains every replica queue (pending submissions complete) and
-    /// joins the flushers. Open sessions are closed.
+    /// joins the flushers. Sessions are not closed: Session::open() still
+    /// reads true, and a later submission is screened, then refused with
+    /// SessionClosed at the queue push, charging nothing. (A scalar cache
+    /// hit never reaches the push, so it is still answered.)
     ~OracleService();
 
     OracleService(const OracleService&) = delete;

@@ -6,7 +6,6 @@
 #include <limits>
 #include <list>
 #include <span>
-#include <type_traits>
 #include <unordered_map>
 #include <utility>
 
@@ -74,7 +73,7 @@ public:
     /// One cached answer; `kind` (in the key) says which field is live.
     struct Value {
         int label = 0;
-        tensor::Vector raw;
+        tensor::Vector raw{};  ///< `{}`: a designated initialiser may omit it without a warning
         double power = 0.0;
     };
 
@@ -172,11 +171,13 @@ private:
     std::atomic<std::uint64_t> evictions_{0};
 };
 
-/// One submission: 1..N input rows of one kind from one session, with
-/// the promise its results are delivered through. Units are never split
-/// across backend calls or replicas (an explicitly-submitted batch keeps
-/// the backend stack's all-or-nothing semantics); a replica's coalescer
-/// only *merges* consecutive same-kind units up to max_batch rows.
+/// One admitted submission: 1..N input rows of one kind from one
+/// session, with the promise its results are delivered through. Built
+/// once, after the charge; a cache hit resolves it on the submitting
+/// thread, a miss is enqueued. Units are never split across backend
+/// calls or replicas (an explicitly-submitted batch keeps the backend
+/// stack's all-or-nothing semantics); a replica's coalescer only
+/// *merges* consecutive same-kind units up to max_batch rows.
 struct Unit {
     std::shared_ptr<SessionState> session;
     QueryKind kind = QueryKind::Label;
@@ -185,7 +186,7 @@ struct Unit {
     std::uint64_t power_ordinal = 0;  ///< session noise-stream base (Power only)
     double power_sigma = 0.0;  ///< effective sensing-noise sigma at admission (Power only)
     std::uint64_t cache_hash = 0;     ///< submit-time key (cache_store only)
-    bool cache_store = false;  ///< scalar cache miss: deliver into the cache too
+    bool cache_store = false;  ///< scalar cache miss: resolve() stores the clean answer too
     std::variant<std::promise<int>, std::promise<std::vector<int>>, std::promise<double>,
                  std::promise<tensor::Vector>, std::promise<tensor::Matrix>>
         promise;
@@ -205,7 +206,7 @@ struct ReplicaState {
     /// recycled empty one, so the queue itself does not allocate in steady
     /// state. A submission still does: tests/test_service_cache.cpp pins
     /// 2 heap allocations per request-response label cache hit (the
-    /// promise) and 7 per miss.
+    /// promise) and 5 per miss (the promise and the backend call's 3).
     std::vector<Unit> queue;
     std::size_t pending_rows = 0;
     /// When the queue last turned non-empty: the oldest pending unit's
@@ -302,12 +303,16 @@ struct SessionState {
 
 namespace {
 
-/// Per-session sensing noise for the session's k-th power reading: a
-/// pure function of (seed, sigma, k), so coalescing/batching cannot
-/// change it. `sigma` is the effective (possibly suspicion-scaled)
-/// sigma captured at admission.
-double session_noise(const SessionState& s, double sigma, std::uint64_t ordinal) {
-    return sigma * Rng::normal_at(s.config.noise_seed, ordinal, 0);
+/// Per-session sensing noise for row `r` of a power unit: a pure
+/// function of the session's seed, the effective (possibly
+/// suspicion-scaled) sigma captured at admission and the row's ordinal in
+/// the session's noise stream, so coalescing/batching cannot change it.
+/// Zero when the session adds no noise.
+double power_noise(const Unit& u, std::size_t r) {
+    const std::uint64_t ordinal = u.power_ordinal + r;
+    return u.power_sigma > 0.0
+               ? u.power_sigma * Rng::normal_at(u.session->config.noise_seed, ordinal, 0)
+               : 0.0;
 }
 
 /// The session's active suspicion band — null when the adaptive policy
@@ -409,14 +414,11 @@ ReplicaState& route(ServiceState& svc, const SessionState& s) {
     return *svc.replicas.front();
 }
 
-/// Admission control runs on the submitting thread, *before* routing —
-/// policy is per-session, not per-replica — and is split in two so cache
-/// hits can replay it exactly: `screen` (exposure + detector, never
-/// charged) runs for every submission, hit or miss; `charge` (budget +
-/// session counters) runs after the cache verdict, because whether a hit
-/// touches the BudgetLedger is a ServiceConfig decision. A submission
-/// refused at any step charges and counts nothing downstream of the
-/// refusal point.
+/// The first half of admission, on the submitting thread and before
+/// routing (policy is per-session, not per-replica): exposure and the
+/// detector screen. It runs for every submission, hit or miss, and takes
+/// nothing a later refusal would have to give back; submit() charges
+/// after it.
 ///
 /// With attribution on, each row is hashed and classified once, and the
 /// unit's rows reach the engine in one observe_unit call, whose view
@@ -501,67 +503,26 @@ Admission screen(SessionState& s, QueryKind kind, const tensor::Matrix& U) {
     return a;
 }
 
-/// Budget then session counters. `charge_budget` is false only for cache
-/// hits under CacheConfig::hits_charge_budget = false — the session's
-/// own counters count every accepted query regardless.
-void charge(SessionState& s, QueryKind kind, std::uint64_t rows, bool charge_budget) {
-    // An unlimited budget never refuses, so skip its mutex on the
-    // per-query fast path.
-    const bool budgeted = charge_budget && !s.config.budget.unlimited();
-    if (kind == QueryKind::Power) {
-        if (budgeted) s.ledger.charge_power(rows);
-        s.power_count.fetch_add(rows, std::memory_order_relaxed);
-    } else {
-        if (budgeted) s.ledger.charge_inference(rows);
-        s.inference_count.fetch_add(rows, std::memory_order_relaxed);
-    }
-}
-
 /// Enqueues an admitted unit on `replica` and wakes its flusher.
 /// `flush_hint` asks for an immediate flush (a synchronous caller is
-/// already waiting). Per-replica counters are bumped only after the push
-/// succeeded, so a SessionClosed thrown here leaves them untouched.
-template <typename Promise>
-auto enqueue(const std::shared_ptr<SessionState>& session, ReplicaState& replica, QueryKind kind,
-             bool scalar, tensor::Matrix inputs, bool flush_hint, std::uint64_t cache_hash,
-             bool cache_store, const Admission& admission) {
-    const ServiceConfig& config = session->service->config;
-    Unit unit;
-    unit.session = session;
-    unit.kind = kind;
-    unit.scalar = scalar;
-    unit.cache_hash = cache_hash;
-    unit.cache_store = cache_store;
-    if (kind == QueryKind::Power) {
-        unit.power_ordinal =
-            session->power_ordinal.fetch_add(inputs.rows(), std::memory_order_relaxed);
-        // Capture the (possibly suspicion-scaled, possibly escalated)
-        // sigma now: the noise a submission gets reflects the session's
-        // standing when it was admitted, not when the flusher happens
-        // to deliver it.
-        unit.power_sigma = power_sigma(*session, admission);
-    }
-    const std::size_t rows = inputs.rows();
-    unit.inputs = std::move(inputs);
-    Promise promise;
-    auto future = promise.get_future();
-    unit.promise = std::move(promise);
-    // Pre-charge the load signal *before* the queue push: LeastLoaded
-    // routing reads inflight_rows lock-free, and charging after the push
-    // opened a window where a unit already sitting in the queue counted
-    // as zero load, steering the next submission to the busier replica.
-    // One combined counter (decremented only after the rows are answered,
-    // in flush()) also keeps the queue→flusher migration coherent — the
-    // batch never transiently disappears from or double-counts in the
-    // load snapshot while the flusher drains the queue.
-    replica.inflight_rows.fetch_add(rows, std::memory_order_relaxed);
+/// already waiting). Throws SessionClosed, taking nothing, once the
+/// service is shutting down.
+void enqueue(ReplicaState& replica, Unit unit, bool flush_hint) {
+    const std::size_t max_batch = unit.session->service->config.max_batch;
+    const QueryKind kind = unit.kind;
+    const std::size_t rows = unit.inputs.rows();
     bool wake = false;
     {
         std::lock_guard lock(replica.mutex);
-        if (replica.stopping) {
-            replica.inflight_rows.fetch_sub(rows, std::memory_order_relaxed);
-            throw SessionClosed("the service is shut down");
-        }
+        if (replica.stopping) throw SessionClosed("the service is shut down");
+        // Charge the load signal *before* the push: LeastLoaded routing
+        // reads inflight_rows lock-free, and a unit already sitting in the
+        // queue must not count as zero load. One combined counter
+        // (decremented only after the rows are answered, in flush()) also
+        // keeps the queue→flusher migration coherent — the batch never
+        // transiently disappears from or double-counts in the load
+        // snapshot while the flusher drains the queue.
+        replica.inflight_rows.fetch_add(rows, std::memory_order_relaxed);
         // Wake the flusher only on state transitions it is actually
         // waiting for — the first pending unit (it may be in its
         // indefinite wait) or a newly-met flush condition. Waking on
@@ -571,7 +532,7 @@ auto enqueue(const std::shared_ptr<SessionState>& session, ReplicaState& replica
         if (wake) replica.first_pending = std::chrono::steady_clock::now();
         replica.queue.push_back(std::move(unit));
         replica.pending_rows += rows;
-        if ((flush_hint || replica.pending_rows >= config.max_batch) && !replica.flush_now) {
+        if ((flush_hint || replica.pending_rows >= max_batch) && !replica.flush_now) {
             replica.flush_now = true;
             wake = true;
         }
@@ -582,37 +543,55 @@ auto enqueue(const std::shared_ptr<SessionState>& session, ReplicaState& replica
         replica.inference_count.fetch_add(rows, std::memory_order_relaxed);
     }
     if (wake) replica.cv.notify_all();
-    return future;
 }
 
-/// Rolls an admitted-but-not-enqueued submission back out of the
-/// session's ledger and counters, so a SessionClosed thrown by the
-/// queue push leaves nothing charged or counted.
-void unadmit(SessionState& s, QueryKind kind, std::uint64_t rows) {
-    const bool budgeted = !s.config.budget.unlimited();
-    if (kind == QueryKind::Power) {
-        if (budgeted) s.ledger.refund_power(rows);
-        s.power_count.fetch_sub(rows, std::memory_order_relaxed);
-    } else {
-        if (budgeted) s.ledger.refund_inference(rows);
-        s.inference_count.fetch_sub(rows, std::memory_order_relaxed);
+/// Answers a scalar unit from one clean answer, a cache hit's or its
+/// backend row. A miss stores the answer in the cache first (once a
+/// future resolves, its entry is probeable); a power reading gets the
+/// session's own noise at the unit's ordinal, so a hit draws exactly what
+/// recomputation would.
+void resolve(const ReplicaState& replica, Unit& u, ResultCache::Value v) {
+    if (u.cache_store) {
+        const SessionState& s = *u.session;
+        const std::uint64_t partition = s.service->config.cache.partition_by_session ? s.id : 0;
+        s.service->cache->insert(u.cache_hash, u.kind, replica.index, partition, u.inputs.row(0),
+                                 v);
+    }
+    switch (u.kind) {
+        case QueryKind::Label: std::get<std::promise<int>>(u.promise).set_value(v.label); break;
+        case QueryKind::Raw:
+            std::get<std::promise<tensor::Vector>>(u.promise).set_value(std::move(v.raw));
+            break;
+        case QueryKind::Power:
+            std::get<std::promise<double>>(u.promise).set_value(v.power + power_noise(u, 0));
+            break;
     }
 }
 
-/// Checks the session handle, screens the submission, probes the result
-/// cache (scalar submissions only — a cached batch would have to match
-/// row-for-row, which skewed traffic never does), then charges and either
-/// answers inline (hit) or routes to a replica and enqueues (miss).
+/// Admits one submission and answers it: a cache hit (scalar submissions
+/// only — a cached batch would have to match row-for-row, which skewed
+/// traffic never does) on this thread, anything else through a replica.
 ///
-/// The hit path replays the hitting session's *own* policy: exposure and
-/// detector screening already ran above, the budget charge obeys
-/// CacheConfig::hits_charge_budget, session counters always advance, and
-/// a power hit draws the session's next noise ordinal — so a session
-/// cannot tell (except by latency) whether its answer was recomputed.
-/// Per-replica counters never see a hit: nothing was routed.
-template <typename Promise>
-auto submit(const std::shared_ptr<SessionState>& session, QueryKind kind, bool scalar,
-            tensor::Matrix inputs, bool flush_hint) {
+/// One straight line. First the refusals that take nothing: the session
+/// handle, screen(), then escalation, probation and quarantine. Then it
+/// takes the session's tokens, its source's tokens, its budget and its
+/// counters, in that order, and one catch gives back exactly what was
+/// taken when a later step refuses (a budget cap, a shut-down service).
+/// Rate admission comes after screening (a screened-out submission spends
+/// no tokens) and before the cache probe (a hit consumes rate like any
+/// answered query, or replaying popular inputs would be rate-free); the
+/// budget comes after the cache verdict, because whether a hit is charged
+/// is CacheConfig::hits_charge_budget's decision.
+///
+/// A hit replays the hitting session's *own* policy — exposure,
+/// screening, rate, budget, counters, and a power hit draws the session's
+/// next noise ordinal — and resolve() answers it as the flusher answers a
+/// scalar miss, so a session cannot tell (except by latency) whether its
+/// answer was recomputed. Per-replica counters never see a hit: nothing
+/// was enqueued.
+template <typename T>
+std::future<T> submit(const std::shared_ptr<SessionState>& session, QueryKind kind, bool scalar,
+                      tensor::Matrix inputs, bool flush_hint) {
     if (session == nullptr || !session->open.load(std::memory_order_acquire)) {
         throw SessionClosed("submit on a closed session");
     }
@@ -642,26 +621,27 @@ auto submit(const std::shared_ptr<SessionState>& session, QueryKind kind, bool s
         throw QueryRefused("session's campaign is quarantined at this suspicion level");
     }
     const std::uint64_t rows = inputs.rows();
-    // Rate admission after screening (a screened-out submission spends
-    // no tokens) and before the cache probe — hits consume rate like
-    // any answered query, otherwise replaying popular inputs would be
-    // rate-free. All-or-nothing: RateLimited takes nothing. The
-    // per-source bucket (attribution) is acquired second and rolls the
-    // session bucket back on refusal, so a refusal still takes nothing.
-    if (s.bucket != nullptr) s.bucket->acquire(rows);
-    if (s.source_bucket != nullptr) {
-        try {
-            s.source_bucket->acquire(rows);
-        } catch (...) {
-            if (s.bucket != nullptr) s.bucket->refund(rows);
-            throw;
-        }
-    }
+    const bool power = kind == QueryKind::Power;
+    std::atomic<std::uint64_t>& count = power ? s.power_count : s.inference_count;
+    bool took_tokens = false;
+    bool took_source_tokens = false;
+    bool took_budget = false;
+    bool counted = false;
     try {
-        std::uint64_t cache_hash = 0;
-        bool cacheable = false;
+        if (s.bucket != nullptr) {
+            s.bucket->acquire(rows);  // all-or-nothing: RateLimited takes nothing
+            took_tokens = true;
+        }
+        if (s.source_bucket != nullptr) {
+            s.source_bucket->acquire(rows);
+            took_source_tokens = true;
+        }
+        const bool cacheable = svc.cache != nullptr && scalar;
         ReplicaState* replica = nullptr;
-        if (svc.cache != nullptr && scalar) {
+        std::uint64_t cache_hash = 0;
+        ResultCache::Value cached;
+        bool hit = false;
+        if (cacheable) {
             // Route *before* probing: the replica index is part of the key
             // (replicas have distinct device-variation signatures, so their
             // answers are not interchangeable).
@@ -670,45 +650,56 @@ auto submit(const std::shared_ptr<SessionState>& session, QueryKind kind, bool s
             const std::uint64_t row_hash =
                 admission.hashed ? admission.row_hash : attrib::hash_row(inputs.row_span(0));
             cache_hash = ResultCache::key(kind, replica->index, partition, row_hash);
-            ResultCache::Value value;
-            if (svc.cache->lookup(cache_hash, kind, replica->index, partition, inputs.row_span(0),
-                                  value)) {
-                // May throw QueryBudgetExceeded — before anything was
-                // counted or answered, exactly like a refused miss.
-                charge(s, kind, rows, svc.config.cache.hits_charge_budget);
-                Promise promise;
-                auto future = promise.get_future();
-                if constexpr (std::is_same_v<Promise, std::promise<int>>) {
-                    promise.set_value(value.label);
-                } else if constexpr (std::is_same_v<Promise, std::promise<double>>) {
-                    const std::uint64_t ordinal =
-                        s.power_ordinal.fetch_add(1, std::memory_order_relaxed);
-                    const double sigma = power_sigma(s, admission);
-                    promise.set_value(value.power +
-                                      (sigma > 0.0 ? session_noise(s, sigma, ordinal) : 0.0));
-                } else if constexpr (std::is_same_v<Promise, std::promise<tensor::Vector>>) {
-                    // Scalar + promise<Vector> is only ever a raw query (a
-                    // scalar power submission resolves a promise<double>).
-                    promise.set_value(std::move(value.raw));
-                }
-                return future;
+            hit = svc.cache->lookup(cache_hash, kind, replica->index, partition,
+                                    inputs.row_span(0), cached);
+        }
+        // An unlimited budget never refuses, so skip its mutex on the
+        // per-query fast path.
+        if ((!hit || svc.config.cache.hits_charge_budget) && !s.config.budget.unlimited()) {
+            if (power) {
+                s.ledger.charge_power(rows);
+            } else {
+                s.ledger.charge_inference(rows);
             }
-            cacheable = true;  // miss: the flusher stores the clean answer
+            took_budget = true;
         }
-        charge(s, kind, rows, true);
-        try {
+        count.fetch_add(rows, std::memory_order_relaxed);
+        counted = true;
+        Unit unit{.session = session,
+                  .kind = kind,
+                  .scalar = scalar,
+                  .inputs = std::move(inputs),
+                  // Capture the noise position and the (possibly
+                  // suspicion-scaled, possibly escalated) sigma now: the
+                  // noise a submission gets reflects the session's standing
+                  // when it was admitted, not when the flusher delivers it.
+                  .power_ordinal =
+                      power ? s.power_ordinal.fetch_add(rows, std::memory_order_relaxed) : 0,
+                  .power_sigma = power ? power_sigma(s, admission) : 0.0,
+                  .cache_hash = cache_hash,
+                  .cache_store = cacheable && !hit,
+                  .promise = std::promise<T>()};
+        std::future<T> future = std::get<std::promise<T>>(unit.promise).get_future();
+        if (hit) {
+            resolve(*replica, unit, std::move(cached));
+        } else {
             if (replica == nullptr) replica = &route(svc, s);
-            return enqueue<Promise>(session, *replica, kind, scalar, std::move(inputs), flush_hint,
-                                    cache_hash, cacheable, admission);
-        } catch (...) {
-            unadmit(s, kind, rows);
-            throw;
+            enqueue(*replica, std::move(unit), flush_hint);
         }
+        return future;
     } catch (...) {
-        // Refused downstream of rate admission (budget, shutdown): the
-        // tokens go back, so a refusal costs the client nothing.
-        if (s.bucket != nullptr) s.bucket->refund(rows);
-        if (s.source_bucket != nullptr) s.source_bucket->refund(rows);
+        // Refused after admission began (rate, budget, shutdown): give back
+        // exactly what was taken, so a refusal costs the client nothing.
+        if (counted) count.fetch_sub(rows, std::memory_order_relaxed);
+        if (took_budget) {
+            if (power) {
+                s.ledger.refund_power(rows);
+            } else {
+                s.ledger.refund_inference(rows);
+            }
+        }
+        if (took_source_tokens) s.source_bucket->refund(rows);
+        if (took_tokens) s.bucket->refund(rows);
         throw;
     }
 }
@@ -737,93 +728,54 @@ const tensor::Matrix* gather_inputs(std::vector<Unit>& units, std::size_t first,
     return &storage;
 }
 
-/// Stores a scalar miss's *clean* backend answer under the key computed
-/// at submit time. Runs on the flusher thread, before the promise is
-/// fulfilled — once a future resolves, the entry is probeable.
-void store_in_cache(const Unit& u, const ReplicaState& replica, ResultCache::Value value) {
-    const SessionState& s = *u.session;
-    ServiceState& svc = *s.service;
-    const std::uint64_t partition = svc.config.cache.partition_by_session ? s.id : 0;
-    svc.cache->insert(u.cache_hash, u.kind, replica.index, partition, u.inputs.row(0),
-                      std::move(value));
+/// Row `at` of a backend answer, as a cache entry holds it.
+ResultCache::Value answer_row(const std::vector<int>& labels, std::size_t at) {
+    return {.label = labels[at]};
+}
+ResultCache::Value answer_row(const tensor::Matrix& Y, std::size_t at) {
+    return {.raw = Y.row(at)};
+}
+ResultCache::Value answer_row(const tensor::Vector& p, std::size_t at) {
+    return {.power = p[at]};
 }
 
-void deliver_labels(std::vector<Unit>& units, std::size_t first, std::size_t last,
-                    const ReplicaState& replica, const std::vector<int>& labels) {
-    std::size_t at = 0;
-    for (std::size_t i = first; i < last; ++i) {
-        Unit& u = units[i];
-        const std::size_t rows = u.inputs.rows();
-        if (u.scalar) {
-            if (u.cache_store) {
-                ResultCache::Value v;
-                v.label = labels[at];
-                store_in_cache(u, replica, std::move(v));
-            }
-            std::get<std::promise<int>>(u.promise).set_value(labels[at]);
-        } else {
-            std::get<std::promise<std::vector<int>>>(u.promise)
-                .set_value(std::vector<int>(labels.begin() + static_cast<std::ptrdiff_t>(at),
-                                            labels.begin() + static_cast<std::ptrdiff_t>(at + rows)));
-        }
-        at += rows;
+/// Answers a batch unit from rows [at, at + its rows) of a backend
+/// answer, one overload per answer shape.
+void resolve_batch(Unit& u, const std::vector<int>& labels, std::size_t at) {
+    const auto first = labels.begin() + static_cast<std::ptrdiff_t>(at);
+    std::get<std::promise<std::vector<int>>>(u.promise).set_value(
+        std::vector<int>(first, first + static_cast<std::ptrdiff_t>(u.inputs.rows())));
+}
+
+void resolve_batch(Unit& u, const tensor::Matrix& Y, std::size_t at) {
+    tensor::Matrix block(u.inputs.rows(), Y.cols());
+    for (std::size_t r = 0; r < block.rows(); ++r) {
+        const auto src = Y.row_span(at + r);
+        std::copy(src.begin(), src.end(), block.row_span(r).begin());
     }
+    std::get<std::promise<tensor::Matrix>>(u.promise).set_value(std::move(block));
 }
 
-void deliver_raw(std::vector<Unit>& units, std::size_t first, std::size_t last,
-                 const ReplicaState& replica, const tensor::Matrix& Y) {
+void resolve_batch(Unit& u, const tensor::Vector& p, std::size_t at) {
+    tensor::Vector block(u.inputs.rows(), 0.0);
+    for (std::size_t r = 0; r < block.size(); ++r) block[r] = p[at + r] + power_noise(u, r);
+    std::get<std::promise<tensor::Vector>>(u.promise).set_value(std::move(block));
+}
+
+/// Answers units[first, last) from one backend call's answer, in row
+/// order: a scalar unit through resolve(), as a cache hit is answered.
+template <typename Answer>
+void deliver(const ReplicaState& replica, std::vector<Unit>& units, std::size_t first,
+             std::size_t last, const Answer& answer) {
     std::size_t at = 0;
     for (std::size_t i = first; i < last; ++i) {
         Unit& u = units[i];
-        const std::size_t rows = u.inputs.rows();
         if (u.scalar) {
-            if (u.cache_store) {
-                ResultCache::Value v;
-                v.raw = Y.row(at);
-                store_in_cache(u, replica, std::move(v));
-            }
-            std::get<std::promise<tensor::Vector>>(u.promise).set_value(Y.row(at));
+            resolve(replica, u, answer_row(answer, at));
         } else {
-            tensor::Matrix block(rows, Y.cols());
-            for (std::size_t r = 0; r < rows; ++r) {
-                const auto src = Y.row_span(at + r);
-                auto dst = block.row_span(r);
-                std::copy(src.begin(), src.end(), dst.begin());
-            }
-            std::get<std::promise<tensor::Matrix>>(u.promise).set_value(std::move(block));
+            resolve_batch(u, answer, at);
         }
-        at += rows;
-    }
-}
-
-void deliver_power(std::vector<Unit>& units, std::size_t first, std::size_t last,
-                   const ReplicaState& replica, const tensor::Vector& p) {
-    std::size_t at = 0;
-    for (std::size_t i = first; i < last; ++i) {
-        Unit& u = units[i];
-        const SessionState& s = *u.session;
-        const std::size_t rows = u.inputs.rows();
-        const bool noisy = u.power_sigma > 0.0;
-        if (u.scalar) {
-            if (u.cache_store) {
-                // The cache keeps the *clean* reading; each hit re-draws
-                // the hitting session's own noise at its own ordinal.
-                ResultCache::Value v;
-                v.power = p[at];
-                store_in_cache(u, replica, std::move(v));
-            }
-            const double value =
-                p[at] + (noisy ? session_noise(s, u.power_sigma, u.power_ordinal) : 0.0);
-            std::get<std::promise<double>>(u.promise).set_value(value);
-        } else {
-            tensor::Vector block(rows, 0.0);
-            for (std::size_t r = 0; r < rows; ++r) {
-                block[r] = p[at + r] +
-                           (noisy ? session_noise(s, u.power_sigma, u.power_ordinal + r) : 0.0);
-            }
-            std::get<std::promise<tensor::Vector>>(u.promise).set_value(std::move(block));
-        }
-        at += rows;
+        at += u.inputs.rows();
     }
 }
 
@@ -840,18 +792,18 @@ void execute_group(ReplicaState& replica, std::vector<Unit>& units, std::size_t 
                    std::size_t last, std::size_t rows, tensor::Matrix& storage) {
     const tensor::Matrix* input = gather_inputs(units, first, last, storage);
     // Stats first: a submitter whose future resolves inside the
-    // deliver_* call below may read them immediately.
+    // deliver call below may read them immediately.
     replica.flushed_batches.fetch_add(1, std::memory_order_relaxed);
     replica.flushed_rows.fetch_add(rows, std::memory_order_relaxed);
     switch (units[first].kind) {
         case QueryKind::Label:
-            deliver_labels(units, first, last, replica, replica.backend->query_labels(*input));
+            deliver(replica, units, first, last, replica.backend->query_labels(*input));
             break;
         case QueryKind::Raw:
-            deliver_raw(units, first, last, replica, replica.backend->query_raw_batch(*input));
+            deliver(replica, units, first, last, replica.backend->query_raw_batch(*input));
             break;
         case QueryKind::Power:
-            deliver_power(units, first, last, replica, replica.backend->query_power_batch(*input));
+            deliver(replica, units, first, last, replica.backend->query_power_batch(*input));
             break;
     }
 }
@@ -967,32 +919,30 @@ Session& Session::operator=(Session&& other) noexcept {
 }
 
 std::future<int> Session::submit_label(tensor::Vector u) {
-    return detail::submit<std::promise<int>>(state_, QueryKind::Label, true, tensor::Matrix::from_row(std::move(u)), false);
+    return detail::submit<int>(state_, QueryKind::Label, true,
+                               tensor::Matrix::from_row(std::move(u)), false);
 }
 
 std::future<tensor::Vector> Session::submit_raw(tensor::Vector u) {
-    return detail::submit<std::promise<tensor::Vector>>(state_, QueryKind::Raw, true, tensor::Matrix::from_row(std::move(u)),
-                                                        false);
+    return detail::submit<tensor::Vector>(state_, QueryKind::Raw, true,
+                                          tensor::Matrix::from_row(std::move(u)), false);
 }
 
 std::future<double> Session::submit_power(tensor::Vector u) {
-    return detail::submit<std::promise<double>>(state_, QueryKind::Power, true, tensor::Matrix::from_row(std::move(u)),
-                                                false);
+    return detail::submit<double>(state_, QueryKind::Power, true,
+                                  tensor::Matrix::from_row(std::move(u)), false);
 }
 
 std::future<std::vector<int>> Session::submit_labels(tensor::Matrix U) {
-    return detail::submit<std::promise<std::vector<int>>>(state_, QueryKind::Label, false,
-                                                          std::move(U), false);
+    return detail::submit<std::vector<int>>(state_, QueryKind::Label, false, std::move(U), false);
 }
 
 std::future<tensor::Matrix> Session::submit_raw_batch(tensor::Matrix U) {
-    return detail::submit<std::promise<tensor::Matrix>>(state_, QueryKind::Raw, false,
-                                                        std::move(U), false);
+    return detail::submit<tensor::Matrix>(state_, QueryKind::Raw, false, std::move(U), false);
 }
 
 std::future<tensor::Vector> Session::submit_power_batch(tensor::Matrix U) {
-    return detail::submit<std::promise<tensor::Vector>>(state_, QueryKind::Power, false,
-                                                        std::move(U), false);
+    return detail::submit<tensor::Vector>(state_, QueryKind::Power, false, std::move(U), false);
 }
 
 // The synchronous Oracle calls: submit with a flush hint (the caller is
@@ -1009,36 +959,32 @@ std::size_t Session::outputs() const {
 }
 
 int Session::query_label(const tensor::Vector& u) {
-    return detail::submit<std::promise<int>>(state_, QueryKind::Label, true,
-                                             tensor::Matrix::from_row(u), true)
+    return detail::submit<int>(state_, QueryKind::Label, true, tensor::Matrix::from_row(u), true)
         .get();
 }
 
 tensor::Vector Session::query_raw(const tensor::Vector& u) {
-    return detail::submit<std::promise<tensor::Vector>>(state_, QueryKind::Raw, true,
-                                                        tensor::Matrix::from_row(u), true)
+    return detail::submit<tensor::Vector>(state_, QueryKind::Raw, true,
+                                          tensor::Matrix::from_row(u), true)
         .get();
 }
 
 double Session::query_power(const tensor::Vector& u) {
-    return detail::submit<std::promise<double>>(state_, QueryKind::Power, true,
-                                                tensor::Matrix::from_row(u), true)
+    return detail::submit<double>(state_, QueryKind::Power, true, tensor::Matrix::from_row(u),
+                                  true)
         .get();
 }
 
 std::vector<int> Session::query_labels(const tensor::Matrix& U) {
-    return detail::submit<std::promise<std::vector<int>>>(state_, QueryKind::Label, false, U, true)
-        .get();
+    return detail::submit<std::vector<int>>(state_, QueryKind::Label, false, U, true).get();
 }
 
 tensor::Matrix Session::query_raw_batch(const tensor::Matrix& U) {
-    return detail::submit<std::promise<tensor::Matrix>>(state_, QueryKind::Raw, false, U, true)
-        .get();
+    return detail::submit<tensor::Matrix>(state_, QueryKind::Raw, false, U, true).get();
 }
 
 tensor::Vector Session::query_power_batch(const tensor::Matrix& U) {
-    return detail::submit<std::promise<tensor::Vector>>(state_, QueryKind::Power, false, U, true)
-        .get();
+    return detail::submit<tensor::Vector>(state_, QueryKind::Power, false, U, true).get();
 }
 
 QueryCounters Session::counters() const {

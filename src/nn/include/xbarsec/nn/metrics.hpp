@@ -13,9 +13,6 @@ double accuracy(const SingleLayerNet& net, const data::Dataset& dataset);
 /// labels. Used for adversarial test sets where inputs were perturbed.
 double accuracy(const SingleLayerNet& net, const tensor::Matrix& X, const std::vector<int>& labels);
 
-/// Mean per-sample loss over the dataset's one-hot targets.
-double mean_loss(const SingleLayerNet& net, const data::Dataset& dataset);
-
 /// Row = true class, column = predicted class, counts.
 tensor::Matrix confusion_matrix(const SingleLayerNet& net, const data::Dataset& dataset);
 

@@ -38,9 +38,6 @@ public:
     const tensor::Matrix& weights() const { return layer_.weights(); }
     tensor::Matrix& weights() { return layer_.weights(); }
 
-    /// Pre-activation s = W·u (+b).
-    tensor::Vector preactivation(const tensor::Vector& u) const { return layer_.forward(u); }
-
     /// Post-activation output ŷ = f(s).
     tensor::Vector predict(const tensor::Vector& u) const;
 

@@ -2,7 +2,6 @@
 
 #include <algorithm>
 
-#include "xbarsec/nn/trainer.hpp"
 #include "xbarsec/tensor/ops.hpp"
 
 namespace xbarsec::nn {
@@ -38,10 +37,6 @@ double accuracy(const SingleLayerNet& net, const tensor::Matrix& X,
 
 double accuracy(const SingleLayerNet& net, const data::Dataset& dataset) {
     return accuracy(net, dataset.inputs(), dataset.labels());
-}
-
-double mean_loss(const SingleLayerNet& net, const data::Dataset& dataset) {
-    return mean_loss_regression(net, dataset.inputs(), dataset.targets());
 }
 
 tensor::Matrix confusion_matrix(const SingleLayerNet& net, const data::Dataset& dataset) {

@@ -1,8 +1,9 @@
 // TokenBucket + AdaptivePolicy semantics and their wiring into the
 // OracleService admission path: deterministic refill under an injectable
-// clock, all-or-nothing admission that charges nothing on refusal,
-// token refund when a downstream stage refuses, suspicion-scaled noise
-// and raw-output cutoffs, and the coalesced == serial bit-identity
+// clock, all-or-nothing admission that charges nothing on refusal, the
+// detector screen ahead of rate admission, token refund when a
+// downstream stage refuses, suspicion-scaled noise and raw-output
+// cutoffs, and the coalesced == serial bit-identity
 // contract extended to rate-limited sessions (re-run per kernel variant
 // via the CMake-registered XBARSEC_FORCE_KERNEL environments).
 #include <gtest/gtest.h>
@@ -214,6 +215,41 @@ TEST(RateLimitedSession, DownstreamBudgetRefusalRefundsTokens) {
     // (8 remaining tokens after the two charged labels) would be refused.
     for (int i = 0; i < 8; ++i) (void)session.submit_power(u).get();
     EXPECT_EQ(session.budget_spent().inference, 2u);
+}
+
+TEST(RateLimitedSession, DetectorScreenRunsBeforeRateAdmission) {
+    // A row the blocking screen refuses spends no tokens, and a rate
+    // refusal comes after its row was screened.
+    set_clock_ms(0);
+    Rng rng(13);
+    const nn::SingleLayerNet net = make_net(rng);
+    CrossbarOracle backend = make_oracle(net);
+    const data::Dataset enrollment = make_enrollment(rng);
+    const sidechannel::CurrentSignatureDetector detector(backend.hardware_for_evaluation(),
+                                                         enrollment, {});
+    OracleService service(backend);
+
+    SessionConfig limited;
+    limited.detector = &detector;
+    limited.block_flagged = true;
+    limited.rate = RateLimit{100.0, 2.0};
+    limited.rate_clock = &test_clock;
+    Session session = service.open_session(limited);
+    const tensor::Vector attack(net.inputs(), 50.0);  // far beyond the clean envelope
+    const tensor::Vector clean = enrollment.input(0);
+    ASSERT_TRUE(detector.is_adversarial(attack));
+    ASSERT_FALSE(detector.is_adversarial(clean));
+
+    for (int i = 0; i < 5; ++i) EXPECT_THROW(session.submit_label(attack), QueryRefused);
+    // Both tokens are still there.
+    (void)session.submit_label(clean).get();
+    (void)session.submit_label(clean).get();
+    const std::uint64_t screened = session.screened();
+    const QueryCounters counted = session.counters();
+    EXPECT_THROW(session.submit_label(clean), RateLimited);
+    EXPECT_EQ(session.screened(), screened + 1);  // screened, then refused
+    EXPECT_EQ(session.counters().inference, counted.inference);
+    EXPECT_EQ(session.counters().power, counted.power);
 }
 
 TEST(RateLimitedSession, DefaultConfigIsUnlimited) {
@@ -429,6 +465,7 @@ TEST(PerSourceBucket, RefusedCacheHitRefundsBothBuckets) {
     for (int i = 0; i < 8; ++i) EXPECT_THROW(session.submit_label(u), QueryBudgetExceeded);
     EXPECT_EQ(service.cache_hits(), 8u);
     EXPECT_EQ(session.budget_spent().inference, 1u);
+    EXPECT_EQ(session.counters().inference, 1u);  // the refused hits counted nothing
     for (int i = 0; i < 9; ++i) (void)session.submit_power(u).get();
     EXPECT_THROW(session.submit_power(u), RateLimited);  // 10 spent exactly, in each bucket
 }

@@ -7,8 +7,9 @@
 // partitioned-vs-shared isolation, eviction stress with monotone stat
 // snapshots, the cache-timing scenario's attacker AUC, cache keys
 // (equal rows hit; -0.0, kind, replica and partition key apart), and the
-// heap allocations of a label hit and a request-response miss. Runs
-// under `ctest -L service` including the ASan/UBSan CI job.
+// heap allocations of a label hit, a noisy power hit, a request-response
+// miss and a pipelined submit. Runs under `ctest -L service` including
+// the ASan/UBSan CI job.
 #include <gtest/gtest.h>
 
 #include <atomic>
@@ -477,14 +478,31 @@ std::size_t label_allocations(Session& session, std::span<const double> u) {
     return alloc_counter::allocations() - before;
 }
 
-// The parent's counts, pinned so a change that adds an allocation to
+/// The same for one request-response submit_power.
+std::size_t power_allocations(Session& session, std::span<const double> u) {
+    tensor::Vector row(std::vector<double>(u.begin(), u.end()));
+    const std::size_t before = alloc_counter::allocations();
+    (void)session.submit_power(std::move(row)).get();
+    return alloc_counter::allocations() - before;
+}
+
+// Today's counts, pinned so a change that adds an allocation to
 // submission fails here. Removing them is ROADMAP item 4; that change
 // lowers these numbers.
 /// The promise's shared state and its result slot.
 constexpr std::size_t kLabelHitAllocations = 2;
-/// The hit's 2, the backend query_labels call's 3, and 2 not yet
-/// attributed.
-constexpr std::size_t kLabelMissAllocations = 7;
+/// The promise's 2; the session's noise is counter-based and allocates
+/// nothing.
+constexpr std::size_t kPowerHitAllocations = 2;
+/// The hit's 2 and the backend query_labels call's 3. (Two more, once
+/// unattributed, were a default std::promise<int> that every enqueued
+/// unit was built around and then discarded; a unit is now built once,
+/// with its own promise.)
+constexpr std::size_t kLabelMissAllocations = 5;
+/// Per pipelined submit_label, on the submitting thread: the promise's
+/// 2. The unit moves into the replica's queue, whose capacity the flusher
+/// recycles.
+constexpr std::size_t kPipelinedLabelAllocations = 2;
 
 TEST(ServiceCache, LabelHitAllocationsArePinned) {
     // The admission tiers (screen, attribution observe, cache probe)
@@ -503,6 +521,23 @@ TEST(ServiceCache, LabelHitAllocationsArePinned) {
     }
     EXPECT_EQ(stack.service.cache_hits(), hits + 8);
     EXPECT_EQ(session.flagged(), 0u);
+}
+
+TEST(ServiceCache, NoisyPowerHitAllocationsArePinned) {
+    // A power hit adds the session's own noise (power_noise_sigma is on
+    // in the tenant config) to the cached clean reading.
+    Rng rng(23);
+    FullStack stack(rng, /*cache=*/true);
+    Session session = stack.service.open_session(stack.tenant());
+    ASSERT_GT(stack.tenant().power_noise_sigma, 0.0);
+    const auto u = stack.enrol.inputs().row_span(0);
+    (void)power_allocations(session, u);  // the miss that fills the entry
+    (void)power_allocations(session, u);  // warms the thread arena
+    const std::uint64_t hits = stack.service.cache_hits();
+    for (int k = 0; k < 8; ++k) {
+        EXPECT_EQ(power_allocations(session, u), kPowerHitAllocations) << "hit " << k;
+    }
+    EXPECT_EQ(stack.service.cache_hits(), hits + 8);
 }
 
 TEST(ServiceCache, RequestResponseMissAllocationsArePinned) {
@@ -536,6 +571,39 @@ TEST(ServiceCache, RequestResponseMissAllocationsArePinned) {
                 << "full-stack miss " << r;
         }
         EXPECT_EQ(session.flagged(), 0u);
+    }
+}
+
+TEST(ServiceCache, PipelinedSubmitAllocationsArePinned) {
+    // Eight submit_label units in flight at once on a plain service: a
+    // 1 s coalescing window holds them in the queue until a synchronous
+    // query flushes them. The count is the submitting thread's own, so
+    // the flusher's backend call never enters it, whenever it runs.
+    Rng rng(24);
+    const nn::SingleLayerNet net = make_net(rng);
+    CrossbarOracle backend = make_oracle(net);
+    ServiceConfig config;
+    config.max_wait = std::chrono::seconds(1);
+    OracleService service(backend, config);
+    Session session = service.open_session();
+    constexpr std::size_t kUnits = 8;
+    const tensor::Matrix U = tensor::Matrix::random_uniform(rng, kUnits, net.inputs());
+    std::vector<std::future<int>> pending;
+    pending.reserve(kUnits);
+    // Rounds 0 and 1 grow the queue and the flusher's swap vector, which
+    // trade capacity on every flush; round 2 is counted.
+    for (int round = 0; round < 3; ++round) {
+        std::vector<tensor::Vector> rows;
+        for (std::size_t r = 0; r < kUnits; ++r) rows.push_back(U.row(r));
+        const std::size_t before = alloc_counter::thread_allocations();
+        for (tensor::Vector& row : rows) pending.push_back(session.submit_label(std::move(row)));
+        const std::size_t made = alloc_counter::thread_allocations() - before;
+        (void)session.query_label(U.row(0));  // flushes the window
+        for (std::future<int>& f : pending) (void)f.get();
+        pending.clear();
+        if (round == 2) {
+            EXPECT_EQ(made, kUnits * kPipelinedLabelAllocations);
+        }
     }
 }
 
