@@ -27,7 +27,7 @@
 #include "xbarsec/common/rng.hpp"
 #include "xbarsec/common/table.hpp"
 #include "xbarsec/common/timer.hpp"
-#include "xbarsec/core/decorators.hpp"
+#include "xbarsec/core/policy.hpp"
 #include "xbarsec/core/service.hpp"
 #include "xbarsec/nn/trainer.hpp"
 #include "xbarsec/sidechannel/detector.hpp"
@@ -161,7 +161,7 @@ void run_concurrency_series(bench::BenchRecorder& rec, std::size_t trials,
     };
     constexpr std::size_t kThreads[] = {1, 2, 4};
 
-    core::CrossbarOracle backend(xbar::CrossbarNetwork(net, spec), {});
+    core::CrossbarOracle backend(xbar::CrossbarNetwork(net, spec));
     const sidechannel::CurrentSignatureDetector detector(backend.hardware_for_evaluation(), enrol);
     std::vector<std::unique_ptr<core::DetectorScreen>> screens;
     for (std::size_t t = 0; t < 4; ++t) {

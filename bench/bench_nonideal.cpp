@@ -17,7 +17,6 @@
 #include "xbarsec/core/victim.hpp"
 #include "xbarsec/data/loaders.hpp"
 #include "xbarsec/nn/metrics.hpp"
-#include "xbarsec/sidechannel/obfuscation.hpp"
 #include "xbarsec/sidechannel/probe.hpp"
 #include "xbarsec/tensor/ops.hpp"
 
@@ -30,8 +29,8 @@ struct Scenario {
     xbar::DeviceSpec device;
     xbar::NonIdealityConfig nonideal;
     std::size_t probe_repeats = 1;
-    // Optional obfuscation wrapper applied to the measurement channel.
-    enum class Defense { None, Dither, RandomDummy } defense = Defense::None;
+    // Power obfuscation set on the deployed device (none = undefended).
+    std::vector<core::ObfuscationConfig> obfuscation;
 };
 
 }  // namespace
@@ -68,6 +67,7 @@ int main(int argc, char** argv) {
         base.train.epochs = epochs;
         const core::TrainedVictim victim = core::train_victim(split, base);
         const tensor::Vector l1_truth = tensor::column_abs_sums(victim.net.weights());
+        const double ref_scale = tensor::max(l1_truth);
 
         std::vector<Scenario> scenarios;
         {
@@ -113,13 +113,15 @@ int main(int argc, char** argv) {
         {
             Scenario s;
             s.name = "defense: dither";
-            s.defense = Scenario::Defense::Dither;
+            s.obfuscation = {{core::ObfuscationConfig::Kind::Dither, 0.3 * ref_scale,
+                              load.seed + 5}};
             scenarios.push_back(s);
         }
         {
             Scenario s;
             s.name = "defense: random dummies";
-            s.defense = Scenario::Defense::RandomDummy;
+            s.obfuscation = {{core::ObfuscationConfig::Kind::RandomDummy, ref_scale,
+                              load.seed + 6}};
             scenarios.push_back(s);
         }
 
@@ -139,31 +141,16 @@ int main(int argc, char** argv) {
             config.nonideal = scenario.nonideal;
             core::CrossbarOracle oracle = core::deploy_victim(victim.net, config);
             oracle.set_thread_pool(&pool);
+            oracle.set_power_obfuscation(scenario.obfuscation);
             const nn::SingleLayerNet deployed =
                 oracle.hardware_for_evaluation().effective_network();
 
             sidechannel::ProbeOptions po;
             po.repeats = scenario.probe_repeats;
-            tensor::Vector l1_est;
+            // Basis batches ride the oracle's pooled query_power_batch fast
+            // path, defended or not.
             WallTimer probe_timer;
-            if (scenario.defense == Scenario::Defense::None) {
-                // Undefended channel: basis batches ride the oracle's
-                // pooled query_power_batch fast path.
-                l1_est = core::probe_columns(oracle, po).conductance_sums;
-            } else {
-                // The scalar obfuscation wrappers model per-measurement
-                // defenses; they stay on the per-query path.
-                sidechannel::TotalCurrentFn measure = oracle.power_measure_fn();
-                const double ref_scale = tensor::max(l1_truth);
-                if (scenario.defense == Scenario::Defense::Dither) {
-                    measure = sidechannel::make_dithered_measure(std::move(measure),
-                                                                 0.3 * ref_scale, load.seed + 5);
-                } else {
-                    measure = sidechannel::make_random_dummy_measure(
-                        std::move(measure), oracle.inputs(), ref_scale, load.seed + 6);
-                }
-                l1_est = sidechannel::probe_columns(measure, oracle.inputs(), po).conductance_sums;
-            }
+            const tensor::Vector l1_est = core::probe_columns(oracle, po).conductance_sums;
             const double probe_seconds = probe_timer.seconds();
 
             Rng rng(load.seed + 17);

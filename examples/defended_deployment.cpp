@@ -1,17 +1,16 @@
-// Defensive scenario (library extension): the deployment stacks power
-// obfuscation decorators (supply-rail dithering, dummy loads) over the
-// crossbar oracle, the attacker's session adds per-client policy (sensing
-// noise, a hard query budget), and we measure how much side-channel
-// quality the attacker loses under each defense.
+// Defensive scenario (library extension): the deployed crossbar carries
+// power obfuscation (supply-rail dithering, dummy loads), the attacker's
+// session adds per-client policy (sensing noise, a hard query budget),
+// and we measure how much side-channel quality the attacker loses under
+// each defense.
 //
-// The attacker only ever sees `core::Oracle&` (its session);
-// swapping the defense is a different stack or session policy, not
+// The attacker only ever sees `core::Oracle&` (its session); swapping
+// the defense is a different device setting or session policy, not
 // different attack code.
 #include <cstdio>
 #include <iostream>
 
 #include "xbarsec/common/table.hpp"
-#include "xbarsec/core/decorators.hpp"
 #include "xbarsec/core/queries.hpp"
 #include "xbarsec/core/service.hpp"
 #include "xbarsec/core/victim.hpp"
@@ -33,74 +32,38 @@ int main() {
         const tensor::Vector truth = tensor::column_abs_sums(victim.net.weights());
         const double scale = tensor::max(truth);
 
-        // Each row probes the deployment through a session over a
-        // different decorator stack built on the same backend.
+        // Each row sets a different power obfuscation on the same backend
+        // and probes it through a session.
+        using Kind = core::ObfuscationConfig::Kind;
         struct Row {
             const char* name;
-            core::DecoratorStack stack;
+            std::vector<core::ObfuscationConfig> obfuscation;
             std::size_t repeats;
             core::SessionConfig policy{};  ///< pass-through unless set
         };
-        std::vector<Row> rows;
-        rows.push_back({"undefended", core::DecoratorStack(backend), 1});
-        {
-            core::ObfuscationConfig dither;
-            dither.kind = core::ObfuscationConfig::Kind::Dither;
-            dither.magnitude = 0.5 * scale;
-            dither.seed = 1;
-            core::DecoratorStack stack(backend);
-            stack.push<core::ObfuscatedOracle>(dither);
-            rows.push_back({"dither (1 probe)", std::move(stack), 1});
-        }
-        {
-            core::ObfuscationConfig dither;
-            dither.kind = core::ObfuscationConfig::Kind::Dither;
-            dither.magnitude = 0.5 * scale;
-            dither.seed = 2;
-            core::DecoratorStack stack(backend);
-            stack.push<core::ObfuscatedOracle>(dither);
-            rows.push_back({"dither (32 probes avg)", std::move(stack), 32});
-        }
-        {
-            core::ObfuscationConfig dummies;
-            dummies.kind = core::ObfuscationConfig::Kind::UniformDummy;
-            dummies.magnitude = scale;
-            core::DecoratorStack stack(backend);
-            stack.push<core::ObfuscatedOracle>(dummies);
-            rows.push_back({"uniform dummies", std::move(stack), 1});
-        }
-        {
-            core::ObfuscationConfig dummies;
-            dummies.kind = core::ObfuscationConfig::Kind::RandomDummy;
-            dummies.magnitude = scale;
-            dummies.seed = 3;
-            core::DecoratorStack stack(backend);
-            stack.push<core::ObfuscatedOracle>(dummies);
-            rows.push_back({"random dummies", std::move(stack), 1});
-        }
-        {
-            // A full production deployment: randomised dummies on the
-            // device, and a session with sensing noise and a hard
-            // measurement budget (enough for exactly 32 probe repeats of
-            // every line).
-            core::ObfuscationConfig dummies;
-            dummies.kind = core::ObfuscationConfig::Kind::RandomDummy;
-            dummies.magnitude = scale;
-            dummies.seed = 3;
-            core::SessionConfig policy;
-            policy.power_noise_sigma = 0.1 * scale;
-            policy.noise_seed = 4;
-            policy.budget.max_power = 32 * backend.inputs();
-            core::DecoratorStack stack(backend);
-            stack.push<core::ObfuscatedOracle>(dummies);
-            rows.push_back(
-                {"random dummies + noise + budget (32 avg)", std::move(stack), 32, policy});
-        }
+        // A full production deployment (the last row): randomised dummies
+        // on the device, and a session with sensing noise and a hard
+        // measurement budget (enough for exactly 32 probe repeats of every
+        // line).
+        core::SessionConfig production;
+        production.power_noise_sigma = 0.1 * scale;
+        production.noise_seed = 4;
+        production.budget.max_power = 32 * backend.inputs();
+        const std::vector<Row> rows = {
+            {"undefended", {}, 1},
+            {"dither (1 probe)", {{Kind::Dither, 0.5 * scale, 1}}, 1},
+            {"dither (32 probes avg)", {{Kind::Dither, 0.5 * scale, 2}}, 32},
+            {"uniform dummies", {{Kind::UniformDummy, scale}}, 1},
+            {"random dummies", {{Kind::RandomDummy, scale, 3}}, 1},
+            {"random dummies + noise + budget (32 avg)", {{Kind::RandomDummy, scale, 3}}, 32,
+             production},
+        };
 
         Table table({"Deployment", "L1 rel. error", "Top-16 ranking agreement", "Power queries"});
-        for (Row& row : rows) {
+        for (const Row& row : rows) {
+            backend.set_power_obfuscation(row.obfuscation);
             backend.reset_counters();
-            core::OracleService service(row.stack.top());
+            core::OracleService service(backend);
             core::Session session = service.open_session(row.policy);
             sidechannel::ProbeOptions po;
             po.repeats = row.repeats;
@@ -117,8 +80,8 @@ int main() {
                      "magnitudes but cannot hide the *ranking*; randomised per-line dummies "
                      "survive averaging and actually blunt the attack — and a query budget "
                      "caps how hard the attacker can average. Counters are accumulated once, "
-                     "at the backend, however deep the decorator stack; the budget is charged "
-                     "at the session.\n";
+                     "at the backend, however many obfuscation layers it has; the budget is "
+                     "charged at the session.\n";
         return 0;
     } catch (const std::exception& e) {
         std::fprintf(stderr, "defended_deployment: %s\n", e.what());

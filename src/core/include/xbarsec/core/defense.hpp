@@ -1,26 +1,25 @@
 // Defenses described as data, and the one function that deploys them
 // (for ScenarioRunner::deploy and run_fig5 alike). Obfuscation kinds model
-// the physical device and become ObfuscatedOracle layers; the policy
-// kinds belong to a client and become the attacker's SessionConfig,
-// which OracleService enforces at admission.
+// the physical device and become the CrossbarOracle's power obfuscation;
+// the policy kinds belong to a client and become the attacker's
+// SessionConfig, which OracleService enforces at admission.
 #pragma once
 
 #include <cstdint>
 #include <vector>
 
-#include "xbarsec/core/decorators.hpp"
 #include "xbarsec/core/service.hpp"
 
 namespace xbarsec::core {
 
-/// One defense. Obfuscation entries become decorator layers in list order
-/// (the first wraps the backend); each policy kind may appear once, since
-/// a session holds one budget, one detector and one sensing-noise sigma.
+/// One defense. Obfuscation entries become the device's obfuscation
+/// layers in list order; each policy kind may appear once, since a
+/// session holds one budget, one detector and one sensing-noise sigma.
 struct DefenseSpec {
     enum class Kind {
-        DitherPower,   ///< ObfuscatedOracle, Gaussian supply-rail dither
-        UniformDummy,  ///< ObfuscatedOracle, identical per-line dummies
-        RandomDummy,   ///< ObfuscatedOracle, randomised per-line dummies
+        DitherPower,   ///< ObfuscationConfig, Gaussian supply-rail dither
+        UniformDummy,  ///< ObfuscationConfig, identical per-line dummies
+        RandomDummy,   ///< ObfuscationConfig, randomised per-line dummies
         NoisyPower,    ///< SessionConfig::power_noise_sigma (sensing noise)
         QueryBudget,   ///< SessionConfig::budget
         Detector,      ///< SessionConfig::detector (current-signature screening)
@@ -56,12 +55,13 @@ double deployed_weight_scale(const CrossbarOracle& backend);
 /// deploy and run_fig5 call it before they train a victim.
 void check_defenses(const std::vector<DefenseSpec>& defenses);
 
-/// Pushes one ObfuscatedOracle per obfuscation entry onto `stack` and
-/// returns the SessionConfig carrying the policy entries (pass-through
-/// when there are none). Relative magnitudes are multiplied by `scale`;
-/// `detector` must be non-null when the list has a Detector entry. The
-/// list must have passed check_defenses.
-SessionConfig apply_defenses(const std::vector<DefenseSpec>& defenses, DecoratorStack& stack,
-                             double scale, const sidechannel::CurrentSignatureDetector* detector);
+/// Sets the obfuscation entries as `backend`'s power obfuscation, in
+/// list order, and returns the SessionConfig carrying the policy entries
+/// (pass-through when there are none). Relative magnitudes are multiplied
+/// by deployed_weight_scale(backend); `detector` must be non-null when
+/// the list has a Detector entry. The list must have passed
+/// check_defenses.
+SessionConfig apply_defenses(const std::vector<DefenseSpec>& defenses, CrossbarOracle& backend,
+                             const sidechannel::CurrentSignatureDetector* detector);
 
 }  // namespace xbarsec::core

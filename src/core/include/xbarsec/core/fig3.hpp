@@ -27,8 +27,8 @@ struct Fig3Panel {
 };
 
 /// Produces the panel pair for an already-trained, already-deployed
-/// victim; the 1-norm map is probed through `attacker` (the top of any
-/// decorator stack), so defended deployments show their degraded map.
+/// victim; the 1-norm map is probed through `attacker` (a session over
+/// the obfuscated device), so defended deployments show their degraded map.
 Fig3Panel run_fig3_on(Oracle& attacker, const TrainedVictim& victim, const data::Dataset& test,
                       const std::string& label);
 

@@ -23,7 +23,7 @@ struct Fig4Options {
     /// Evaluate on at most this many test samples (0 = all).
     std::size_t eval_limit = 0;
     /// Score attacks by querying the attacker-facing oracle (counted, and
-    /// subject to any decorator stack — detector screening, budgets)
+    /// subject to the session's policy — detector screening, budgets)
     /// instead of the experimenter's direct hardware evaluation.
     bool evaluate_via_oracle = false;
 };
@@ -46,8 +46,8 @@ struct Fig4Result {
 /// attacker-facing oracle — probed for the 1-norm ranking, and also used
 /// to score attacks when options.evaluate_via_oracle; `hardware` supplies
 /// white-box gradients (WorstCase reference) and the direct evaluation
-/// path. Pass the top of a decorator stack as `attacker` to measure a
-/// defended deployment.
+/// path. Pass a session over an obfuscated device as `attacker` to
+/// measure a defended deployment.
 Fig4Result run_fig4_on(Oracle& attacker, const xbar::CrossbarNetwork& hardware,
                        const data::Dataset& eval_set, const std::string& label,
                        const Fig4Options& options);

@@ -62,7 +62,7 @@ struct Fig5Result {
 /// Runs the full sweep for one dataset/output configuration. Each run
 /// trains `base_config` under its own seeds and deploys `defenses` on it
 /// (see apply_defenses): the attacker collects queries through a session
-/// over the run's obfuscation stack, opened with the policy entries, and
+/// over the run's obfuscated backend, opened with the policy entries, and
 /// relative magnitudes scale to each run's deployed weights. Detector
 /// entries are not supported (no detector is enrolled per run). `pool`
 /// (optional) parallelises the runs and serves their batched queries.

@@ -7,21 +7,19 @@
 //   * power readings               (the side channel, Eq. 5)
 // and counts every query so experiments can report attacker cost.
 //
-// The interface is polymorphic so that deployments compose:
+// Two classes implement it:
 //   * `CrossbarOracle`  — the paper's hardware model (batched internally
-//     through the crossbar's GEMM fast path);
-//   * `SoftwareOracle`  — a float SingleLayerNet backend modelling an
-//     ideal deployment (surrogate / FGSM baselines without crossbar cost);
-//   * `ObfuscatedOracle` (decorators.hpp) — power-obfuscation device
-//     layers that stack on top of any backend;
+//     through the crossbar's GEMM fast path), including the device's
+//     power-obfuscation countermeasures (ObfuscationConfig);
 //   * `Session` (service.hpp) — a client's handle onto an OracleService,
-//     which applies that client's budget, detector screen and sensing
-//     noise at admission.
+//     which applies that client's budget, detector screen, sensing noise
+//     and exposure options at admission.
 //
 // Every query kind has a batched variant (`query_labels`,
-// `query_raw_batch`, `query_power_batch`); backends route these through
-// dense linear algebra and an optional common::ThreadPool instead of
-// per-vector loops, which is what makes heavy-traffic experiments viable.
+// `query_raw_batch`, `query_power_batch`); the crossbar routes these
+// through dense linear algebra and an optional common::ThreadPool instead
+// of per-vector loops, which is what makes heavy-traffic experiments
+// viable.
 //
 // Power readings are normalised to weight units (i_total / weight_scale
 // for a 1 V read), which models an attacker who knows the device family's
@@ -34,27 +32,21 @@
 
 #include "xbarsec/common/error.hpp"
 #include "xbarsec/common/threadpool.hpp"
-#include "xbarsec/nn/network.hpp"
 #include "xbarsec/sidechannel/probe.hpp"
 #include "xbarsec/xbar/xbar_network.hpp"
 
 namespace xbarsec::core {
 
-/// What the deployment exposes to the attacker.
-struct OracleOptions {
-    bool expose_raw_outputs = true;
-    bool expose_power = true;
-};
-
-/// Thrown when a query kind is disabled by the deployment's options.
+/// Thrown by a session whose policy withholds the query kind asked for
+/// (SessionConfig's exposure options, an AdaptivePolicy band).
 class AccessDenied : public Error {
 public:
     explicit AccessDenied(const std::string& what) : Error("oracle access denied: " + what) {}
 };
 
 /// Query counters (attacker cost accounting). A snapshot — the live
-/// counters inside a backend (or an OracleService session) are atomic,
-/// so batched queries may be issued from thread-pool workers and
+/// counters inside a CrossbarOracle (or an OracleService session) are
+/// atomic, so batched queries may be issued from thread-pool workers and
 /// snapshots taken concurrently are always monotone per bucket between
 /// resets.
 struct QueryCounters {
@@ -85,8 +77,8 @@ struct QueryCounters {
 
 /// Abstract attacker-facing query interface. Attack and side-channel code
 /// takes `Oracle&` and never a concrete backend; experiment code builds
-/// the backend (and any obfuscation stack), serves it through an
-/// OracleService and hands the attacker a Session.
+/// the CrossbarOracle (with any power obfuscation set on it), serves it
+/// through an OracleService and hands the attacker a Session.
 class Oracle {
 public:
     virtual ~Oracle() = default;
@@ -97,72 +89,74 @@ public:
     /// Predicted class label for input u.
     virtual int query_label(const tensor::Vector& u) = 0;
 
-    /// Raw post-activation output vector. Throws AccessDenied when the
-    /// deployment hides raw outputs.
+    /// Raw post-activation output vector. A session throws AccessDenied
+    /// when its policy withholds raw outputs.
     virtual tensor::Vector query_raw(const tensor::Vector& u) = 0;
 
-    /// Power side channel in weight units: i_total(u) / weight_scale.
-    /// Throws AccessDenied when power measurement is not possible.
+    /// Power side channel in weight units: i_total(u) / weight_scale. A
+    /// session throws AccessDenied when its policy withholds power.
     virtual double query_power(const tensor::Vector& u) = 0;
 
     /// Batched queries: one result per row of U, counted per row. The
-    /// defaults loop over the scalar queries; backends override them with
-    /// GEMM-path implementations (decorators forward to preserve the
-    /// backend's fast path).
+    /// defaults loop over the scalar queries; CrossbarOracle overrides
+    /// them with GEMM-path implementations.
     virtual std::vector<int> query_labels(const tensor::Matrix& U);
     virtual tensor::Matrix query_raw_batch(const tensor::Matrix& U);
     virtual tensor::Vector query_power_batch(const tensor::Matrix& U);
 
-    /// Attacker cost so far. Decorators delegate to the wrapped oracle,
-    /// so each physical query is counted exactly once, at the backend.
+    /// Attacker cost so far: each physical query is counted once, at the
+    /// CrossbarOracle that answered it (a session keeps its own count).
     virtual QueryCounters counters() const = 0;
     virtual void reset_counters() = 0;
 
-    /// Adapter for sidechannel::probe_columns and the obfuscation
-    /// wrappers; still counted (the lambda routes through query_power on
-    /// whichever stack layer it was taken from). Weight units.
+    /// Adapter for sidechannel::probe_columns; still counted (the lambda
+    /// routes through this oracle's query_power). Weight units.
     sidechannel::TotalCurrentFn power_measure_fn();
 };
 
-/// Base for concrete backends: owns the access policy and the atomic
-/// attacker-cost counters. Decorators do NOT derive from this — they
-/// forward queries, so the backend counts each physical query once.
-class BackendOracle : public Oracle {
-public:
-    QueryCounters counters() const override;
-    void reset_counters() override;
+/// A power-side-channel countermeasure built into the device (a
+/// defensive extension). Each adds a term to every Eq. 5 supply-current
+/// reading the attacker takes, so its effect on probe quality is directly
+/// measurable (bench_nonideal):
+///   * current dithering — a noise source on the supply rail adds
+///     zero-mean randomness to every measurement, forcing the attacker to
+///     average many repeats;
+///   * uniform dummy load — identical always-on dummy devices on every
+///     input line shift each column estimate by the same constant. This
+///     biases magnitudes but provably preserves the 1-norm *ranking* the
+///     Figure-4 attacks consume (property-tested) — i.e. it is NOT an
+///     effective defense, a useful negative result;
+///   * random dummy load — per-line dummy devices with randomised
+///     conductances corrupt each column estimate by a different unknown
+///     offset, degrading rank recovery in proportion to the dummy spread.
+struct ObfuscationConfig {
+    enum class Kind {
+        Dither,        ///< zero-mean Gaussian supply-rail dither
+        UniformDummy,  ///< identical always-on dummy load per input line
+        RandomDummy,   ///< randomised per-line dummy loads
+    };
 
-    /// Pool used by the batched query paths (nullptr = run serially).
-    void set_thread_pool(ThreadPool* pool) { pool_ = pool; }
-    ThreadPool* thread_pool() const { return pool_; }
+    Kind kind = Kind::Dither;
 
-protected:
-    explicit BackendOracle(OracleOptions options) : options_(options) {}
-    BackendOracle(BackendOracle&& other) noexcept;
-    BackendOracle& operator=(BackendOracle&& other) noexcept;
-    BackendOracle(const BackendOracle&) = delete;
-    BackendOracle& operator=(const BackendOracle&) = delete;
+    /// Magnitude in weight units: the dither σ, or the (maximum) dummy
+    /// conductance. A natural scale is max_j ‖W[:,j]‖₁.
+    double magnitude = 0.0;
 
-    void count_inference(std::uint64_t n = 1) {
-        inference_count_.fetch_add(n, std::memory_order_relaxed);
-    }
-    void count_power(std::uint64_t n = 1) { power_count_.fetch_add(n, std::memory_order_relaxed); }
-    void require_raw_access() const;
-    void require_power_access() const;
-
-private:
-    OracleOptions options_;
-    ThreadPool* pool_ = nullptr;
-    std::atomic<std::uint64_t> inference_count_{0};
-    std::atomic<std::uint64_t> power_count_{0};
+    /// Seed of the dither stream / the random dummy draw.
+    std::uint64_t seed = 0xD3F3A5Eull;
 };
 
 /// Black-box wrapper over a crossbar-deployed network (the paper's
-/// deployment model).
-class CrossbarOracle : public BackendOracle {
+/// deployment model). Owns the atomic attacker-cost counters, so batched
+/// queries may run on pool workers and several flushers may share it.
+class CrossbarOracle : public Oracle {
 public:
     /// Takes ownership of the deployed hardware model.
-    explicit CrossbarOracle(xbar::CrossbarNetwork hardware, OracleOptions options = {});
+    explicit CrossbarOracle(xbar::CrossbarNetwork hardware);
+    CrossbarOracle(CrossbarOracle&& other) noexcept;
+    CrossbarOracle& operator=(CrossbarOracle&& other) noexcept;
+    CrossbarOracle(const CrossbarOracle&) = delete;
+    CrossbarOracle& operator=(const CrossbarOracle&) = delete;
 
     std::size_t inputs() const override { return hardware_.inputs(); }
     std::size_t outputs() const override { return hardware_.outputs(); }
@@ -175,38 +169,44 @@ public:
     tensor::Matrix query_raw_batch(const tensor::Matrix& U) override;
     tensor::Vector query_power_batch(const tensor::Matrix& U) override;
 
+    QueryCounters counters() const override;
+    void reset_counters() override;
+
+    /// Pool used by the batched query paths (nullptr = run serially).
+    void set_thread_pool(ThreadPool* pool) { pool_ = pool; }
+
+    /// Power obfuscation: every power reading gets each layer's term,
+    /// added in list order (dither: magnitude·N(0,1) drawn at
+    /// (seed, k) for the oracle's k-th reading; uniform dummies:
+    /// magnitude·Σ_j u_j; random dummies: Σ_j g_j·u_j with g drawn
+    /// uniformly from [0, magnitude] under seed). The reading ordinal k
+    /// is never reset and a batch reserves its rows' ordinals at once,
+    /// so batched and scalar reads consume one stream, from any number of
+    /// threads, without a lock. Labels and raw outputs are unaffected.
+    /// Set before serving, like the thread pool; an empty list reads
+    /// clean.
+    void set_power_obfuscation(std::vector<ObfuscationConfig> layers);
+
     /// The underlying hardware — for experiment *evaluation* only (e.g.
     /// scoring adversarial examples); attack code must not call this.
     const xbar::CrossbarNetwork& hardware_for_evaluation() const { return hardware_; }
 
 private:
+    struct PowerLayer {
+        ObfuscationConfig config;
+        tensor::Vector g_line;  ///< RandomDummy's per-line loads
+    };
+
+    /// A clean reading plus every layer's term, at reading ordinal k.
+    double obfuscate(double clean, const tensor::Vector& u, std::uint64_t k) const;
+
     xbar::CrossbarNetwork hardware_;
     double weight_scale_ = 1.0;
-};
-
-/// Software (float) backend: the same query interface served by a plain
-/// SingleLayerNet, modelling an ideal noise-free deployment. Its power
-/// channel is the ideal one-sided crossbar's reading in weight units,
-/// p(u) = Σ_j u_j·‖W[:,j]‖₁ — the identity Eq. 9's surrogate loss relies
-/// on. Useful for surrogate/FGSM baselines without crossbar cost.
-class SoftwareOracle : public BackendOracle {
-public:
-    explicit SoftwareOracle(nn::SingleLayerNet net, OracleOptions options = {});
-
-    std::size_t inputs() const override { return net_.inputs(); }
-    std::size_t outputs() const override { return net_.outputs(); }
-
-    int query_label(const tensor::Vector& u) override;
-    tensor::Vector query_raw(const tensor::Vector& u) override;
-    double query_power(const tensor::Vector& u) override;
-
-    std::vector<int> query_labels(const tensor::Matrix& U) override;
-    tensor::Matrix query_raw_batch(const tensor::Matrix& U) override;
-    tensor::Vector query_power_batch(const tensor::Matrix& U) override;
-
-private:
-    nn::SingleLayerNet net_;
-    tensor::Vector column_l1_;  ///< cached ‖W[:,j]‖₁ for the power channel
+    ThreadPool* pool_ = nullptr;
+    std::vector<PowerLayer> layers_;
+    std::atomic<std::uint64_t> inference_count_{0};
+    std::atomic<std::uint64_t> power_count_{0};
+    std::atomic<std::uint64_t> power_readings_{0};  ///< dither ordinal, never reset
 };
 
 }  // namespace xbarsec::core

@@ -1,110 +1,22 @@
-// Device-side defenses over the attacker-facing Oracle, and the
-// per-client policy classes that OracleService sessions enforce.
-//
-// The one decorator, ObfuscatedOracle, models the physical device: it
-// wraps an existing Oracle (by reference — it does not own the backend)
-// and passes its power channel through a sidechannel::obfuscation
-// transform (dither / uniform dummies / randomised dummies), in weight
-// units. Obfuscation layers stack; counting happens exactly once, at the
-// backend — decorators forward queries and delegate counters() inward,
-// so wrapping never double-counts, no matter how deep the stack.
-// DecoratorStack owns a dynamically-built chain.
-//
-// Per-client policy lives in sessions (SessionConfig, service.hpp), not
-// in decorators: BudgetLedger (query budget), TokenBucket (rate limit),
-// DetectorScreen (current-signature screening window) and AdaptivePolicy
-// (suspicion-scaled escalation) are the policy state a session owns.
-// Sensing noise is SessionConfig::power_noise_sigma.
+// The per-client policy classes that OracleService sessions enforce
+// (SessionConfig, service.hpp): BudgetLedger (query budget), TokenBucket
+// (rate limit), DetectorScreen (current-signature screening window) and
+// AdaptivePolicy (suspicion-scaled escalation). Sensing noise is
+// SessionConfig::power_noise_sigma. Device-side defenses are not policy:
+// power obfuscation is set on the CrossbarOracle itself.
 #pragma once
 
 #include <atomic>
 #include <chrono>
 #include <cstdint>
-#include <memory>
 #include <mutex>
 #include <span>
 #include <vector>
 
 #include "xbarsec/core/oracle.hpp"
 #include "xbarsec/sidechannel/detector.hpp"
-#include "xbarsec/sidechannel/obfuscation.hpp"
 
 namespace xbarsec::core {
-
-/// Base decorator: forwards every query to the wrapped oracle. Derived
-/// classes override only the aspect they alter. Batched queries forward
-/// as batches so the backend's GEMM path is preserved through the stack.
-class OracleDecorator : public Oracle {
-public:
-    std::size_t inputs() const override { return inner_.inputs(); }
-    std::size_t outputs() const override { return inner_.outputs(); }
-
-    int query_label(const tensor::Vector& u) override { return inner_.query_label(u); }
-    tensor::Vector query_raw(const tensor::Vector& u) override { return inner_.query_raw(u); }
-    double query_power(const tensor::Vector& u) override { return inner_.query_power(u); }
-
-    std::vector<int> query_labels(const tensor::Matrix& U) override {
-        return inner_.query_labels(U);
-    }
-    tensor::Matrix query_raw_batch(const tensor::Matrix& U) override {
-        return inner_.query_raw_batch(U);
-    }
-    tensor::Vector query_power_batch(const tensor::Matrix& U) override {
-        return inner_.query_power_batch(U);
-    }
-
-    /// Counters live at the backend; delegating keeps every physical
-    /// query counted exactly once regardless of stack depth.
-    QueryCounters counters() const override { return inner_.counters(); }
-    void reset_counters() override { inner_.reset_counters(); }
-
-    Oracle& inner() { return inner_; }
-    const Oracle& inner() const { return inner_; }
-
-protected:
-    explicit OracleDecorator(Oracle& inner) : inner_(inner) {}
-    OracleDecorator(const OracleDecorator&) = delete;
-    OracleDecorator& operator=(const OracleDecorator&) = delete;
-
-private:
-    Oracle& inner_;
-};
-
-// ---- power obfuscation ------------------------------------------------------
-
-/// Which sidechannel::obfuscation transform to apply to the power channel.
-struct ObfuscationConfig {
-    enum class Kind {
-        Dither,        ///< zero-mean Gaussian supply-rail dither
-        UniformDummy,  ///< identical always-on dummy load per input line
-        RandomDummy,   ///< randomised per-line dummy loads
-    };
-
-    Kind kind = Kind::Dither;
-
-    /// Transform magnitude in weight units: dither σ, or the (maximum)
-    /// dummy conductance. A natural scale is max_j ‖W[:,j]‖₁.
-    double magnitude = 0.0;
-
-    /// Seed for the dither stream / dummy draw.
-    std::uint64_t seed = 0xD3F3A5Eull;
-};
-
-/// Applies a power-obfuscation counter-measure to the wrapped oracle's
-/// power channel. Labels and raw outputs pass through unchanged. Batched
-/// power queries are serialised through the transform so the obfuscation
-/// stream is identical to per-vector measurement.
-class ObfuscatedOracle : public OracleDecorator {
-public:
-    ObfuscatedOracle(Oracle& inner, ObfuscationConfig config);
-
-    double query_power(const tensor::Vector& u) override;
-    tensor::Vector query_power_batch(const tensor::Matrix& U) override;
-
-private:
-    sidechannel::TotalCurrentFn obfuscated_;
-    std::mutex mutex_;  ///< the dither transform draws from a stateful Rng
-};
 
 // ---- query budgets ----------------------------------------------------------
 
@@ -326,32 +238,6 @@ private:
     bool block_flagged_;
     std::atomic<std::uint64_t> screened_{0};
     std::atomic<std::uint64_t> flagged_{0};
-};
-
-// ---- owned stacks -----------------------------------------------------------
-
-/// An owned decorator chain over a (non-owned) backend. push<D>(args...)
-/// constructs D(top(), args...) and makes it the new top; top() is the
-/// attacker-facing oracle. Layer addresses are stable (heap-allocated),
-/// so the chain survives moves of the stack object.
-class DecoratorStack {
-public:
-    explicit DecoratorStack(Oracle& base) : base_(&base) {}
-
-    template <typename D, typename... Args>
-    D& push(Args&&... args) {
-        auto layer = std::make_unique<D>(top(), std::forward<Args>(args)...);
-        D& ref = *layer;
-        layers_.push_back(std::move(layer));
-        return ref;
-    }
-
-    Oracle& top() { return layers_.empty() ? *base_ : *layers_.back(); }
-    std::size_t depth() const { return layers_.size(); }
-
-private:
-    Oracle* base_;
-    std::vector<std::unique_ptr<Oracle>> layers_;
 };
 
 }  // namespace xbarsec::core

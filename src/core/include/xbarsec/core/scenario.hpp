@@ -264,8 +264,8 @@ private:
 /// first use.
 ScenarioRegistry& builtin_scenarios();
 
-/// A trained victim deployed on the crossbar with its obfuscation stack
-/// built and fronted by an OracleService — ready for an attacker. Owns
+/// A trained victim deployed on the crossbar with its power obfuscation
+/// set and fronted by an OracleService — ready for an attacker. Owns
 /// everything it references. Every experiment drives the deployment
 /// through a service session. The default session is opened with the
 /// spec's policy defenses (budget, detector, sensing noise; see
@@ -277,14 +277,12 @@ public:
     const data::DataSplit& split() const { return split_; }
     const TrainedVictim& victim() const { return victim_; }
 
-    /// The physical deployment (evaluation-side access).
+    /// The physical deployment, power obfuscation included (what the
+    /// service's sessions serve; direct queries bypass the service and
+    /// every session policy).
     CrossbarOracle& backend() { return *backend_; }
 
-    /// The obfuscation stack top (what the service's sessions serve;
-    /// direct use bypasses the service and every session policy).
-    Oracle& stack_top() { return stack_->top(); }
-
-    /// The serving front-end over the stack (open more sessions here).
+    /// The serving front-end over the backend (open more sessions here).
     OracleService& service() { return *service_; }
 
     /// The default session every single-client experiment runs through:
@@ -308,8 +306,7 @@ private:
     // DeployedScenario itself is moved.
     std::unique_ptr<CrossbarOracle> backend_;
     std::unique_ptr<sidechannel::CurrentSignatureDetector> detector_;
-    std::unique_ptr<DecoratorStack> stack_;
-    // Declared after the stack (and destroyed before it): the session
+    // Declared after the backend (and destroyed before it): the session
     // must close before the service joins its flusher, which must happen
     // before the backend it serves goes away.
     std::unique_ptr<OracleService> service_;
@@ -346,8 +343,8 @@ public:
     /// `pool` parallelises batched oracle queries and fig5 runs.
     explicit ScenarioRunner(ThreadPool* pool = nullptr) : pool_(pool) {}
 
-    /// Loads data, trains the victim, deploys it, builds the obfuscation
-    /// stack and opens the default session with the spec's policy
+    /// Loads data, trains the victim, deploys it, sets its power
+    /// obfuscation and opens the default session with the spec's policy
     /// defenses (experiments that manage their own training — Fig5,
     /// Table1 — do not use this). Throws ConfigError for a policy defense
     /// on a multi-client spec, whose tenants each open their own session.

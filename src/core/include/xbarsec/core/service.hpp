@@ -1,13 +1,13 @@
-// Multi-tenant serving front-end over the attacker-facing Oracle stack.
+// Multi-tenant serving front-end over the attacker-facing Oracle.
 //
 // The paper's threat model is a *deployed* accelerator answering queries
 // from many clients at once — one attacker hiding among benign tenants,
 // each tenant under its own query budget and detection window. The bare
-// `Oracle` API cannot express that: an Oracle stack is one device shared
+// `Oracle` API cannot express that: a CrossbarOracle is one device shared
 // by every client. `OracleService` redesigns the serving surface around
 // **sessions**:
 //
-//   OracleService service(stack.top(), config);   // shared deployment
+//   OracleService service(backend, config);       // shared deployment
 //   Session alice = service.open_session(per_tenant_policy);
 //   Session eve   = service.open_session(attacker_policy);
 //   auto label    = alice.submit_label(u);         // std::future<int>
@@ -17,8 +17,9 @@
 // the submitting thread, before anything reaches the shared backend —
 // so one tenant exhausting its budget or tripping the detector never
 // perturbs another tenant's service. The session is the only home of
-// these policies; below the service sit only device layers
-// (ObfuscatedOracle), which every tenant of that replica shares.
+// these policies; below the service sits only the device, whose power
+// obfuscation (CrossbarOracle::set_power_obfuscation) every tenant of
+// that replica shares.
 //
 // Submissions are asynchronous (futures) and **coalesced**: a flusher
 // thread gathers individually-submitted vectors from all sessions into
@@ -78,7 +79,7 @@
 #include <vector>
 
 #include "xbarsec/attrib/engine.hpp"
-#include "xbarsec/core/decorators.hpp"
+#include "xbarsec/core/policy.hpp"
 #include "xbarsec/core/oracle.hpp"
 
 namespace xbarsec::core {
@@ -200,7 +201,7 @@ struct AttributionConfig {
 /// Service-wide knobs: the coalescing-queue flush policy, routing, and
 /// the optional cache and attribution tiers. The worker pool behind the
 /// backends' batched paths belongs to the backends
-/// (BackendOracle::set_thread_pool), not to the service.
+/// (CrossbarOracle::set_thread_pool), not to the service.
 struct ServiceConfig {
     /// Flush a replica's coalescing queue once this many input rows are
     /// pending on it. Also the maximum rows per backend batch call —
@@ -268,8 +269,8 @@ struct SessionConfig {
     double power_noise_sigma = 0.0;
     std::uint64_t noise_seed = 0x5E5510Ull;
 
-    /// Exposure options for this client (AND-ed with the deployment's
-    /// own OracleOptions, which still apply at the backend).
+    /// Exposure options for this client, enforced at admission: a
+    /// withheld kind throws AccessDenied and charges (and counts) nothing.
     bool expose_raw_outputs = true;
     bool expose_power = true;
 
@@ -397,11 +398,10 @@ private:
 
 /// Thread-safe serving front-end: owns the per-replica coalescing
 /// queues and their flusher threads; serves any number of concurrently
-/// open sessions over one shared backend Oracle stack — or a fleet of N
-/// replica stacks with a RoutingPolicy. Backends are not owned and must
-/// outlive the service (each is typically a DecoratorStack top over a
-/// CrossbarOracle — device layers below the service apply to all
-/// tenants of that replica).
+/// open sessions over one shared backend Oracle — or a fleet of N
+/// replicas with a RoutingPolicy. Backends are not owned and must
+/// outlive the service (each is typically a CrossbarOracle, whose power
+/// obfuscation applies to all tenants of that replica).
 class OracleService {
 public:
     explicit OracleService(Oracle& backend, ServiceConfig config = {});
@@ -415,8 +415,8 @@ public:
     /// Drains every replica queue (pending submissions complete) and
     /// joins the flushers. Sessions are not closed: Session::open() still
     /// reads true, and a later submission is screened, then refused with
-    /// SessionClosed at the queue push, charging nothing. (A scalar cache
-    /// hit never reaches the push, so it is still answered.)
+    /// SessionClosed, charging and counting nothing (a cache hit
+    /// included).
     ~OracleService();
 
     OracleService(const OracleService&) = delete;

@@ -32,7 +32,6 @@ struct VictimConfig {
     nn::TrainConfig train;
     xbar::DeviceSpec device;
     xbar::NonIdealityConfig nonideal;
-    OracleOptions oracle;
     std::uint64_t init_seed = 11;
 
     /// When true, train_victim() replaces train.learning_rate with

@@ -23,9 +23,11 @@ void check_defenses(const std::vector<DefenseSpec>& defenses) {
     }
 }
 
-SessionConfig apply_defenses(const std::vector<DefenseSpec>& defenses, DecoratorStack& stack,
-                             double scale, const sidechannel::CurrentSignatureDetector* detector) {
+SessionConfig apply_defenses(const std::vector<DefenseSpec>& defenses, CrossbarOracle& backend,
+                             const sidechannel::CurrentSignatureDetector* detector) {
     using Kind = DefenseSpec::Kind;
+    const double scale = deployed_weight_scale(backend);
+    std::vector<ObfuscationConfig> layers;
     SessionConfig session;
     for (const DefenseSpec& d : defenses) {
         const double magnitude = d.relative ? d.magnitude * scale : d.magnitude;
@@ -41,7 +43,7 @@ SessionConfig apply_defenses(const std::vector<DefenseSpec>& defenses, Decorator
                                          : ObfuscationConfig::Kind::RandomDummy);
                 config.magnitude = magnitude;
                 config.seed = d.seed;
-                stack.push<ObfuscatedOracle>(config);
+                layers.push_back(config);
                 break;
             }
             case Kind::NoisyPower:
@@ -60,6 +62,7 @@ SessionConfig apply_defenses(const std::vector<DefenseSpec>& defenses, Decorator
                 break;
         }
     }
+    backend.set_power_obfuscation(std::move(layers));
     return session;
 }
 

@@ -19,7 +19,7 @@ Fig4Result run_fig4_on(Oracle& attacker, const xbar::CrossbarNetwork& hardware,
     const nn::SingleLayerNet deployed = hardware.effective_network();
 
     // Attacker side: probe the power channel once for the 1-norm ranking —
-    // through the decorator stack, so obfuscation defenses degrade it.
+    // through the attacker's oracle, so obfuscation defenses degrade it.
     const tensor::Vector l1 = probe_columns(attacker).conductance_sums;
 
     Fig4Result result;

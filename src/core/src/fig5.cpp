@@ -63,12 +63,10 @@ RunOutput execute_run(std::size_t run, const data::DataSplit& split,
     // parallel_for is safe (the calling thread drains tasks), so this
     // composes with the run-level parallel_for below.
     backend.set_thread_pool(pool);
-    // The attacker queries through a session over this run's stack (a
+    // The attacker queries through a session over this run's backend (a
     // pass-through session when there are no defenses).
-    DecoratorStack stack(backend);
-    const SessionConfig attacker =
-        apply_defenses(defenses, stack, deployed_weight_scale(backend), nullptr);
-    OracleService service(stack.top());
+    const SessionConfig attacker = apply_defenses(defenses, backend, nullptr);
+    OracleService service(backend);
     Session session = service.open_session(attacker);  // what the attacker sees
     const nn::SingleLayerNet deployed = backend.hardware_for_evaluation().effective_network();
 

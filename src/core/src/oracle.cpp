@@ -1,5 +1,6 @@
 #include "xbarsec/core/oracle.hpp"
 
+#include "xbarsec/common/rng.hpp"
 #include "xbarsec/tensor/ops.hpp"
 
 namespace xbarsec::core {
@@ -28,142 +29,124 @@ sidechannel::TotalCurrentFn Oracle::power_measure_fn() {
     return [this](const tensor::Vector& v) { return query_power(v); };
 }
 
-// ---- BackendOracle ----------------------------------------------------------
+// ---- CrossbarOracle ---------------------------------------------------------
 
-BackendOracle::BackendOracle(BackendOracle&& other) noexcept
-    : options_(other.options_),
+CrossbarOracle::CrossbarOracle(xbar::CrossbarNetwork hardware)
+    : hardware_(std::move(hardware)),
+      weight_scale_(hardware_.crossbar().program().weight_scale) {}
+
+CrossbarOracle::CrossbarOracle(CrossbarOracle&& other) noexcept
+    : hardware_(std::move(other.hardware_)),
+      weight_scale_(other.weight_scale_),
       pool_(other.pool_),
+      layers_(std::move(other.layers_)),
       inference_count_(other.inference_count_.load(std::memory_order_relaxed)),
-      power_count_(other.power_count_.load(std::memory_order_relaxed)) {}
+      power_count_(other.power_count_.load(std::memory_order_relaxed)),
+      power_readings_(other.power_readings_.load(std::memory_order_relaxed)) {}
 
-BackendOracle& BackendOracle::operator=(BackendOracle&& other) noexcept {
-    options_ = other.options_;
+CrossbarOracle& CrossbarOracle::operator=(CrossbarOracle&& other) noexcept {
+    hardware_ = std::move(other.hardware_);
+    weight_scale_ = other.weight_scale_;
     pool_ = other.pool_;
+    layers_ = std::move(other.layers_);
     inference_count_.store(other.inference_count_.load(std::memory_order_relaxed),
                            std::memory_order_relaxed);
     power_count_.store(other.power_count_.load(std::memory_order_relaxed),
                        std::memory_order_relaxed);
+    power_readings_.store(other.power_readings_.load(std::memory_order_relaxed),
+                          std::memory_order_relaxed);
     return *this;
 }
 
-QueryCounters BackendOracle::counters() const {
+QueryCounters CrossbarOracle::counters() const {
     QueryCounters snapshot;
     snapshot.inference = inference_count_.load(std::memory_order_relaxed);
     snapshot.power = power_count_.load(std::memory_order_relaxed);
     return snapshot;
 }
 
-void BackendOracle::reset_counters() {
+void CrossbarOracle::reset_counters() {
     inference_count_.store(0, std::memory_order_relaxed);
     power_count_.store(0, std::memory_order_relaxed);
 }
 
-void BackendOracle::require_raw_access() const {
-    if (!options_.expose_raw_outputs) {
-        throw AccessDenied("raw outputs are not exposed by this deployment");
+void CrossbarOracle::set_power_obfuscation(std::vector<ObfuscationConfig> layers) {
+    std::vector<PowerLayer> built;
+    built.reserve(layers.size());
+    for (const ObfuscationConfig& config : layers) {
+        XS_EXPECTS(config.magnitude >= 0.0);
+        PowerLayer layer{config, {}};
+        if (config.kind == ObfuscationConfig::Kind::RandomDummy) {
+            Rng rng(config.seed);
+            layer.g_line = tensor::Vector::random_uniform(rng, inputs(), 0.0, config.magnitude);
+        }
+        built.push_back(std::move(layer));
     }
+    layers_ = std::move(built);
 }
 
-void BackendOracle::require_power_access() const {
-    if (!options_.expose_power) {
-        throw AccessDenied("power measurement is not possible on this deployment");
+double CrossbarOracle::obfuscate(double clean, const tensor::Vector& u, std::uint64_t k) const {
+    double p = clean;
+    for (const PowerLayer& layer : layers_) {
+        switch (layer.config.kind) {
+            case ObfuscationConfig::Kind::Dither:
+                p += layer.config.magnitude * Rng::normal_at(layer.config.seed, k, 0);
+                break;
+            case ObfuscationConfig::Kind::UniformDummy:
+                p += layer.config.magnitude * tensor::sum(u);
+                break;
+            case ObfuscationConfig::Kind::RandomDummy:
+                p += tensor::dot(layer.g_line, u);
+                break;
+        }
     }
+    return p;
 }
-
-// ---- CrossbarOracle ---------------------------------------------------------
-
-CrossbarOracle::CrossbarOracle(xbar::CrossbarNetwork hardware, OracleOptions options)
-    : BackendOracle(options),
-      hardware_(std::move(hardware)),
-      weight_scale_(hardware_.crossbar().program().weight_scale) {}
 
 int CrossbarOracle::query_label(const tensor::Vector& u) {
     XS_EXPECTS(u.size() == inputs());
-    count_inference();
+    inference_count_.fetch_add(1, std::memory_order_relaxed);
     return hardware_.classify(u);
 }
 
 tensor::Vector CrossbarOracle::query_raw(const tensor::Vector& u) {
-    require_raw_access();
     XS_EXPECTS(u.size() == inputs());
-    count_inference();
+    inference_count_.fetch_add(1, std::memory_order_relaxed);
     return hardware_.predict(u);
 }
 
 double CrossbarOracle::query_power(const tensor::Vector& u) {
-    require_power_access();
     XS_EXPECTS(u.size() == inputs());
-    count_power();
-    return hardware_.total_current(u) / weight_scale_;
+    power_count_.fetch_add(1, std::memory_order_relaxed);
+    const double clean = hardware_.total_current(u) / weight_scale_;
+    if (layers_.empty()) return clean;
+    return obfuscate(clean, u, power_readings_.fetch_add(1, std::memory_order_relaxed));
 }
 
 std::vector<int> CrossbarOracle::query_labels(const tensor::Matrix& U) {
     XS_EXPECTS(U.cols() == inputs());
-    count_inference(U.rows());
-    return hardware_.classify_batch(U, thread_pool());
+    inference_count_.fetch_add(U.rows(), std::memory_order_relaxed);
+    return hardware_.classify_batch(U, pool_);
 }
 
 tensor::Matrix CrossbarOracle::query_raw_batch(const tensor::Matrix& U) {
-    require_raw_access();
     XS_EXPECTS(U.cols() == inputs());
-    count_inference(U.rows());
-    return hardware_.predict_batch(U, thread_pool());
+    inference_count_.fetch_add(U.rows(), std::memory_order_relaxed);
+    return hardware_.predict_batch(U, pool_);
 }
 
 tensor::Vector CrossbarOracle::query_power_batch(const tensor::Matrix& U) {
-    require_power_access();
     XS_EXPECTS(U.cols() == inputs());
-    count_power(U.rows());
-    tensor::Vector p = hardware_.total_current_batch(U, thread_pool());
+    power_count_.fetch_add(U.rows(), std::memory_order_relaxed);
+    // Row r of the batched read equals the scalar read bit for bit
+    // (crossbar.hpp), so only the layer terms go row by row.
+    tensor::Vector p = hardware_.total_current_batch(U, pool_);
     p /= weight_scale_;
+    if (!layers_.empty()) {
+        const std::uint64_t k = power_readings_.fetch_add(U.rows(), std::memory_order_relaxed);
+        for (std::size_t r = 0; r < U.rows(); ++r) p[r] = obfuscate(p[r], U.row(r), k + r);
+    }
     return p;
-}
-
-// ---- SoftwareOracle ---------------------------------------------------------
-
-SoftwareOracle::SoftwareOracle(nn::SingleLayerNet net, OracleOptions options)
-    : BackendOracle(options),
-      net_(std::move(net)),
-      column_l1_(tensor::column_abs_sums(net_.weights())) {}
-
-int SoftwareOracle::query_label(const tensor::Vector& u) {
-    XS_EXPECTS(u.size() == inputs());
-    count_inference();
-    return net_.classify(u);
-}
-
-tensor::Vector SoftwareOracle::query_raw(const tensor::Vector& u) {
-    require_raw_access();
-    XS_EXPECTS(u.size() == inputs());
-    count_inference();
-    return net_.predict(u);
-}
-
-double SoftwareOracle::query_power(const tensor::Vector& u) {
-    require_power_access();
-    XS_EXPECTS(u.size() == inputs());
-    count_power();
-    return tensor::dot(u, column_l1_);
-}
-
-std::vector<int> SoftwareOracle::query_labels(const tensor::Matrix& U) {
-    XS_EXPECTS(U.cols() == inputs());
-    count_inference(U.rows());
-    return tensor::argmax_rows(net_.predict_batch(U));
-}
-
-tensor::Matrix SoftwareOracle::query_raw_batch(const tensor::Matrix& U) {
-    require_raw_access();
-    XS_EXPECTS(U.cols() == inputs());
-    count_inference(U.rows());
-    return net_.predict_batch(U);
-}
-
-tensor::Vector SoftwareOracle::query_power_batch(const tensor::Matrix& U) {
-    require_power_access();
-    XS_EXPECTS(U.cols() == inputs());
-    count_power(U.rows());
-    return tensor::matvec(U, column_l1_, thread_pool());
 }
 
 }  // namespace xbarsec::core

@@ -1,51 +1,9 @@
-#include "xbarsec/core/decorators.hpp"
+#include "xbarsec/core/policy.hpp"
 
 #include <algorithm>
 #include <string>
 
 namespace xbarsec::core {
-
-// ---- ObfuscatedOracle -------------------------------------------------------
-
-namespace {
-
-sidechannel::TotalCurrentFn build_obfuscation(Oracle& inner, const ObfuscationConfig& config) {
-    // The wrapped measurement routes through inner.query_power, so the
-    // backend counts the read and deeper decorators still apply.
-    sidechannel::TotalCurrentFn base = [&inner](const tensor::Vector& v) {
-        return inner.query_power(v);
-    };
-    switch (config.kind) {
-        case ObfuscationConfig::Kind::Dither:
-            return sidechannel::make_dithered_measure(std::move(base), config.magnitude,
-                                                      config.seed);
-        case ObfuscationConfig::Kind::UniformDummy:
-            return sidechannel::make_uniform_dummy_measure(std::move(base), config.magnitude);
-        case ObfuscationConfig::Kind::RandomDummy:
-            return sidechannel::make_random_dummy_measure(std::move(base), inner.inputs(),
-                                                          config.magnitude, config.seed);
-    }
-    throw ConfigError("unknown obfuscation kind");
-}
-
-}  // namespace
-
-ObfuscatedOracle::ObfuscatedOracle(Oracle& inner, ObfuscationConfig config)
-    : OracleDecorator(inner), obfuscated_(build_obfuscation(inner, config)) {}
-
-double ObfuscatedOracle::query_power(const tensor::Vector& u) {
-    // The dither transform draws from a stateful Rng inside the wrapper;
-    // serialise so concurrent (e.g. thread-pool) queries stay defined and
-    // the obfuscation stream deterministic.
-    std::lock_guard lock(mutex_);
-    return obfuscated_(u);
-}
-
-tensor::Vector ObfuscatedOracle::query_power_batch(const tensor::Matrix& U) {
-    // The base implementation serialises through this->query_power, which
-    // is exactly the documented per-measurement transform semantics.
-    return Oracle::query_power_batch(U);
-}
 
 // ---- BudgetLedger -----------------------------------------------------------
 

@@ -46,8 +46,8 @@ attack::QueryDataset collect_queries(Oracle& oracle, const data::Dataset& pool,
 }
 
 sidechannel::ProbeResult probe_columns(Oracle& oracle, const sidechannel::ProbeOptions& options) {
-    // Basis batches ride the oracle's batched power path (and any decorator
-    // stack above it) instead of issuing one query_power at a time.
+    // Basis batches ride the oracle's batched power path instead of
+    // issuing one query_power at a time.
     return sidechannel::probe_columns_batch(
         [&oracle](const tensor::Matrix& V) { return oracle.query_power_batch(V); },
         oracle.inputs(), options);

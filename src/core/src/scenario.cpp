@@ -456,16 +456,14 @@ DeployedScenario ScenarioRunner::deploy(const ScenarioSpec& spec) const {
             d.backend_->hardware_for_evaluation(), enrollment, config);
     }
 
-    // The obfuscation defenses become device layers; the policy defenses
-    // become the attacker session's config.
-    d.stack_ = std::make_unique<DecoratorStack>(*d.backend_);
-    const SessionConfig attacker = apply_defenses(
-        spec.defenses, *d.stack_, deployed_weight_scale(*d.backend_), d.detector_.get());
+    // The obfuscation defenses become the device's power obfuscation;
+    // the policy defenses become the attacker session's config.
+    const SessionConfig attacker = apply_defenses(spec.defenses, *d.backend_, d.detector_.get());
 
-    // Front the stack with the serving layer. Single-client experiments
+    // Front the backend with the serving layer. Single-client experiments
     // run through the default session; multi-client experiments open
     // further sessions on the same service.
-    d.service_ = std::make_unique<OracleService>(d.stack_->top());
+    d.service_ = std::make_unique<OracleService>(*d.backend_);
     d.session_ = d.service_->open_session(attacker);
     return d;
 }
@@ -1024,7 +1022,7 @@ ScenarioOutcome run_experiment(const ScenarioRunner& runner, const ScenarioSpec&
                                const CacheTimingOptions& ct) {
     if (!spec.defenses.empty()) {
         throw ConfigError("cache-timing scenarios do not support defense stacks (the channel "
-                          "lives in the serving layer, above any decorator)");
+                          "lives in the serving layer, above the device)");
     }
     ScenarioOutcome outcome;
     const data::DataSplit split = load_split(spec);

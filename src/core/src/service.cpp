@@ -175,8 +175,8 @@ private:
 /// session, with the promise its results are delivered through. Built
 /// once, after the charge; a cache hit resolves it on the submitting
 /// thread, a miss is enqueued. Units are never split across backend
-/// calls or replicas (an explicitly-submitted batch keeps the backend
-/// stack's all-or-nothing semantics); a replica's coalescer only
+/// calls or replicas (an explicitly-submitted batch keeps the backend's
+/// all-or-nothing semantics); a replica's coalescer only
 /// *merges* consecutive same-kind units up to max_batch rows.
 struct Unit {
     std::shared_ptr<SessionState> session;
@@ -255,6 +255,10 @@ struct ServiceState {
     std::unique_ptr<AttribState> attrib;
 
     std::atomic<std::uint64_t> next_session_id{1};
+
+    /// Set by ~OracleService before it stops the replicas. A cache hit
+    /// never reaches enqueue()'s `stopping` check, so it reads this one.
+    std::atomic<bool> shut_down{false};
 };
 
 struct SessionState {
@@ -681,6 +685,9 @@ std::future<T> submit(const std::shared_ptr<SessionState>& session, QueryKind ki
                   .promise = std::promise<T>()};
         std::future<T> future = std::get<std::promise<T>>(unit.promise).get_future();
         if (hit) {
+            if (svc.shut_down.load(std::memory_order_acquire)) {
+                throw SessionClosed("the service is shut down");
+            }
             resolve(*replica, unit, std::move(cached));
         } else {
             if (replica == nullptr) replica = &route(svc, s);
@@ -811,14 +818,14 @@ void execute_group(ReplicaState& replica, std::vector<Unit>& units, std::size_t 
 /// Executes one drained replica queue: consecutive same-kind units are
 /// merged into backend batch calls of up to max_batch rows (a single
 /// unit larger than that still goes through whole — explicit batches are
-/// never split, preserving the backend stack's all-or-nothing charging
+/// never split, preserving the backend's all-or-nothing charging
 /// and its noise-stream layout).
 ///
-/// A backend-stack exception (a deployment that withholds a query kind,
-/// a faulting backend) from a *merged* group must not take innocent
-/// tenants' queries down with the one that tripped it, so the group falls
-/// back to per-unit backend calls — each unit then succeeds or fails
-/// exactly as it would have under serial issue. (A stack that counts or
+/// A backend exception (a faulting device, a contract violation) from a
+/// *merged* group must not take innocent tenants' queries down with the
+/// one that tripped it, so the group falls back to per-unit backend
+/// calls — each unit then succeeds or fails exactly as it would have
+/// under serial issue. (A backend that counts or
 /// draws noise before it throws sees the group's rows once more on the
 /// retry; isolation of the tenants' answers is the contract that
 /// matters.)
@@ -1114,6 +1121,7 @@ OracleService::OracleService(const std::vector<Oracle*>& replicas, ServiceConfig
 }
 
 OracleService::~OracleService() {
+    state_->shut_down.store(true, std::memory_order_release);
     for (auto& replica : state_->replicas) {
         {
             std::lock_guard lock(replica->mutex);

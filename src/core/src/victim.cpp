@@ -48,7 +48,7 @@ TrainedVictim train_victim(const data::DataSplit& split, const VictimConfig& con
 
 CrossbarOracle deploy_victim(const nn::SingleLayerNet& net, const VictimConfig& config) {
     xbar::CrossbarNetwork hardware(net, config.device, config.nonideal);
-    return CrossbarOracle(std::move(hardware), config.oracle);
+    return CrossbarOracle(std::move(hardware));
 }
 
 std::vector<CrossbarOracle> deploy_victim_fleet(const nn::SingleLayerNet& net,
@@ -62,8 +62,7 @@ std::vector<CrossbarOracle> deploy_victim_fleet(const nn::SingleLayerNet& net,
         nonideal.seed = xbar::replica_variation_seed(config.nonideal.seed, r);
         xbar::MappingOptions mapping;
         mapping.noise_seed = xbar::replica_variation_seed(mapping.noise_seed, r);
-        fleet.emplace_back(xbar::CrossbarNetwork(net, config.device, nonideal, mapping),
-                           config.oracle);
+        fleet.emplace_back(xbar::CrossbarNetwork(net, config.device, nonideal, mapping));
     }
     return fleet;
 }

@@ -9,7 +9,7 @@
 // shrinks as 1/repeats (tested).
 //
 // The probe operates through a measurement callback so it can run against
-// a raw Crossbar, a core::CrossbarOracle, or an obfuscated channel
+// a raw Crossbar or a core::CrossbarOracle (obfuscated or not)
 // identically.
 #pragma once
 

@@ -28,7 +28,7 @@ xbar::DeviceSpec ideal_spec() {
 struct Fixture {
     Rng rng{11};
     nn::SingleLayerNet net{rng, 10, 3, nn::Activation::Linear, nn::Loss::Mse};
-    core::CrossbarOracle backend{xbar::CrossbarNetwork(net, ideal_spec()), {}};
+    core::CrossbarOracle backend{xbar::CrossbarNetwork(net, ideal_spec())};
     OracleService service{backend};
     tensor::Matrix probes{tensor::Matrix::random_uniform(rng, 48, 10)};
     tensor::Matrix camouflage{tensor::Matrix::random_uniform(rng, 16, 10)};

@@ -28,7 +28,7 @@ nn::SingleLayerNet make_net(Rng& rng, std::size_t in = 16, std::size_t out = 3) 
 }
 
 CrossbarOracle make_oracle(const nn::SingleLayerNet& net, xbar::NonIdealityConfig nonideal = {}) {
-    return CrossbarOracle(xbar::CrossbarNetwork(net, ideal_spec(), nonideal), {});
+    return CrossbarOracle(xbar::CrossbarNetwork(net, ideal_spec(), nonideal));
 }
 
 xbar::NonIdealityConfig noisy_device() {

@@ -7,7 +7,7 @@
 
 #include "xbarsec/attack/fgsm.hpp"
 #include "xbarsec/attack/single_pixel.hpp"
-#include "xbarsec/core/decorators.hpp"
+#include "xbarsec/core/policy.hpp"
 #include "xbarsec/core/victim.hpp"
 #include "xbarsec/data/synthetic_mnist.hpp"
 #include "xbarsec/sidechannel/detector.hpp"

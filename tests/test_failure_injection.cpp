@@ -9,11 +9,11 @@
 
 #include "xbarsec/attack/surrogate.hpp"
 #include "xbarsec/core/queries.hpp"
+#include "xbarsec/core/service.hpp"
 #include "xbarsec/core/victim.hpp"
 #include "xbarsec/data/cifar_io.hpp"
 #include "xbarsec/data/idx_io.hpp"
 #include "xbarsec/nn/trainer.hpp"
-#include "xbarsec/sidechannel/obfuscation.hpp"
 #include "xbarsec/sidechannel/probe.hpp"
 #include "xbarsec/stats/aggregate.hpp"
 #include "xbarsec/tensor/linalg.hpp"
@@ -131,7 +131,7 @@ TEST(FailureInjection, QueryPlanAgainstMismatchedPoolThrows) {
     Rng rng(3);
     nn::SingleLayerNet net(rng, 8, 3, nn::Activation::Linear, nn::Loss::Mse);
     xbar::DeviceSpec spec;
-    core::CrossbarOracle oracle{xbar::CrossbarNetwork(net, spec), {}};
+    core::CrossbarOracle oracle{xbar::CrossbarNetwork(net, spec)};
     tensor::Matrix inputs(4, 5);  // wrong input dim (5 != 8)
     const data::Dataset pool(std::move(inputs), {0, 1, 2, 0}, 3, data::ImageShape{1, 5, 1});
     core::QueryPlan plan;
@@ -174,28 +174,34 @@ TEST(FailureInjection, CrossbarRejectsInsaneDeviceSpecsAtConstruction) {
 
 TEST(FailureInjection, ObfuscationCannotMaskContractViolations) {
     // A defended measurement channel still surfaces dimension errors from
-    // the wrapped oracle rather than fabricating numbers.
+    // the device rather than fabricating numbers.
     Rng rng(6);
     nn::SingleLayerNet net(rng, 6, 2, nn::Activation::Linear, nn::Loss::Mse);
     xbar::DeviceSpec spec;
-    core::CrossbarOracle oracle{xbar::CrossbarNetwork(net, spec), {}};
-    auto defended = sidechannel::make_dithered_measure(oracle.power_measure_fn(), 1e-9, 1);
-    EXPECT_THROW(defended(tensor::Vector(3, 1.0)), ContractViolation);
+    core::CrossbarOracle oracle{xbar::CrossbarNetwork(net, spec)};
+    core::ObfuscationConfig dither;
+    dither.magnitude = 1e-9;
+    dither.seed = 1;
+    oracle.set_power_obfuscation({dither});
+    EXPECT_THROW(oracle.query_power(tensor::Vector(3, 1.0)), ContractViolation);
+    EXPECT_THROW(oracle.query_power_batch(tensor::Matrix(2, 3, 1.0)), ContractViolation);
 }
 
 TEST(FailureInjection, DeniedOracleChannelsAbortQueryCollection) {
     Rng rng(7);
     nn::SingleLayerNet net(rng, 6, 2, nn::Activation::Linear, nn::Loss::Mse);
     xbar::DeviceSpec spec;
-    core::OracleOptions closed;
+    core::CrossbarOracle oracle{xbar::CrossbarNetwork(net, spec)};
+    core::OracleService service(oracle);
+    core::SessionConfig closed;
     closed.expose_power = false;
-    core::CrossbarOracle oracle{xbar::CrossbarNetwork(net, spec), closed};
+    core::Session session = service.open_session(closed);
     tensor::Matrix inputs(4, 6, 0.5);
     const data::Dataset pool(std::move(inputs), {0, 1, 0, 1}, 2, data::ImageShape{1, 6, 1});
     core::QueryPlan plan;
     plan.count = 2;
     plan.record_power = true;  // needs the denied channel
-    EXPECT_THROW(core::collect_queries(oracle, pool, plan), core::AccessDenied);
+    EXPECT_THROW(core::collect_queries(session, pool, plan), core::AccessDenied);
 }
 
 }  // namespace

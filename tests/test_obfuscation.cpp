@@ -1,35 +1,41 @@
-// Power-obfuscation counter-measure tests.
+// Power-obfuscation countermeasure tests: each layer set on a
+// CrossbarOracle, read in weight units through the oracle's power channel.
 #include <gtest/gtest.h>
 
 #include <cmath>
 
-#include "xbarsec/sidechannel/obfuscation.hpp"
+#include "xbarsec/core/oracle.hpp"
+#include "xbarsec/core/queries.hpp"
 #include "xbarsec/stats/descriptive.hpp"
 #include "xbarsec/tensor/ops.hpp"
 
-namespace xbarsec::sidechannel {
+namespace xbarsec::core {
 namespace {
 
-xbar::Crossbar make_crossbar(Rng& rng, std::size_t rows, std::size_t cols) {
+using Kind = ObfuscationConfig::Kind;
+
+CrossbarOracle make_oracle(Rng& rng, std::size_t rows, std::size_t cols) {
     xbar::DeviceSpec spec;
     spec.g_on_max = 100e-6;
-    const tensor::Matrix W = tensor::Matrix::random_normal(rng, rows, cols);
-    return xbar::Crossbar(map_weights(W, spec));
+    const nn::SingleLayerNet net(rng, cols, rows, nn::Activation::Linear, nn::Loss::Mse);
+    return CrossbarOracle(xbar::CrossbarNetwork(net, spec));
 }
 
-TotalCurrentFn raw_measure(const xbar::Crossbar& xbar) {
-    return [&xbar](const tensor::Vector& v) { return xbar.total_current(v); };
+/// The undefended column estimates (weight units), read before any layer
+/// is set.
+tensor::Vector clean_columns(CrossbarOracle& oracle) {
+    return probe_columns(oracle).conductance_sums;
 }
 
 TEST(Dither, AddsZeroMeanNoiseOfConfiguredScale) {
     Rng rng(1);
-    const xbar::Crossbar xbar = make_crossbar(rng, 6, 4);
+    CrossbarOracle oracle = make_oracle(rng, 6, 4);
     const tensor::Vector u(4, 1.0);
-    const double truth = xbar.total_current(u);
+    const double truth = oracle.query_power(u);
     const double sigma = 0.2 * std::abs(truth);
-    const TotalCurrentFn dithered = make_dithered_measure(raw_measure(xbar), sigma, 7);
+    oracle.set_power_obfuscation({{Kind::Dither, sigma, 7}});
     std::vector<double> readings(500);
-    for (auto& r : readings) r = dithered(u);
+    for (auto& r : readings) r = oracle.query_power(u);
     const stats::Summary s = stats::summarize(readings);
     EXPECT_NEAR(s.mean, truth, 0.05 * std::abs(truth));
     EXPECT_NEAR(s.stddev, sigma, 0.2 * sigma);
@@ -37,18 +43,17 @@ TEST(Dither, AddsZeroMeanNoiseOfConfiguredScale) {
 
 TEST(Dither, DegradesSingleProbeButAveragingRecovers) {
     Rng rng(2);
-    const xbar::Crossbar xbar = make_crossbar(rng, 8, 10);
-    const tensor::Vector truth = xbar.column_conductances();
-    const double scale = tensor::max(truth);
-    const TotalCurrentFn dithered =
-        make_dithered_measure(raw_measure(xbar), 0.3 * scale, 11);
-    ProbeOptions one;
+    CrossbarOracle oracle = make_oracle(rng, 8, 10);
+    const tensor::Vector truth = clean_columns(oracle);
+    oracle.set_power_obfuscation({{Kind::Dither, 0.3 * tensor::max(truth), 11}});
+    sidechannel::ProbeOptions one;
     one.repeats = 1;
-    ProbeOptions many;
+    sidechannel::ProbeOptions many;
     many.repeats = 100;
-    const double err_one = relative_error(probe_columns(dithered, 10, one).conductance_sums, truth);
+    const double err_one =
+        sidechannel::relative_error(probe_columns(oracle, one).conductance_sums, truth);
     const double err_many =
-        relative_error(probe_columns(dithered, 10, many).conductance_sums, truth);
+        sidechannel::relative_error(probe_columns(oracle, many).conductance_sums, truth);
     EXPECT_GT(err_one, err_many);
     EXPECT_LT(err_many, 0.1) << "dithering alone is defeated by averaging";
 }
@@ -57,57 +62,47 @@ TEST(UniformDummy, ShiftsEstimatesButPreservesRanking) {
     // The key negative result: identical dummies on every line cannot hide
     // the 1-norm *ranking* — basis probes all gain the same offset.
     Rng rng(3);
-    const xbar::Crossbar xbar = make_crossbar(rng, 6, 12);
-    const tensor::Vector truth = xbar.column_conductances();
-    const TotalCurrentFn defended = make_uniform_dummy_measure(raw_measure(xbar), 50e-6);
-    const ProbeResult r = probe_columns(defended, 12);
+    CrossbarOracle oracle = make_oracle(rng, 6, 12);
+    const tensor::Vector truth = clean_columns(oracle);
+    oracle.set_power_obfuscation({{Kind::UniformDummy, 0.5}});
+    const sidechannel::ProbeResult r = probe_columns(oracle);
     for (std::size_t j = 0; j < 12; ++j) {
-        EXPECT_NEAR(r.conductance_sums[j] - truth[j], 50e-6, 1e-12) << "uniform offset expected";
+        EXPECT_NEAR(r.conductance_sums[j] - truth[j], 0.5, 1e-9) << "uniform offset expected";
     }
     EXPECT_EQ(tensor::argmax(r.conductance_sums), tensor::argmax(truth));
-    EXPECT_DOUBLE_EQ(topk_agreement(r.conductance_sums, truth, 6), 1.0);
+    EXPECT_DOUBLE_EQ(sidechannel::topk_agreement(r.conductance_sums, truth, 6), 1.0);
 }
 
 TEST(RandomDummy, CorruptsPerColumnEstimates) {
     Rng rng(4);
-    const xbar::Crossbar xbar = make_crossbar(rng, 6, 12);
-    const tensor::Vector truth = xbar.column_conductances();
+    CrossbarOracle oracle = make_oracle(rng, 6, 12);
+    const tensor::Vector truth = clean_columns(oracle);
     const double spread = tensor::max(truth);  // dummies comparable to signal
-    const TotalCurrentFn defended =
-        make_random_dummy_measure(raw_measure(xbar), 12, spread, 13);
-    const ProbeResult r = probe_columns(defended, 12);
+    oracle.set_power_obfuscation({{Kind::RandomDummy, spread, 13}});
+    const sidechannel::ProbeResult r = probe_columns(oracle);
     // Estimates deviate column-dependently...
     double min_dev = 1e300, max_dev = 0.0;
     for (std::size_t j = 0; j < 12; ++j) {
         const double dev = r.conductance_sums[j] - truth[j];
         min_dev = std::min(min_dev, dev);
         max_dev = std::max(max_dev, dev);
-        EXPECT_GE(dev, -1e-15);  // dummy loads only add current
+        EXPECT_GE(dev, -1e-12);  // dummy loads only add current
     }
     EXPECT_GT(max_dev - min_dev, 0.1 * spread) << "random dummies must vary per line";
     // ...and averaging does NOT remove them (they are static, not noise).
-    ProbeOptions many;
+    sidechannel::ProbeOptions many;
     many.repeats = 50;
-    const ProbeResult averaged = probe_columns(defended, 12, many);
-    EXPECT_GT(relative_error(averaged.conductance_sums, truth), 0.05);
-}
-
-TEST(DummyLoad, ExplicitVectorForm) {
-    Rng rng(5);
-    const xbar::Crossbar xbar = make_crossbar(rng, 3, 3);
-    tensor::Vector g_line{10e-6, 0.0, 5e-6};
-    const TotalCurrentFn defended = make_dummy_load_measure(raw_measure(xbar), g_line);
-    const tensor::Vector probe = tensor::Vector::basis(3, 0, 1.0);
-    EXPECT_NEAR(defended(probe) - xbar.total_current(probe), 10e-6, 1e-15);
+    const sidechannel::ProbeResult averaged = probe_columns(oracle, many);
+    EXPECT_GT(sidechannel::relative_error(averaged.conductance_sums, truth), 0.05);
 }
 
 TEST(Obfuscation, Validation) {
-    EXPECT_THROW(make_dithered_measure(TotalCurrentFn{}, 1.0, 0), ContractViolation);
     Rng rng(6);
-    const xbar::Crossbar xbar = make_crossbar(rng, 2, 2);
-    EXPECT_THROW(make_dithered_measure(raw_measure(xbar), -1.0, 0), ContractViolation);
-    EXPECT_THROW(make_uniform_dummy_measure(raw_measure(xbar), -1e-6), ContractViolation);
+    CrossbarOracle oracle = make_oracle(rng, 2, 2);
+    for (const Kind kind : {Kind::Dither, Kind::UniformDummy, Kind::RandomDummy}) {
+        EXPECT_THROW(oracle.set_power_obfuscation({{kind, -1.0}}), ContractViolation);
+    }
 }
 
 }  // namespace
-}  // namespace xbarsec::sidechannel
+}  // namespace xbarsec::core

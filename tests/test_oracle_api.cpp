@@ -1,13 +1,14 @@
 // Tests for the polymorphic Oracle API: batched-vs-scalar equivalence,
-// SoftwareOracle/CrossbarOracle agreement, thread-pool batching, atomic
-// counter accounting, and the power-obfuscation decorators. The
-// per-client policies (budget, detector, sensing noise) live on service
-// sessions and are tested in test_service.
+// thread-pool batching, atomic counter accounting, and the crossbar's
+// power obfuscation (batched == scalar bit for bit, one dither ordinal
+// per reading under concurrency). The per-client policies (budget,
+// detector, sensing noise) live on service sessions and are tested in
+// test_service.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
 
-#include "xbarsec/core/decorators.hpp"
 #include "xbarsec/core/oracle.hpp"
 #include "xbarsec/core/queries.hpp"
 #include "xbarsec/data/synthetic_mnist.hpp"
@@ -26,9 +27,8 @@ nn::SingleLayerNet make_net(Rng& rng, std::size_t in = 24, std::size_t out = 5) 
     return nn::SingleLayerNet(rng, in, out, nn::Activation::Linear, nn::Loss::Mse);
 }
 
-CrossbarOracle make_oracle(const nn::SingleLayerNet& net, OracleOptions options = {},
-                           xbar::NonIdealityConfig nonideal = {}) {
-    return CrossbarOracle(xbar::CrossbarNetwork(net, ideal_spec(), nonideal), options);
+CrossbarOracle make_oracle(const nn::SingleLayerNet& net, xbar::NonIdealityConfig nonideal = {}) {
+    return CrossbarOracle(xbar::CrossbarNetwork(net, ideal_spec(), nonideal));
 }
 
 tensor::Matrix random_batch(Rng& rng, std::size_t rows, std::size_t cols) {
@@ -70,8 +70,8 @@ TEST(OracleBatch, NoisyHardwareConsumesTheSameStreamBatchedOrScalar) {
     const nn::SingleLayerNet net = make_net(rng);
     xbar::NonIdealityConfig noisy;
     noisy.read_noise_std = 0.05;
-    CrossbarOracle batched = make_oracle(net, {}, noisy);
-    CrossbarOracle scalar = make_oracle(net, {}, noisy);
+    CrossbarOracle batched = make_oracle(net, noisy);
+    CrossbarOracle scalar = make_oracle(net, noisy);
     const tensor::Matrix U = random_batch(rng, 16, net.inputs());
 
     const tensor::Vector batch_power = batched.query_power_batch(U);
@@ -103,8 +103,8 @@ TEST(OracleBatch, IrDropFallbackMatchesScalarPath) {
     const nn::SingleLayerNet net = make_net(rng);
     xbar::NonIdealityConfig nonideal;
     nonideal.line_resistance = 10.0;
-    CrossbarOracle batched = make_oracle(net, {}, nonideal);
-    CrossbarOracle scalar = make_oracle(net, {}, nonideal);
+    CrossbarOracle batched = make_oracle(net, nonideal);
+    CrossbarOracle scalar = make_oracle(net, nonideal);
     const tensor::Matrix U = random_batch(rng, 8, net.inputs());
 
     const std::vector<int> labels = batched.query_labels(U);
@@ -113,33 +113,6 @@ TEST(OracleBatch, IrDropFallbackMatchesScalarPath) {
         EXPECT_EQ(labels[r], scalar.query_label(U.row(r)));
         EXPECT_NEAR(power[r], scalar.query_power(U.row(r)), 1e-12);
     }
-}
-
-// ---- SoftwareOracle ---------------------------------------------------------
-
-TEST(SoftwareOracle, AgreesWithIdealCrossbarOracle) {
-    Rng rng(6);
-    const nn::SingleLayerNet net = make_net(rng);
-    CrossbarOracle hw = make_oracle(net);
-    SoftwareOracle sw(net);
-    const tensor::Matrix U = random_batch(rng, 30, net.inputs());
-
-    EXPECT_EQ(sw.query_labels(U), hw.query_labels(U));
-    const tensor::Vector hw_power = hw.query_power_batch(U);
-    const tensor::Vector sw_power = sw.query_power_batch(U);
-    for (std::size_t r = 0; r < U.rows(); ++r) EXPECT_NEAR(sw_power[r], hw_power[r], 1e-9);
-}
-
-TEST(SoftwareOracle, CountsAndEnforcesAccess) {
-    Rng rng(7);
-    OracleOptions closed;
-    closed.expose_power = false;
-    SoftwareOracle oracle(make_net(rng), closed);
-    const tensor::Matrix U = random_batch(rng, 4, oracle.inputs());
-    EXPECT_EQ(oracle.query_labels(U).size(), 4u);
-    EXPECT_THROW(oracle.query_power_batch(U), AccessDenied);
-    EXPECT_EQ(oracle.counters().inference, 4u);
-    EXPECT_EQ(oracle.counters().power, 0u);
 }
 
 // ---- counters ---------------------------------------------------------------
@@ -159,73 +132,141 @@ TEST(OracleCounters, BatchedQueriesCountPerRow) {
 
 TEST(OracleCounters, ConcurrentQueriesAreCountedExactly) {
     Rng rng(9);
-    SoftwareOracle software(make_net(rng));
-    const tensor::Vector u(software.inputs(), 0.25);
+    CrossbarOracle oracle = make_oracle(make_net(rng));
+    const tensor::Vector u(oracle.inputs(), 0.25);
     ThreadPool pool(4);
     parallel_for(pool, 200, [&](std::size_t i) {
-        // SoftwareOracle inference is stateless, so concurrent label
-        // queries are safe; the counter must still be exact.
-        (void)software.query_label(u);
-        if (i % 2 == 0) (void)software.query_power(u);
+        // The crossbar reserves each read's measurement atomically, so
+        // concurrent queries are safe; the counters must still be exact.
+        (void)oracle.query_label(u);
+        if (i % 2 == 0) (void)oracle.query_power(u);
     });
-    EXPECT_EQ(software.counters().inference, 200u);
-    EXPECT_EQ(software.counters().power, 100u);
+    EXPECT_EQ(oracle.counters().inference, 200u);
+    EXPECT_EQ(oracle.counters().power, 100u);
 }
 
-TEST(OracleCounters, DecoratedPowerReadsCountExactlyOnce) {
+// ---- power obfuscation ------------------------------------------------------
+
+TEST(PowerObfuscation, LayersAddTheirTermsInListOrderAndCountOneRead) {
     Rng rng(10);
     const nn::SingleLayerNet net = make_net(rng);
     CrossbarOracle backend = make_oracle(net);
-
-    ObfuscationConfig dummies;
-    dummies.kind = ObfuscationConfig::Kind::UniformDummy;
-    dummies.magnitude = 1e-6;
-    ObfuscatedOracle obfuscated(backend, dummies);
-    ObfuscatedOracle twice(obfuscated, dummies);
-
-    // A probe through a two-layer stack's power_measure_fn: one physical
-    // measurement per column, counted once at the backend.
-    const auto probe = probe_columns(twice);
-    EXPECT_EQ(probe.queries, backend.inputs());
-    EXPECT_EQ(backend.counters().power, backend.inputs());
-    EXPECT_EQ(twice.counters().power, backend.inputs());  // delegates inward
-}
-
-// ---- decorators -------------------------------------------------------------
-
-TEST(Decorators, UniformDummyShiftsPowerByLoadTimesInputSum) {
-    Rng rng(11);
-    const nn::SingleLayerNet net = make_net(rng);
-    CrossbarOracle backend = make_oracle(net);
-    ObfuscationConfig config;
-    config.kind = ObfuscationConfig::Kind::UniformDummy;
-    config.magnitude = 0.125;
-    ObfuscatedOracle defended(backend, config);
-
     const tensor::Vector u = tensor::Vector::random_uniform(rng, net.inputs());
     const double clean = backend.query_power(u);
-    EXPECT_NEAR(defended.query_power(u), clean + 0.125 * tensor::sum(u), 1e-9);
-}
-
-TEST(DecoratorStack, BuildsOwnedChains) {
-    Rng rng(19);
-    CrossbarOracle backend = make_oracle(make_net(rng));
-    DecoratorStack stack(backend);
-    EXPECT_EQ(&stack.top(), &backend);
 
     ObfuscationConfig dummies;
     dummies.kind = ObfuscationConfig::Kind::UniformDummy;
     dummies.magnitude = 0.125;
-    ObfuscatedOracle& inner = stack.push<ObfuscatedOracle>(dummies);
-    stack.push<ObfuscatedOracle>(dummies);
-    EXPECT_EQ(stack.depth(), 2u);
-    EXPECT_EQ(&static_cast<OracleDecorator&>(stack.top()).inner(), &inner);
+    ObfuscationConfig dither;
+    dither.kind = ObfuscationConfig::Kind::Dither;
+    dither.magnitude = 0.5;
+    dither.seed = 21;
+    backend.set_power_obfuscation({dummies, dither});
+    backend.reset_counters();
 
-    // Each layer adds its dummy load once; the read is counted once.
-    const tensor::Vector u(backend.inputs(), 0.5);
+    // The first obfuscated reading is ordinal 0 of the dither stream.
+    const double expected = (clean + 0.125 * tensor::sum(u)) + 0.5 * Rng::normal_at(21, 0, 0);
+    EXPECT_EQ(backend.query_power(u), expected);
+    EXPECT_EQ(backend.counters().power, 1u);
+
+    // A probe through the layered device: one physical read per column.
+    const auto probe = probe_columns(backend);
+    EXPECT_EQ(probe.queries, backend.inputs());
+    EXPECT_EQ(backend.counters().power, 1 + backend.inputs());
+}
+
+TEST(PowerObfuscation, UniformDummyShiftsPowerByLoadTimesInputSum) {
+    Rng rng(11);
+    const nn::SingleLayerNet net = make_net(rng);
+    CrossbarOracle backend = make_oracle(net);
+    const tensor::Vector u = tensor::Vector::random_uniform(rng, net.inputs());
     const double clean = backend.query_power(u);
-    EXPECT_NEAR(stack.top().query_power(u), clean + 2 * 0.125 * tensor::sum(u), 1e-9);
-    EXPECT_EQ(backend.counters().power, 2u);
+    ObfuscationConfig config;
+    config.kind = ObfuscationConfig::Kind::UniformDummy;
+    config.magnitude = 0.125;
+    backend.set_power_obfuscation({config});
+    EXPECT_NEAR(backend.query_power(u), clean + 0.125 * tensor::sum(u), 1e-9);
+}
+
+TEST(PowerObfuscation, AnEmptyListReadsClean) {
+    Rng rng(12);
+    const nn::SingleLayerNet net = make_net(rng);
+    CrossbarOracle clean = make_oracle(net);
+    CrossbarOracle cleared = make_oracle(net);
+    ObfuscationConfig dither;
+    dither.magnitude = 1.0;
+    cleared.set_power_obfuscation({dither});
+    cleared.set_power_obfuscation({});
+    const tensor::Matrix U = random_batch(rng, 6, net.inputs());
+    const tensor::Vector a = clean.query_power_batch(U);
+    const tensor::Vector b = cleared.query_power_batch(U);
+    for (std::size_t r = 0; r < U.rows(); ++r) {
+        EXPECT_EQ(a[r], b[r]);
+        EXPECT_EQ(cleared.query_power(U.row(r)), clean.query_power(U.row(r)));
+    }
+}
+
+TEST(PowerObfuscation, BatchedReadsEqualScalarReadsBitForBit) {
+    Rng rng(13);
+    const nn::SingleLayerNet net = make_net(rng);
+    xbar::NonIdealityConfig noisy;
+    noisy.read_noise_std = 0.05;
+    CrossbarOracle batched = make_oracle(net, noisy);
+    CrossbarOracle scalar = make_oracle(net, noisy);
+    ObfuscationConfig dummies;
+    dummies.kind = ObfuscationConfig::Kind::RandomDummy;
+    dummies.magnitude = 0.75;
+    dummies.seed = 3;
+    ObfuscationConfig dither;
+    dither.kind = ObfuscationConfig::Kind::Dither;
+    dither.magnitude = 0.25;
+    dither.seed = 5;
+    batched.set_power_obfuscation({dummies, dither});
+    scalar.set_power_obfuscation({dummies, dither});
+    ThreadPool pool(2);
+    batched.set_thread_pool(&pool);
+    const tensor::Matrix U = random_batch(rng, 300, net.inputs());
+
+    // Two batches, so the second starts mid-stream on both the crossbar's
+    // measurement counter and the dither ordinal.
+    const tensor::Vector head = batched.query_power_batch(U);
+    const tensor::Vector tail = batched.query_power_batch(U);
+    for (std::size_t r = 0; r < U.rows(); ++r) {
+        EXPECT_EQ(head[r], scalar.query_power(U.row(r))) << "row " << r;
+    }
+    for (std::size_t r = 0; r < U.rows(); ++r) {
+        EXPECT_EQ(tail[r], scalar.query_power(U.row(r))) << "row " << r;
+    }
+}
+
+TEST(PowerObfuscation, ConcurrentReadsUseEachDitherOrdinalOnce) {
+    Rng rng(14);
+    const nn::SingleLayerNet net = make_net(rng);
+    CrossbarOracle concurrent = make_oracle(net);
+    CrossbarOracle serial = make_oracle(net);
+    ObfuscationConfig dither;
+    dither.kind = ObfuscationConfig::Kind::Dither;
+    dither.magnitude = 0.5;
+    dither.seed = 17;
+    concurrent.set_power_obfuscation({dither});
+    serial.set_power_obfuscation({dither});
+    const tensor::Vector u = tensor::Vector::random_uniform(rng, net.inputs());
+    tensor::Matrix U1(1, net.inputs());
+    U1.set_row(0, u);
+
+    constexpr std::size_t kReads = 400;
+    std::vector<double> readings(kReads);
+    ThreadPool pool(4);
+    parallel_for(pool, kReads, [&](std::size_t i) {
+        readings[i] = i % 2 == 0 ? concurrent.query_power(u) : concurrent.query_power_batch(U1)[0];
+    });
+    std::vector<double> expected(kReads);
+    for (double& e : expected) e = serial.query_power(u);
+
+    std::sort(readings.begin(), readings.end());
+    std::sort(expected.begin(), expected.end());
+    EXPECT_EQ(readings, expected);
+    EXPECT_EQ(concurrent.counters().power, kReads);
 }
 
 // ---- oracle-driven sidechannel entry points ---------------------------------

@@ -1,5 +1,5 @@
-// CrossbarOracle and query-collection tests: access control, counters,
-// and the normalisation of the power channel.
+// CrossbarOracle and query-collection tests: counters and the
+// normalisation of the power channel.
 #include <gtest/gtest.h>
 
 #include "xbarsec/core/oracle.hpp"
@@ -20,8 +20,8 @@ nn::SingleLayerNet make_net(Rng& rng, std::size_t in = 8, std::size_t out = 3) {
     return nn::SingleLayerNet(rng, in, out, nn::Activation::Linear, nn::Loss::Mse);
 }
 
-CrossbarOracle make_oracle(const nn::SingleLayerNet& net, OracleOptions options = {}) {
-    return CrossbarOracle(xbar::CrossbarNetwork(net, ideal_spec()), options);
+CrossbarOracle make_oracle(const nn::SingleLayerNet& net) {
+    return CrossbarOracle(xbar::CrossbarNetwork(net, ideal_spec()));
 }
 
 TEST(Oracle, LabelQueryMatchesSoftwareNet) {
@@ -54,19 +54,6 @@ TEST(Oracle, PowerQueryIsInWeightUnits) {
     for (std::size_t j = 0; j < 8; ++j) {
         EXPECT_NEAR(oracle.query_power(tensor::Vector::basis(8, j)), l1[j], 1e-9);
     }
-}
-
-TEST(Oracle, AccessControlIsEnforced) {
-    Rng rng(4);
-    const nn::SingleLayerNet net = make_net(rng);
-    OracleOptions closed;
-    closed.expose_raw_outputs = false;
-    closed.expose_power = false;
-    CrossbarOracle oracle = make_oracle(net, closed);
-    const tensor::Vector u(8, 0.5);
-    EXPECT_NO_THROW(oracle.query_label(u));
-    EXPECT_THROW(oracle.query_raw(u), AccessDenied);
-    EXPECT_THROW(oracle.query_power(u), AccessDenied);
 }
 
 TEST(Oracle, CountersTrackQueries) {

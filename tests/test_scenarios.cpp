@@ -100,8 +100,14 @@ TEST(ScenarioRunner, DeploysObfuscationLayersAndSessionPolicy) {
     ScenarioRunner runner;
     DeployedScenario d = runner.deploy(tiny("probe/mnist/defended"));
     EXPECT_EQ(d.spec().defenses.size(), 3u);
-    // The random dummies are a device layer over the backend...
-    EXPECT_NE(&d.stack_top(), static_cast<Oracle*>(&d.backend()));
+    // The random dummies are set on the device: its power reading carries
+    // their load on top of the clean Eq. 5 current...
+    const tensor::Vector u(784, 0.1);
+    const xbar::CrossbarNetwork& hardware = d.backend().hardware_for_evaluation();
+    const double clean =
+        hardware.total_current(u) / hardware.crossbar().program().weight_scale;
+    EXPECT_GT(d.backend().query_power(u), clean);
+    d.backend().reset_counters();
     EXPECT_EQ(d.session().inputs(), 784u);
     // One query through the session is counted once, at the backend.
     (void)d.session().query_label(tensor::Vector(784, 0.1));

@@ -27,9 +27,8 @@ nn::SingleLayerNet make_net(Rng& rng, std::size_t in = 24, std::size_t out = 5) 
     return nn::SingleLayerNet(rng, in, out, nn::Activation::Linear, nn::Loss::Mse);
 }
 
-CrossbarOracle make_oracle(const nn::SingleLayerNet& net, OracleOptions options = {},
-                           xbar::NonIdealityConfig nonideal = {}) {
-    return CrossbarOracle(xbar::CrossbarNetwork(net, ideal_spec(), nonideal), options);
+CrossbarOracle make_oracle(const nn::SingleLayerNet& net, xbar::NonIdealityConfig nonideal = {}) {
+    return CrossbarOracle(xbar::CrossbarNetwork(net, ideal_spec(), nonideal));
 }
 
 xbar::NonIdealityConfig noisy_device() {
@@ -96,8 +95,8 @@ TEST(Service, ScalarSubmissionsMatchScalarQueries) {
 TEST(Service, CoalescedLabelsBitIdenticalToSerialOnNoisyHardware) {
     Rng rng(3);
     const nn::SingleLayerNet net = make_net(rng);
-    CrossbarOracle serial = make_oracle(net, {}, noisy_device());
-    CrossbarOracle backend = make_oracle(net, {}, noisy_device());
+    CrossbarOracle serial = make_oracle(net, noisy_device());
+    CrossbarOracle backend = make_oracle(net, noisy_device());
     OracleService service(backend, coalescing_config());
     Session session = service.open_session();
     const tensor::Matrix U = tensor::Matrix::random_uniform(rng, 64, net.inputs());
@@ -117,8 +116,8 @@ TEST(Service, CoalescedLabelsBitIdenticalToSerialOnNoisyHardware) {
 TEST(Service, CoalescedRawAndPowerBitIdenticalToSerialOnNoisyHardware) {
     Rng rng(4);
     const nn::SingleLayerNet net = make_net(rng);
-    CrossbarOracle serial = make_oracle(net, {}, noisy_device());
-    CrossbarOracle backend = make_oracle(net, {}, noisy_device());
+    CrossbarOracle serial = make_oracle(net, noisy_device());
+    CrossbarOracle backend = make_oracle(net, noisy_device());
     OracleService service(backend, coalescing_config());
     Session session = service.open_session();
     const tensor::Matrix U = tensor::Matrix::random_uniform(rng, 32, net.inputs());
@@ -147,8 +146,8 @@ TEST(Service, InterleavedKindsPreserveSerialMeasurementOrder) {
     // counter advances exactly as under serial issue.
     Rng rng(5);
     const nn::SingleLayerNet net = make_net(rng);
-    CrossbarOracle serial = make_oracle(net, {}, noisy_device());
-    CrossbarOracle backend = make_oracle(net, {}, noisy_device());
+    CrossbarOracle serial = make_oracle(net, noisy_device());
+    CrossbarOracle backend = make_oracle(net, noisy_device());
     OracleService service(backend, coalescing_config());
     Session session = service.open_session();
     const tensor::Matrix U = tensor::Matrix::random_uniform(rng, 18, net.inputs());
@@ -232,12 +231,20 @@ TEST(Service, SessionExposureOptionsDenyAtSubmit) {
     SessionConfig config;
     config.expose_raw_outputs = false;
     config.expose_power = false;
+    config.budget.max_total = 10;
     Session session = service.open_session(config);
     const tensor::Vector u(net.inputs(), 0.5);
 
+    // Both refusals happen at admission: nothing charged, nothing counted.
     EXPECT_THROW(session.submit_raw(u), AccessDenied);
     EXPECT_THROW(session.submit_power(u), AccessDenied);
+    EXPECT_EQ(session.budget_spent().total(), 0u);
+    EXPECT_EQ(session.counters().total(), 0u);
+    EXPECT_EQ(backend.counters().total(), 0u);
+
     EXPECT_NO_THROW(session.submit_label(u).get());
+    EXPECT_EQ(session.budget_spent().inference, 1u);
+    EXPECT_EQ(session.counters().inference, 1u);
     EXPECT_EQ(backend.counters().power, 0u);
 }
 
@@ -277,20 +284,6 @@ TEST(Service, SessionTotalBudgetSpansBothKinds) {
     EXPECT_THROW(session.submit_label(u), QueryBudgetExceeded);
     EXPECT_THROW(session.submit_power(u), QueryBudgetExceeded);
     EXPECT_EQ(backend.counters().total(), 3u);  // refusals never ran
-}
-
-TEST(Service, BackendExposureStillDeniesSessionRawQueries) {
-    // Session exposure options are AND-ed with the deployment's: a
-    // pass-through session cannot widen what the backend exposes.
-    Rng rng(24);
-    OracleOptions closed;
-    closed.expose_raw_outputs = false;
-    CrossbarOracle backend = make_oracle(make_net(rng), closed);
-    OracleService service(backend);
-    Session session = service.open_session();
-    EXPECT_THROW((void)session.query_raw(tensor::Vector(backend.inputs(), 0.1)),
-                 AccessDenied);
-    EXPECT_NO_THROW((void)session.query_label(tensor::Vector(backend.inputs(), 0.1)));
 }
 
 // ---- counters ---------------------------------------------------------------

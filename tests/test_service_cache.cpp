@@ -38,8 +38,8 @@ nn::SingleLayerNet make_net(Rng& rng, std::size_t in = 24, std::size_t out = 5) 
     return nn::SingleLayerNet(rng, in, out, nn::Activation::Linear, nn::Loss::Mse);
 }
 
-CrossbarOracle make_oracle(const nn::SingleLayerNet& net, OracleOptions options = {}) {
-    return CrossbarOracle(xbar::CrossbarNetwork(net, ideal_spec(), {}), options);
+CrossbarOracle make_oracle(const nn::SingleLayerNet& net) {
+    return CrossbarOracle(xbar::CrossbarNetwork(net, ideal_spec()));
 }
 
 ServiceConfig cached_config(std::size_t capacity = 64, bool partition = false,

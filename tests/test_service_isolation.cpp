@@ -25,7 +25,7 @@ nn::SingleLayerNet make_net(Rng& rng, std::size_t in = 16, std::size_t out = 3) 
 }
 
 CrossbarOracle make_oracle(const nn::SingleLayerNet& net) {
-    return CrossbarOracle(xbar::CrossbarNetwork(net, ideal_spec()), {});
+    return CrossbarOracle(xbar::CrossbarNetwork(net, ideal_spec()));
 }
 
 data::Dataset make_enrollment(Rng& rng, std::size_t n = 120, std::size_t dim = 16) {
@@ -112,21 +112,27 @@ TEST(SessionIsolation, BlockingDetectorRefusesOnlyTheOffendingSession) {
     EXPECT_EQ(attacker.budget_spent().inference, 0u);
 }
 
-/// A shared infrastructure defense below the service: refuses any label
-/// query or batch that contains a driven row (a pixel above `limit`),
-/// without forwarding it to the backend.
-class RefuseDrivenRows : public OracleDecorator {
+/// A shared infrastructure defense below the service: a forwarding
+/// Oracle that refuses any label query or batch that contains a driven
+/// row (a pixel above `limit`), without forwarding it to the backend.
+class RefuseDrivenRows : public Oracle {
 public:
-    RefuseDrivenRows(Oracle& inner, double limit) : OracleDecorator(inner), limit_(limit) {}
+    RefuseDrivenRows(Oracle& inner, double limit) : inner_(inner), limit_(limit) {}
 
+    std::size_t inputs() const override { return inner_.inputs(); }
+    std::size_t outputs() const override { return inner_.outputs(); }
     int query_label(const tensor::Vector& u) override {
         check(u.span());
-        return inner().query_label(u);
+        return inner_.query_label(u);
     }
     std::vector<int> query_labels(const tensor::Matrix& U) override {
         for (std::size_t r = 0; r < U.rows(); ++r) check(U.row_span(r));
-        return inner().query_labels(U);
+        return inner_.query_labels(U);
     }
+    tensor::Vector query_raw(const tensor::Vector& u) override { return inner_.query_raw(u); }
+    double query_power(const tensor::Vector& u) override { return inner_.query_power(u); }
+    QueryCounters counters() const override { return inner_.counters(); }
+    void reset_counters() override { inner_.reset_counters(); }
 
 private:
     void check(std::span<const double> row) const {
@@ -135,6 +141,7 @@ private:
         }
     }
 
+    Oracle& inner_;
     double limit_;
 };
 

@@ -32,7 +32,7 @@ nn::SingleLayerNet make_net(Rng& rng, std::size_t in = 24, std::size_t out = 5) 
 }
 
 CrossbarOracle make_oracle(const nn::SingleLayerNet& net, xbar::NonIdealityConfig nonideal = {}) {
-    return CrossbarOracle(xbar::CrossbarNetwork(net, ideal_spec(), nonideal), {});
+    return CrossbarOracle(xbar::CrossbarNetwork(net, ideal_spec(), nonideal));
 }
 
 /// Replica k's device state: read noise plus stuck cells, seeded through

@@ -30,25 +30,33 @@ nn::SingleLayerNet make_net(Rng& rng, std::size_t in = 12, std::size_t out = 3) 
 }
 
 CrossbarOracle make_oracle(const nn::SingleLayerNet& net) {
-    return CrossbarOracle(xbar::CrossbarNetwork(net, ideal_spec()), {});
+    return CrossbarOracle(xbar::CrossbarNetwork(net, ideal_spec()));
 }
 
 TEST(ServiceShutdown, SubmissionAfterDestructionChargesNothing) {
     Rng rng(1);
     const nn::SingleLayerNet net = make_net(rng);
-    CrossbarOracle backend = make_oracle(net);
-    SessionConfig budgeted;
-    budgeted.budget.max_inference = 100;
-    Session session;
-    {
-        OracleService service(backend);
-        session = service.open_session(budgeted);
-        (void)session.submit_label(tensor::Vector(net.inputs(), 0.5)).get();
+    const tensor::Vector u(net.inputs(), 0.5);
+    for (const bool cached : {false, true}) {
+        SCOPED_TRACE(cached ? "cache on" : "cache off");
+        CrossbarOracle backend = make_oracle(net);
+        ServiceConfig config;
+        config.cache.enabled = cached;
+        SessionConfig budgeted;
+        budgeted.budget.max_inference = 100;
+        Session session;
+        {
+            OracleService service(backend, config);
+            session = service.open_session(budgeted);
+            (void)session.submit_label(u).get();
+        }
+        // The service is gone; the handle outlives it and must refuse
+        // cleanly without touching the ledger or the counters — a repeated
+        // row, which the cache-on service would answer as a hit, included.
+        EXPECT_THROW(session.submit_label(u), SessionClosed);
+        EXPECT_EQ(session.budget_spent().inference, 1u);
+        EXPECT_EQ(session.counters().inference, 1u);
     }
-    // The service is gone; the handle outlives it and must refuse
-    // cleanly without touching the ledger.
-    EXPECT_THROW(session.submit_label(tensor::Vector(net.inputs(), 0.5)), SessionClosed);
-    EXPECT_EQ(session.budget_spent().inference, 1u);
 }
 
 TEST(ServiceShutdown, BudgetRefundsExactlyUnderShutdownRace) {

@@ -25,7 +25,7 @@ nn::SingleLayerNet make_net(Rng& rng, std::size_t in = 16, std::size_t out = 3) 
 }
 
 CrossbarOracle make_oracle(const nn::SingleLayerNet& net, xbar::NonIdealityConfig nonideal = {}) {
-    return CrossbarOracle(xbar::CrossbarNetwork(net, ideal_spec(), nonideal), {});
+    return CrossbarOracle(xbar::CrossbarNetwork(net, ideal_spec(), nonideal));
 }
 
 data::Dataset make_enrollment(Rng& rng, std::size_t n = 120, std::size_t dim = 16) {
