@@ -1,10 +1,11 @@
-// Fast gradient attacks (Goodfellow et al. 2015; the paper's Eq. 2).
+// Fast gradient sign method (Goodfellow et al. 2015; the paper's Eq. 2).
 //
-// FGSM perturbs every input by ε·sign(∂L/∂u); FGV scales the raw gradient
-// to the same ℓ∞ magnitude instead, preserving the gradient's shape. Both
-// run against a SingleLayerNet — in the black-box pipeline that net is
-// the attacker's *surrogate*, and the resulting adversarial examples are
-// transferred to the oracle (Figure 5).
+// FGSM perturbs every input by ε·sign(∂L/∂u). It runs against a
+// SingleLayerNet — in the black-box pipeline that net is the attacker's
+// *surrogate*, and the resulting adversarial examples are transferred to
+// the oracle (Figure 5). fgsm_attack_batch is the attack every caller
+// runs; fgsm_perturbation states Eq. 2 for one sample and is the
+// reference the batch is tested against.
 #pragma once
 
 #include <vector>
@@ -18,11 +19,6 @@ namespace xbarsec::attack {
 /// attack is untargeted: it ascends the loss).
 tensor::Vector fgsm_perturbation(const nn::SingleLayerNet& net, const tensor::Vector& u,
                                  const tensor::Vector& target, double epsilon);
-
-/// Fast-gradient-value variant: r = ε · ∇_u L / ‖∇_u L‖∞ (zero gradient ⇒
-/// zero perturbation).
-tensor::Vector fgv_perturbation(const nn::SingleLayerNet& net, const tensor::Vector& u,
-                                const tensor::Vector& target, double epsilon);
 
 /// Applies FGSM to every row of X (labels give the one-hot targets) and
 /// returns the perturbed batch under `budget`.

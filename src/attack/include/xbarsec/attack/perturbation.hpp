@@ -1,4 +1,5 @@
-// Perturbation bookkeeping shared by the attack implementations.
+// The perturbation budget and the one-hot targets shared by the gradient
+// attacks.
 #pragma once
 
 #include <vector>
@@ -20,14 +21,6 @@ struct PerturbationBudget {
     double box_lo = 0.0;
     double box_hi = 1.0;
 };
-
-/// Applies `r` to `u` under the budget: r is ℓ∞-projected first, then the
-/// sum is optionally box-clamped. Returns the adversarial input u′.
-tensor::Vector apply_perturbation(const tensor::Vector& u, const tensor::Vector& r,
-                                  const PerturbationBudget& budget);
-
-/// ℓ∞ projection of r onto the budget ball (identity when linf == 0).
-tensor::Vector project_linf(const tensor::Vector& r, double linf);
 
 /// One-hot target matrix from integer labels: row i has a 1 at labels[i].
 /// Validates every label against num_classes. Shared by the batched

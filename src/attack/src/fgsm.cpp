@@ -14,16 +14,6 @@ tensor::Vector fgsm_perturbation(const nn::SingleLayerNet& net, const tensor::Ve
     return r;
 }
 
-tensor::Vector fgv_perturbation(const nn::SingleLayerNet& net, const tensor::Vector& u,
-                                const tensor::Vector& target, double epsilon) {
-    XS_EXPECTS(epsilon >= 0.0);
-    tensor::Vector g = net.input_gradient(u, target);
-    const double m = tensor::norm_inf(g);
-    if (m == 0.0) return tensor::Vector(g.size(), 0.0);
-    g *= epsilon / m;
-    return g;
-}
-
 tensor::Matrix fgsm_attack_batch(const nn::SingleLayerNet& net, const tensor::Matrix& X,
                                  const std::vector<int>& labels, std::size_t num_classes,
                                  double epsilon, const PerturbationBudget& budget) {
@@ -34,8 +24,9 @@ tensor::Matrix fgsm_attack_batch(const nn::SingleLayerNet& net, const tensor::Ma
     if (budget.clip_to_box) XS_EXPECTS(budget.box_lo <= budget.box_hi);
 
     // The whole test set's gradients in two GEMMs, then one elementwise
-    // pass applying Eq. 2 and the budget (identical per-element semantics
-    // to fgsm_perturbation + apply_perturbation on every row).
+    // pass applying Eq. 2 and the budget: on every row, fgsm_perturbation
+    // with ε capped at the ℓ∞ budget, added to the input, then clamped
+    // into the box when the budget asks for it.
     const tensor::Matrix T = one_hot_targets(labels, num_classes);
     const tensor::Matrix G = net.input_gradient_batch(X, T);
 

@@ -1,18 +1,8 @@
 #include "xbarsec/attack/perturbation.hpp"
 
-#include <algorithm>
-
 #include "xbarsec/common/contracts.hpp"
 
 namespace xbarsec::attack {
-
-tensor::Vector project_linf(const tensor::Vector& r, double linf) {
-    XS_EXPECTS(linf >= 0.0);
-    if (linf == 0.0) return r;
-    tensor::Vector out(r.size());
-    for (std::size_t i = 0; i < r.size(); ++i) out[i] = std::clamp(r[i], -linf, linf);
-    return out;
-}
 
 tensor::Matrix one_hot_targets(const std::vector<int>& labels, std::size_t num_classes) {
     tensor::Matrix T(labels.size(), num_classes, 0.0);
@@ -21,19 +11,6 @@ tensor::Matrix one_hot_targets(const std::vector<int>& labels, std::size_t num_c
         T(i, static_cast<std::size_t>(labels[i])) = 1.0;
     }
     return T;
-}
-
-tensor::Vector apply_perturbation(const tensor::Vector& u, const tensor::Vector& r,
-                                  const PerturbationBudget& budget) {
-    XS_EXPECTS(u.size() == r.size());
-    const tensor::Vector projected = project_linf(r, budget.linf);
-    tensor::Vector out = u;
-    out += projected;
-    if (budget.clip_to_box) {
-        XS_EXPECTS(budget.box_lo <= budget.box_hi);
-        for (auto& x : out) x = std::clamp(x, budget.box_lo, budget.box_hi);
-    }
-    return out;
 }
 
 }  // namespace xbarsec::attack

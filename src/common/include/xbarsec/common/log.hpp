@@ -1,55 +1,21 @@
-// Minimal leveled logger. Writes to stderr; the level is a process-wide
-// setting (benches default to Info, tests to Warn). Not a general logging
-// framework — just enough for the library to narrate long experiments.
+// Minimal logger: log::info narrates long experiments on stderr. Not a
+// general logging framework; there is one level and no threshold.
 #pragma once
 
 #include <sstream>
 #include <string>
 
-namespace xbarsec {
+namespace xbarsec::log {
 
-enum class LogLevel : int { Debug = 0, Info = 1, Warn = 2, Error = 3, Off = 4 };
-
-namespace log {
-
-/// Sets the global log threshold. Thread-safe (atomic store).
-void set_level(LogLevel level);
-
-/// Current global log threshold.
-LogLevel level();
-
-/// Emits `message` at `level` if it passes the threshold. Output format:
-/// "[xbarsec:LEVEL] message\n". Thread-safe (single write call).
-void write(LogLevel level, const std::string& message);
-
-namespace detail {
-template <typename... Args>
-std::string concat(Args&&... args) {
-    std::ostringstream os;
-    (os << ... << std::forward<Args>(args));
-    return os.str();
-}
-}  // namespace detail
-
-template <typename... Args>
-void debug(Args&&... args) {
-    if (level() <= LogLevel::Debug) write(LogLevel::Debug, detail::concat(std::forward<Args>(args)...));
-}
+/// Writes "[xbarsec:INFO] message\n" to stderr. Thread-safe (single
+/// write call).
+void write(const std::string& message);
 
 template <typename... Args>
 void info(Args&&... args) {
-    if (level() <= LogLevel::Info) write(LogLevel::Info, detail::concat(std::forward<Args>(args)...));
+    std::ostringstream os;
+    (os << ... << std::forward<Args>(args));
+    write(os.str());
 }
 
-template <typename... Args>
-void warn(Args&&... args) {
-    if (level() <= LogLevel::Warn) write(LogLevel::Warn, detail::concat(std::forward<Args>(args)...));
-}
-
-template <typename... Args>
-void error(Args&&... args) {
-    if (level() <= LogLevel::Error) write(LogLevel::Error, detail::concat(std::forward<Args>(args)...));
-}
-
-}  // namespace log
-}  // namespace xbarsec
+}  // namespace xbarsec::log

@@ -30,13 +30,9 @@ public:
     /// Appends an integer cell.
     void add(long long value);
 
-    /// Convenience: appends a full row of string cells.
-    void add_row(std::vector<std::string> cells);
-
     std::size_t rows() const { return cells_.size(); }
     std::size_t columns() const { return header_.size(); }
     const std::vector<std::string>& header() const { return header_; }
-    const std::vector<std::string>& row(std::size_t i) const;
 
     /// Renders as a GitHub-flavoured markdown table with aligned columns.
     std::string to_markdown() const;

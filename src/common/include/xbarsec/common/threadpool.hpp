@@ -31,9 +31,6 @@ public:
     /// Enqueues a task for execution. Never blocks.
     void submit(std::function<void()> task);
 
-    /// Blocks until every submitted task has finished executing.
-    void wait_idle();
-
     std::size_t thread_count() const { return workers_.size(); }
 
 private:
@@ -43,8 +40,6 @@ private:
     std::queue<std::function<void()>> queue_;
     std::mutex mutex_;
     std::condition_variable cv_task_;
-    std::condition_variable cv_idle_;
-    std::size_t in_flight_ = 0;
     bool stopping_ = false;
 };
 

@@ -1,36 +1,13 @@
 #include "xbarsec/common/log.hpp"
 
-#include <atomic>
 #include <cstdio>
 
 namespace xbarsec::log {
 
-namespace {
-std::atomic<int> g_level{static_cast<int>(LogLevel::Info)};
-
-const char* level_name(LogLevel level) {
-    switch (level) {
-        case LogLevel::Debug: return "DEBUG";
-        case LogLevel::Info: return "INFO";
-        case LogLevel::Warn: return "WARN";
-        case LogLevel::Error: return "ERROR";
-        case LogLevel::Off: return "OFF";
-    }
-    return "?";
-}
-}  // namespace
-
-void set_level(LogLevel level) { g_level.store(static_cast<int>(level), std::memory_order_relaxed); }
-
-LogLevel level() { return static_cast<LogLevel>(g_level.load(std::memory_order_relaxed)); }
-
-void write(LogLevel lvl, const std::string& message) {
-    if (static_cast<int>(lvl) < g_level.load(std::memory_order_relaxed)) return;
+void write(const std::string& message) {
     std::string line;
-    line.reserve(message.size() + 20);
-    line += "[xbarsec:";
-    line += level_name(lvl);
-    line += "] ";
+    line.reserve(message.size() + 16);
+    line += "[xbarsec:INFO] ";
     line += message;
     line += '\n';
     std::fwrite(line.data(), 1, line.size(), stderr);

@@ -27,13 +27,6 @@ void Table::add(double value, int precision) { add(format_number(value, precisio
 
 void Table::add(long long value) { add(std::to_string(value)); }
 
-void Table::add_row(std::vector<std::string> cells) { cells_.push_back(std::move(cells)); }
-
-const std::vector<std::string>& Table::row(std::size_t i) const {
-    XS_EXPECTS(i < cells_.size());
-    return cells_[i];
-}
-
 std::string Table::format_number(double value, int precision) {
     if (std::isnan(value)) return "nan";
     char buf[64];

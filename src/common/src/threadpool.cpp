@@ -34,14 +34,8 @@ void ThreadPool::submit(std::function<void()> task) {
         std::lock_guard lock(mutex_);
         XS_EXPECTS_MSG(!stopping_, "submit() after destruction began");
         queue_.push(std::move(task));
-        ++in_flight_;
     }
     cv_task_.notify_one();
-}
-
-void ThreadPool::wait_idle() {
-    std::unique_lock lock(mutex_);
-    cv_idle_.wait(lock, [this] { return in_flight_ == 0; });
 }
 
 void ThreadPool::worker_loop() {
@@ -55,11 +49,6 @@ void ThreadPool::worker_loop() {
             queue_.pop();
         }
         task();  // tasks are noexcept-wrapped by parallel_for; see below
-        {
-            std::lock_guard lock(mutex_);
-            --in_flight_;
-            if (in_flight_ == 0) cv_idle_.notify_all();
-        }
     }
 }
 

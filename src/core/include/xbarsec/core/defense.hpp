@@ -13,8 +13,10 @@
 namespace xbarsec::core {
 
 /// One defense. Obfuscation entries become the device's obfuscation
-/// layers in list order; each policy kind may appear once, since a
-/// session holds one budget, one detector and one sensing-noise sigma.
+/// layers in list order. Each kind may appear once: a session holds one
+/// budget, one detector and one sensing-noise sigma, and two obfuscation
+/// entries of one kind would draw one seeded stream twice, acting as one
+/// layer at twice the magnitude.
 struct DefenseSpec {
     enum class Kind {
         DitherPower,   ///< ObfuscationConfig, Gaussian supply-rail dither
@@ -51,8 +53,8 @@ struct DefenseSpec {
 /// of relative defense magnitudes.
 double deployed_weight_scale(const CrossbarOracle& backend);
 
-/// Throws ConfigError when a policy kind appears twice. ScenarioRunner's
-/// deploy and run_fig5 call it before they train a victim.
+/// Throws ConfigError when a kind appears twice. ScenarioRunner's deploy
+/// and run_fig5 call it before they train a victim.
 void check_defenses(const std::vector<DefenseSpec>& defenses);
 
 /// Sets the obfuscation entries as `backend`'s power obfuscation, in

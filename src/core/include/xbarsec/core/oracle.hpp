@@ -154,7 +154,6 @@ public:
     /// Takes ownership of the deployed hardware model.
     explicit CrossbarOracle(xbar::CrossbarNetwork hardware);
     CrossbarOracle(CrossbarOracle&& other) noexcept;
-    CrossbarOracle& operator=(CrossbarOracle&& other) noexcept;
     CrossbarOracle(const CrossbarOracle&) = delete;
     CrossbarOracle& operator=(const CrossbarOracle&) = delete;
 

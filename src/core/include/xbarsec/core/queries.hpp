@@ -1,5 +1,5 @@
 // Attacker query collection for the Section-IV surrogate pipeline, plus
-// Oracle-based bridges into the sidechannel probing/search primitives.
+// the Oracle-based bridge into the sidechannel column probe.
 #pragma once
 
 #include <cstdint>
@@ -7,7 +7,7 @@
 #include "xbarsec/attack/surrogate.hpp"
 #include "xbarsec/core/oracle.hpp"
 #include "xbarsec/data/dataset.hpp"
-#include "xbarsec/sidechannel/search.hpp"
+#include "xbarsec/sidechannel/probe.hpp"
 
 namespace xbarsec::core {
 
@@ -39,11 +39,5 @@ attack::QueryDataset collect_queries(Oracle& oracle, const data::Dataset& pool,
 /// oracle (device layers, a session's policy) apply to every measurement.
 sidechannel::ProbeResult probe_columns(Oracle& oracle,
                                        const sidechannel::ProbeOptions& options = {});
-
-/// Query-efficient search for the largest probed column 1-norm, driving
-/// sidechannel::find_argmax through the oracle's power channel.
-sidechannel::SearchResult find_argmax(Oracle& oracle, const data::ImageShape& shape,
-                                      sidechannel::SearchStrategy strategy,
-                                      const sidechannel::SearchOptions& options = {});
 
 }  // namespace xbarsec::core

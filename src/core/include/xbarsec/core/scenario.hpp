@@ -353,9 +353,6 @@ public:
     /// Runs the experiment the spec holds.
     ScenarioOutcome run(const ScenarioSpec& spec) const;
 
-    /// Convenience: builtin_scenarios() lookup + run.
-    ScenarioOutcome run(const std::string& name) const;
-
     /// The pool the experiments run on (null = serial).
     ThreadPool* pool() const { return pool_; }
 

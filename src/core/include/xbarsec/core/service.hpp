@@ -487,8 +487,6 @@ public:
     /// what bench_attrib embeds in BENCH_attrib.json.
     std::string attribution_snapshot() const;
 
-    const ServiceConfig& config() const;
-
 private:
     std::shared_ptr<detail::ServiceState> state_;
     std::vector<std::thread> flushers_;  ///< one per replica

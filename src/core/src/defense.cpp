@@ -13,12 +13,12 @@ double deployed_weight_scale(const CrossbarOracle& backend) {
 
 void check_defenses(const std::vector<DefenseSpec>& defenses) {
     for (const DefenseSpec& d : defenses) {
-        if (d.session_policy() &&
-            std::count_if(defenses.begin(), defenses.end(),
+        if (std::count_if(defenses.begin(), defenses.end(),
                           [&](const DefenseSpec& other) { return other.kind == d.kind; }) > 1) {
             throw ConfigError(
-                "a defense list may name each session policy (sensing noise, query budget, "
-                "detector) once: one session holds one of each");
+                "a defense list may name each kind once: one session holds one sensing noise, "
+                "budget and detector, and two obfuscation entries of one kind would draw one "
+                "stream twice");
         }
     }
 }

@@ -44,20 +44,6 @@ CrossbarOracle::CrossbarOracle(CrossbarOracle&& other) noexcept
       power_count_(other.power_count_.load(std::memory_order_relaxed)),
       power_readings_(other.power_readings_.load(std::memory_order_relaxed)) {}
 
-CrossbarOracle& CrossbarOracle::operator=(CrossbarOracle&& other) noexcept {
-    hardware_ = std::move(other.hardware_);
-    weight_scale_ = other.weight_scale_;
-    pool_ = other.pool_;
-    layers_ = std::move(other.layers_);
-    inference_count_.store(other.inference_count_.load(std::memory_order_relaxed),
-                           std::memory_order_relaxed);
-    power_count_.store(other.power_count_.load(std::memory_order_relaxed),
-                       std::memory_order_relaxed);
-    power_readings_.store(other.power_readings_.load(std::memory_order_relaxed),
-                          std::memory_order_relaxed);
-    return *this;
-}
-
 QueryCounters CrossbarOracle::counters() const {
     QueryCounters snapshot;
     snapshot.inference = inference_count_.load(std::memory_order_relaxed);

@@ -53,14 +53,4 @@ sidechannel::ProbeResult probe_columns(Oracle& oracle, const sidechannel::ProbeO
         oracle.inputs(), options);
 }
 
-sidechannel::SearchResult find_argmax(Oracle& oracle, const data::ImageShape& shape,
-                                      sidechannel::SearchStrategy strategy,
-                                      const sidechannel::SearchOptions& options) {
-    XS_EXPECTS(shape.pixels() == oracle.inputs());
-    const sidechannel::FieldFn field = [&oracle](std::size_t j) {
-        return oracle.query_power(tensor::Vector::basis(oracle.inputs(), j));
-    };
-    return sidechannel::find_argmax(field, shape, strategy, options);
-}
-
 }  // namespace xbarsec::core

@@ -1328,8 +1328,4 @@ ScenarioOutcome ScenarioRunner::run(const ScenarioSpec& spec) const {
     return outcome;
 }
 
-ScenarioOutcome ScenarioRunner::run(const std::string& name) const {
-    return run(builtin_scenarios().get(name));
-}
-
 }  // namespace xbarsec::core

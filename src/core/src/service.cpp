@@ -1291,6 +1291,4 @@ std::string OracleService::attribution_snapshot() const {
     return state_->attrib != nullptr ? state_->attrib->engine.json_snapshot() : "{}";
 }
 
-const ServiceConfig& OracleService::config() const { return state_->config; }
-
 }  // namespace xbarsec::core

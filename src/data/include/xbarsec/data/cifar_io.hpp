@@ -1,4 +1,4 @@
-// CIFAR-10 binary-batch reader/writer.
+// CIFAR-10 binary-batch reader.
 //
 // Each batch file is a sequence of 3073-byte records: one label byte then
 // 3072 pixel bytes in planar RGB order (1024 R, 1024 G, 1024 B). Pixels
@@ -24,9 +24,5 @@ Dataset read_batch(const std::string& path, const std::string& name = {});
 
 /// Reads and concatenates several batch files.
 Dataset read_batches(const std::vector<std::string>& paths, const std::string& name = {});
-
-/// Writes a dataset (32×32×3 planar, values in [0,1]) as a CIFAR-10
-/// binary batch; used for round-trip tests and synthetic exports.
-void write_batch(const std::string& path, const Dataset& dataset);
 
 }  // namespace xbarsec::data::cifar

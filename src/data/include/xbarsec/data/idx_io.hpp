@@ -1,4 +1,4 @@
-// IDX file format reader/writer (the MNIST distribution format).
+// IDX file format reader (the MNIST distribution format).
 //
 // Header: two zero bytes, a type code byte (0x08 = unsigned byte), a
 // dimension-count byte, then big-endian uint32 extents, then raw data.
@@ -27,14 +27,5 @@ Images read_images(const std::string& path);
 
 /// Reads a rank-1 IDX label file. Throws IoError / ParseError.
 std::vector<int> read_labels(const std::string& path);
-
-/// Writes images (each row is one image, values in [0,1] quantised to
-/// bytes) in IDX rank-3 format; used by tests and for exporting synthetic
-/// datasets in a format that standard MNIST tooling can read.
-void write_images(const std::string& path, const tensor::Matrix& pixels, std::size_t rows,
-                  std::size_t cols);
-
-/// Writes labels in IDX rank-1 format.
-void write_labels(const std::string& path, const std::vector<int>& labels);
 
 }  // namespace xbarsec::data::idx

@@ -1,7 +1,6 @@
 #include "xbarsec/data/cifar_io.hpp"
 
 #include <algorithm>
-#include <cmath>
 #include <filesystem>
 #include <fstream>
 
@@ -63,25 +62,6 @@ Dataset read_batches(const std::vector<std::string>& paths, const std::string& n
     }
     const ImageShape shape{kImageSize, kImageSize, 3};
     return Dataset(std::move(inputs), std::move(labels), 10, shape, name);
-}
-
-void write_batch(const std::string& path, const Dataset& dataset) {
-    XS_EXPECTS(dataset.input_dim() == kPixelsPerImage);
-    XS_EXPECTS(dataset.num_classes() <= 10);
-    std::ofstream out(path, std::ios::binary);
-    if (!out) throw IoError("cannot open '" + path + "' for writing");
-    std::vector<unsigned char> record(kRecordBytes);
-    for (std::size_t i = 0; i < dataset.size(); ++i) {
-        record[0] = static_cast<unsigned char>(dataset.label(i));
-        const auto row = dataset.inputs().row_span(i);
-        for (std::size_t p = 0; p < kPixelsPerImage; ++p) {
-            const double v = std::clamp(row[p], 0.0, 1.0);
-            record[p + 1] = static_cast<unsigned char>(std::lround(v * 255.0));
-        }
-        out.write(reinterpret_cast<const char*>(record.data()),
-                  static_cast<std::streamsize>(record.size()));
-    }
-    if (!out) throw IoError("short write to '" + path + "'");
 }
 
 }  // namespace xbarsec::data::cifar

@@ -1,10 +1,8 @@
 #include "xbarsec/data/idx_io.hpp"
 
 #include <algorithm>
-#include <cmath>
 #include <fstream>
 
-#include "xbarsec/common/contracts.hpp"
 #include "xbarsec/common/error.hpp"
 
 namespace xbarsec::data::idx {
@@ -19,14 +17,6 @@ std::uint32_t read_be32(std::istream& in, const std::string& path) {
     if (!in) throw ParseError("unexpected EOF in IDX header of '" + path + "'");
     return (std::uint32_t(b[0]) << 24) | (std::uint32_t(b[1]) << 16) | (std::uint32_t(b[2]) << 8) |
            std::uint32_t(b[3]);
-}
-
-void write_be32(std::ostream& out, std::uint32_t v) {
-    const unsigned char b[4] = {static_cast<unsigned char>(v >> 24),
-                                static_cast<unsigned char>(v >> 16),
-                                static_cast<unsigned char>(v >> 8),
-                                static_cast<unsigned char>(v)};
-    out.write(reinterpret_cast<const char*>(b), 4);
 }
 
 /// Reads and validates the 4-byte magic; returns the dimension count.
@@ -85,43 +75,6 @@ std::vector<int> read_labels(const std::string& path) {
     std::transform(buf.begin(), buf.end(), labels.begin(),
                    [](unsigned char b) { return static_cast<int>(b); });
     return labels;
-}
-
-void write_images(const std::string& path, const tensor::Matrix& pixels, std::size_t rows,
-                  std::size_t cols) {
-    XS_EXPECTS(rows * cols == pixels.cols());
-    std::ofstream out(path, std::ios::binary);
-    if (!out) throw IoError("cannot open '" + path + "' for writing");
-    const unsigned char magic[4] = {0, 0, kTypeUnsignedByte, 3};
-    out.write(reinterpret_cast<const char*>(magic), 4);
-    write_be32(out, static_cast<std::uint32_t>(pixels.rows()));
-    write_be32(out, static_cast<std::uint32_t>(rows));
-    write_be32(out, static_cast<std::uint32_t>(cols));
-    std::vector<unsigned char> buf(pixels.cols());
-    for (std::size_t i = 0; i < pixels.rows(); ++i) {
-        const auto row = pixels.row_span(i);
-        for (std::size_t p = 0; p < row.size(); ++p) {
-            const double v = std::clamp(row[p], 0.0, 1.0);
-            buf[p] = static_cast<unsigned char>(std::lround(v * 255.0));
-        }
-        out.write(reinterpret_cast<const char*>(buf.data()),
-                  static_cast<std::streamsize>(buf.size()));
-    }
-    if (!out) throw IoError("short write to '" + path + "'");
-}
-
-void write_labels(const std::string& path, const std::vector<int>& labels) {
-    std::ofstream out(path, std::ios::binary);
-    if (!out) throw IoError("cannot open '" + path + "' for writing");
-    const unsigned char magic[4] = {0, 0, kTypeUnsignedByte, 1};
-    out.write(reinterpret_cast<const char*>(magic), 4);
-    write_be32(out, static_cast<std::uint32_t>(labels.size()));
-    for (int label : labels) {
-        XS_EXPECTS(label >= 0 && label <= 255);
-        const auto b = static_cast<unsigned char>(label);
-        out.write(reinterpret_cast<const char*>(&b), 1);
-    }
-    if (!out) throw IoError("short write to '" + path + "'");
 }
 
 }  // namespace xbarsec::data::idx

@@ -19,9 +19,6 @@ enum class Activation { Linear, Softmax, Sigmoid, Relu, Tanh };
 /// Human-readable name ("linear", "softmax", ...).
 std::string to_string(Activation a);
 
-/// Parses the names produced by to_string. Throws ConfigError on unknown.
-Activation activation_from_string(const std::string& name);
-
 /// Applies the activation to a pre-activation vector.
 tensor::Vector apply_activation(Activation a, const tensor::Vector& s);
 

@@ -19,7 +19,6 @@ namespace xbarsec::nn {
 enum class Loss { Mse, CategoricalCrossentropy };
 
 std::string to_string(Loss l);
-Loss loss_from_string(const std::string& name);
 
 /// Loss value for one sample given the post-activation output.
 double loss_value(Loss loss, const tensor::Vector& y_hat, const tensor::Vector& target);

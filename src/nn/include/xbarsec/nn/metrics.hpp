@@ -13,7 +13,4 @@ double accuracy(const SingleLayerNet& net, const data::Dataset& dataset);
 /// labels. Used for adversarial test sets where inputs were perturbed.
 double accuracy(const SingleLayerNet& net, const tensor::Matrix& X, const std::vector<int>& labels);
 
-/// Row = true class, column = predicted class, counts.
-tensor::Matrix confusion_matrix(const SingleLayerNet& net, const data::Dataset& dataset);
-
 }  // namespace xbarsec::nn

@@ -54,8 +54,4 @@ TrainHistory train_regression(SingleLayerNet& net, const tensor::Matrix& X,
 tensor::Matrix batch_preactivation_delta(Activation activation, Loss loss,
                                          const tensor::Matrix& S, const tensor::Matrix& T);
 
-/// Mean per-sample loss of the net over (X, Y).
-double mean_loss_regression(const SingleLayerNet& net, const tensor::Matrix& X,
-                            const tensor::Matrix& Y);
-
 }  // namespace xbarsec::nn

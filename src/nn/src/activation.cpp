@@ -19,15 +19,6 @@ std::string to_string(Activation a) {
     return "?";
 }
 
-Activation activation_from_string(const std::string& name) {
-    if (name == "linear") return Activation::Linear;
-    if (name == "softmax") return Activation::Softmax;
-    if (name == "sigmoid") return Activation::Sigmoid;
-    if (name == "relu") return Activation::Relu;
-    if (name == "tanh") return Activation::Tanh;
-    throw ConfigError("unknown activation '" + name + "'");
-}
-
 void softmax_row(const double* s, double* out, std::size_t n) {
     XS_EXPECTS(n > 0);
     double m = s[0];

@@ -20,14 +20,6 @@ std::string to_string(Loss l) {
     return "?";
 }
 
-Loss loss_from_string(const std::string& name) {
-    if (name == "mse") return Loss::Mse;
-    if (name == "categorical_crossentropy" || name == "crossentropy") {
-        return Loss::CategoricalCrossentropy;
-    }
-    throw ConfigError("unknown loss '" + name + "'");
-}
-
 double loss_value(Loss loss, const tensor::Vector& y_hat, const tensor::Vector& target) {
     XS_EXPECTS(y_hat.size() == target.size());
     XS_EXPECTS(!y_hat.empty());

@@ -16,14 +16,6 @@ tensor::Matrix batch_preactivation_delta(Activation activation, Loss loss,
     return loss_gradient_preactivation_batch(activation, loss, S, T);
 }
 
-double mean_loss_regression(const SingleLayerNet& net, const tensor::Matrix& X,
-                            const tensor::Matrix& Y) {
-    XS_EXPECTS(X.rows() == Y.rows());
-    XS_EXPECTS(X.rows() > 0);
-    const tensor::Matrix out = net.predict_batch(X);
-    return loss_value_batch_sum(net.loss_kind(), out, Y) / static_cast<double>(out.rows());
-}
-
 namespace {
 
 TrainHistory train_impl(SingleLayerNet& net, const tensor::Matrix& X, const tensor::Matrix& Y,

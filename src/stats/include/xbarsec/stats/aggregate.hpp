@@ -21,9 +21,6 @@ public:
     /// Appends one run's observation for `key`.
     void add(const std::string& key, double value);
 
-    /// Number of observations recorded for `key` (0 if absent).
-    std::size_t count(const std::string& key) const;
-
     /// All observations for `key`; throws ContractViolation if absent.
     std::span<const double> values(const std::string& key) const;
 

@@ -1,10 +1,9 @@
-// Correlation coefficients.
+// Pearson correlation.
 //
 // Table I of the paper reports Pearson correlation between the magnitude
 // of the loss sensitivity |∂L/∂u_j| and the column 1-norms ‖W[:,j]‖₁ —
 // both per-sample ("Mean Correlation") and between the test-set means
-// ("Correlation of Mean"). pearson() is that metric; spearman() is
-// provided for rank-based robustness checks in the ablations.
+// ("Correlation of Mean"). pearson() is that metric.
 #pragma once
 
 #include <span>
@@ -21,12 +20,5 @@ double pearson(std::span<const double> x, std::span<const double> y);
 
 /// Vector convenience overload.
 double pearson(const tensor::Vector& x, const tensor::Vector& y);
-
-/// Spearman rank correlation (Pearson on fractional ranks; ties get
-/// average ranks). Requires size >= 2.
-double spearman(std::span<const double> x, std::span<const double> y);
-
-/// Vector convenience overload.
-double spearman(const tensor::Vector& x, const tensor::Vector& y);
 
 }  // namespace xbarsec::stats

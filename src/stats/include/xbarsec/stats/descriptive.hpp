@@ -1,7 +1,8 @@
 // Descriptive statistics over spans of doubles.
 //
-// Variances use Welford's online algorithm (numerically stable for the
-// long accumulations in the benches). "Sample" variants divide by n-1.
+// summarize() computes the variance with Welford's one-pass algorithm
+// (numerically stable for the long accumulations in the benches), with
+// the sample (n-1) denominator.
 #pragma once
 
 #include <cstddef>
@@ -24,36 +25,8 @@ struct Summary {
 /// One-pass Welford summary. Requires a non-empty sample.
 Summary summarize(std::span<const double> xs);
 
-/// Arithmetic mean; requires non-empty.
-double mean(std::span<const double> xs);
-
-/// Sample variance (n-1); requires size >= 2.
-double sample_variance(std::span<const double> xs);
-
-/// Sample standard deviation (n-1); requires size >= 2.
-double sample_stddev(std::span<const double> xs);
-
-/// Median (interpolated for even sizes); requires non-empty. Copies.
-double median(std::span<const double> xs);
-
 /// p-th quantile, p in [0,1], linear interpolation; requires non-empty.
+/// Copies.
 double quantile(std::span<const double> xs, double p);
-
-/// Incremental Welford accumulator for streaming use.
-class RunningStats {
-public:
-    void push(double x);
-
-    std::size_t count() const { return n_; }
-    double mean() const { return mean_; }
-    /// Sample variance; 0 when count < 2.
-    double variance() const;
-    double stddev() const;
-
-private:
-    std::size_t n_ = 0;
-    double mean_ = 0.0;
-    double m2_ = 0.0;
-};
 
 }  // namespace xbarsec::stats

@@ -13,9 +13,6 @@ namespace xbarsec::stats {
 /// x ∈ [0, 1]. Accurate to ~1e-12 over the parameter ranges used here.
 double incomplete_beta(double a, double b, double x);
 
-/// CDF of Student's t distribution with `df` degrees of freedom (df > 0).
-double student_t_cdf(double t, double df);
-
 /// Two-tailed p-value for a t statistic with `df` degrees of freedom.
 double student_t_two_tailed_p(double t, double df);
 

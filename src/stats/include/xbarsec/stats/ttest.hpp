@@ -1,10 +1,10 @@
-// Two-sample and paired t-tests.
+// Welch's two-sample t-test.
 //
 // Figure 5(c,f,i,l) marks with an asterisk every (Q, λ) point where the
 // attack-efficacy difference between the power-aided and power-free
 // surrogates is significant at p < 0.05 under a Student's t-test over the
-// independent runs. welch_t_test() is the default (no equal-variance
-// assumption); pooled_t_test() matches the classic equal-variance form.
+// independent runs. welch_t_test() is that test, without an
+// equal-variance assumption.
 #pragma once
 
 #include <span>
@@ -27,11 +27,5 @@ struct TTestResult {
 /// have size >= 2. Degenerate case (both variances zero): t = 0, p = 1
 /// when means are equal, otherwise t = ±inf, p = 0.
 TTestResult welch_t_test(std::span<const double> a, std::span<const double> b);
-
-/// Classic pooled-variance two-sample t-test (equal variances assumed).
-TTestResult pooled_t_test(std::span<const double> a, std::span<const double> b);
-
-/// Paired t-test over per-run differences. Requires equal sizes >= 2.
-TTestResult paired_t_test(std::span<const double> a, std::span<const double> b);
 
 }  // namespace xbarsec::stats

@@ -10,11 +10,6 @@ void RunAggregator::add(const std::string& key, double value) {
     it->second.push_back(value);
 }
 
-std::size_t RunAggregator::count(const std::string& key) const {
-    const auto it = series_.find(key);
-    return it == series_.end() ? 0 : it->second.size();
-}
-
 std::span<const double> RunAggregator::values(const std::string& key) const {
     const auto it = series_.find(key);
     XS_EXPECTS_MSG(it != series_.end(), "unknown series key");

@@ -1,9 +1,6 @@
 #include "xbarsec/stats/correlation.hpp"
 
-#include <algorithm>
 #include <cmath>
-#include <numeric>
-#include <vector>
 
 #include "xbarsec/common/contracts.hpp"
 
@@ -34,39 +31,6 @@ double pearson(std::span<const double> x, std::span<const double> y) {
 
 double pearson(const tensor::Vector& x, const tensor::Vector& y) {
     return pearson(x.span(), y.span());
-}
-
-namespace {
-// Fractional ranks with average ranks for ties (1-based).
-std::vector<double> fractional_ranks(std::span<const double> xs) {
-    const std::size_t n = xs.size();
-    std::vector<std::size_t> idx(n);
-    std::iota(idx.begin(), idx.end(), std::size_t{0});
-    std::sort(idx.begin(), idx.end(), [&](std::size_t a, std::size_t b) { return xs[a] < xs[b]; });
-    std::vector<double> ranks(n, 0.0);
-    std::size_t i = 0;
-    while (i < n) {
-        std::size_t j = i;
-        while (j + 1 < n && xs[idx[j + 1]] == xs[idx[i]]) ++j;
-        // Average rank for the tie group [i, j].
-        const double avg = (static_cast<double>(i) + static_cast<double>(j)) / 2.0 + 1.0;
-        for (std::size_t k = i; k <= j; ++k) ranks[idx[k]] = avg;
-        i = j + 1;
-    }
-    return ranks;
-}
-}  // namespace
-
-double spearman(std::span<const double> x, std::span<const double> y) {
-    XS_EXPECTS(x.size() == y.size());
-    XS_EXPECTS(x.size() >= 2);
-    const auto rx = fractional_ranks(x);
-    const auto ry = fractional_ranks(y);
-    return pearson(std::span<const double>(rx), std::span<const double>(ry));
-}
-
-double spearman(const tensor::Vector& x, const tensor::Vector& y) {
-    return spearman(x.span(), y.span());
 }
 
 }  // namespace xbarsec::stats

@@ -30,22 +30,6 @@ Summary summarize(std::span<const double> xs) {
     return s;
 }
 
-double mean(std::span<const double> xs) {
-    XS_EXPECTS(!xs.empty());
-    double acc = 0.0;
-    for (double x : xs) acc += x;
-    return acc / static_cast<double>(xs.size());
-}
-
-double sample_variance(std::span<const double> xs) {
-    XS_EXPECTS(xs.size() >= 2);
-    return summarize(xs).variance;
-}
-
-double sample_stddev(std::span<const double> xs) { return std::sqrt(sample_variance(xs)); }
-
-double median(std::span<const double> xs) { return quantile(xs, 0.5); }
-
 double quantile(std::span<const double> xs, double p) {
     XS_EXPECTS(!xs.empty());
     XS_EXPECTS(p >= 0.0 && p <= 1.0);
@@ -58,18 +42,5 @@ double quantile(std::span<const double> xs, double p) {
     const double frac = pos - static_cast<double>(lo);
     return sorted[lo] * (1.0 - frac) + sorted[hi] * frac;
 }
-
-void RunningStats::push(double x) {
-    ++n_;
-    const double delta = x - mean_;
-    mean_ += delta / static_cast<double>(n_);
-    m2_ += delta * (x - mean_);
-}
-
-double RunningStats::variance() const {
-    return n_ >= 2 ? m2_ / static_cast<double>(n_ - 1) : 0.0;
-}
-
-double RunningStats::stddev() const { return std::sqrt(variance()); }
 
 }  // namespace xbarsec::stats

@@ -64,15 +64,6 @@ double incomplete_beta(double a, double b, double x) {
     return 1.0 - front * betacf(b, a, 1.0 - x) / b;
 }
 
-double student_t_cdf(double t, double df) {
-    XS_EXPECTS(df > 0.0);
-    if (std::isinf(t)) return t > 0 ? 1.0 : 0.0;
-    // I_x(df/2, 1/2) with x = df / (df + t²) gives P(|T| > |t|).
-    const double x = df / (df + t * t);
-    const double tail = 0.5 * incomplete_beta(0.5 * df, 0.5, x);
-    return t >= 0.0 ? 1.0 - tail : tail;
-}
-
 double student_t_two_tailed_p(double t, double df) {
     XS_EXPECTS(df > 0.0);
     if (std::isnan(t)) return std::numeric_limits<double>::quiet_NaN();

@@ -2,7 +2,6 @@
 
 #include <cmath>
 #include <limits>
-#include <vector>
 
 #include "xbarsec/common/contracts.hpp"
 #include "xbarsec/stats/descriptive.hpp"
@@ -28,7 +27,7 @@ TTestResult finish(double t, double df, double mean_a, double mean_b) {
     return r;
 }
 
-// Handles the zero-variance degenerate case shared by both tests.
+// Handles the zero-variance degenerate case.
 bool degenerate(double var_a, double var_b, double mean_a, double mean_b, double df,
                 TTestResult& out) {
     if (var_a > 0.0 || var_b > 0.0) return false;
@@ -56,41 +55,6 @@ TTestResult welch_t_test(std::span<const double> a, std::span<const double> b) {
     const double df = (va + vb) * (va + vb) /
                       (va * va / (na - 1.0) + vb * vb / (nb - 1.0));
     return finish(t, df, sa.mean, sb.mean);
-}
-
-TTestResult pooled_t_test(std::span<const double> a, std::span<const double> b) {
-    XS_EXPECTS(a.size() >= 2 && b.size() >= 2);
-    const Summary sa = summarize(a);
-    const Summary sb = summarize(b);
-    const double na = static_cast<double>(sa.count), nb = static_cast<double>(sb.count);
-    const double df = na + nb - 2.0;
-
-    TTestResult r;
-    if (degenerate(sa.variance, sb.variance, sa.mean, sb.mean, df, r)) return r;
-
-    const double sp2 = ((na - 1.0) * sa.variance + (nb - 1.0) * sb.variance) / df;
-    const double t = (sa.mean - sb.mean) / std::sqrt(sp2 * (1.0 / na + 1.0 / nb));
-    return finish(t, df, sa.mean, sb.mean);
-}
-
-TTestResult paired_t_test(std::span<const double> a, std::span<const double> b) {
-    XS_EXPECTS(a.size() == b.size());
-    XS_EXPECTS(a.size() >= 2);
-    std::vector<double> diff(a.size());
-    for (std::size_t i = 0; i < a.size(); ++i) diff[i] = a[i] - b[i];
-    const Summary sd = summarize(diff);
-    const double n = static_cast<double>(sd.count);
-    const double df = n - 1.0;
-
-    TTestResult r;
-    if (degenerate(sd.variance, 0.0, sd.mean, 0.0, df, r)) {
-        r.mean_a = summarize(a).mean;
-        r.mean_b = summarize(b).mean;
-        return r;
-    }
-    const double t = sd.mean / (sd.stddev / std::sqrt(n));
-    r = finish(t, df, summarize(a).mean, summarize(b).mean);
-    return r;
 }
 
 }  // namespace xbarsec::stats

@@ -4,8 +4,9 @@
 // Section IV of the paper observes that once the attacker has Q ≥ N
 // independent (input, output) query pairs, the oracle weight matrix is
 // exactly recoverable as W = U†·Ŷ and the power side channel becomes
-// redundant. lstsq()/pinv() implement that boundary analysis (tested and
-// benchmarked by bench_pinv_boundary).
+// redundant. bench_pinv_boundary measures that boundary through lstsq()
+// (the least-squares surrogate fit); pinv() states W = U†·Ŷ directly and
+// is pinned by the Pinv.SectionIvWeightRecovery test.
 #pragma once
 
 #include "xbarsec/common/threadpool.hpp"
@@ -42,9 +43,6 @@ Matrix solve_upper(const QrFactorization& f, const Matrix& B);
 /// column rank) and B (m×k). Throws Error when A is rank-deficient to
 /// working precision.
 Matrix lstsq(const Matrix& A, const Matrix& B);
-
-/// Vector right-hand-side overload.
-Vector lstsq(const Matrix& A, const Vector& b);
 
 /// Moore-Penrose pseudoinverse via QR (full-rank case). For m ≥ n this is
 /// (AᵀA)⁻¹Aᵀ computed stably from the QR factors; for m < n the transpose

@@ -97,21 +97,15 @@ public:
         return {data_.data() + i * cols_, cols_};
     }
 
-    /// Copies of a row / column as Vector.
+    /// Copy of a row as Vector.
     Vector row(std::size_t i) const;
-    Vector col(std::size_t j) const;
 
     void set_row(std::size_t i, const Vector& v);
-    void set_col(std::size_t j, const Vector& v);
 
     // ---- whole-matrix operations ------------------------------------------
 
     /// Returns the transpose (new storage).
     Matrix transposed() const;
-
-    /// Reshape view is not provided; reshaped() copies into a new shape with
-    /// the same element count.
-    Matrix reshaped(std::size_t rows, std::size_t cols) const;
 
     /// Destructive in-place reshape to rows×cols, reusing the existing
     /// heap capacity when it suffices. Element values are unspecified
@@ -139,10 +133,5 @@ private:
     std::size_t cols_ = 0;
     std::vector<double> data_;
 };
-
-Matrix operator+(Matrix lhs, const Matrix& rhs);
-Matrix operator-(Matrix lhs, const Matrix& rhs);
-Matrix operator*(Matrix lhs, double s);
-Matrix operator*(double s, Matrix rhs);
 
 }  // namespace xbarsec::tensor

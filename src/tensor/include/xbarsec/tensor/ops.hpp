@@ -20,17 +20,8 @@ namespace xbarsec::tensor {
 /// Inner product <a, b>.
 double dot(const Vector& a, const Vector& b);
 
-/// y += alpha * x.
-void axpy(double alpha, const Vector& x, Vector& y);
-
 /// Sum of elements.
 double sum(const Vector& v);
-
-/// Mean of elements; requires non-empty.
-double mean(const Vector& v);
-
-/// ℓ1 norm Σ|vᵢ|.
-double norm1(const Vector& v);
 
 /// ℓ2 norm sqrt(Σvᵢ²).
 double norm2(const Vector& v);
@@ -41,14 +32,8 @@ double norm_inf(const Vector& v);
 /// Index of the largest element (first on ties); requires non-empty.
 std::size_t argmax(const Vector& v);
 
-/// Index of the smallest element (first on ties); requires non-empty.
-std::size_t argmin(const Vector& v);
-
 /// Largest element value; requires non-empty.
 double max(const Vector& v);
-
-/// Smallest element value; requires non-empty.
-double min(const Vector& v);
 
 /// Elementwise product a ⊙ b.
 Vector hadamard(const Vector& a, const Vector& b);
@@ -58,9 +43,6 @@ Vector abs(const Vector& v);
 
 /// Elementwise sign (+1 / 0 / -1).
 Vector sign(const Vector& v);
-
-/// Elementwise clamp into [lo, hi].
-Vector clamp(const Vector& v, double lo, double hi);
 
 /// True when every element is finite.
 bool all_finite(const Vector& v);
@@ -110,9 +92,6 @@ void gather_rows(const Matrix& src, const std::vector<std::size_t>& idx, std::si
 /// conductance mapping this is (up to the mapping scale) the quantity the
 /// total crossbar current reveals for basis-vector inputs (Eq. 5-6).
 Vector column_abs_sums(const Matrix& W);
-
-/// Row-wise 1-norms: out[i] = Σⱼ |W(i,j)|.
-Vector row_abs_sums(const Matrix& W);
 
 /// Column-wise sums (signed).
 Vector column_sums(const Matrix& W);

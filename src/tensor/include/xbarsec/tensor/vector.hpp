@@ -118,9 +118,6 @@ private:
 };
 
 Vector operator+(Vector lhs, const Vector& rhs);
-Vector operator-(Vector lhs, const Vector& rhs);
-Vector operator*(Vector lhs, double s);
 Vector operator*(double s, Vector rhs);
-Vector operator/(Vector lhs, double s);
 
 }  // namespace xbarsec::tensor

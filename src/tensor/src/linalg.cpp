@@ -90,15 +90,6 @@ Matrix lstsq(const Matrix& A, const Matrix& B) {
     return solve_upper(f, QtB);
 }
 
-Vector lstsq(const Matrix& A, const Vector& b) {
-    Matrix B(b.size(), 1);
-    for (std::size_t i = 0; i < b.size(); ++i) B(i, 0) = b[i];
-    const Matrix X = lstsq(A, B);
-    Vector x(X.rows());
-    for (std::size_t i = 0; i < x.size(); ++i) x[i] = X(i, 0);
-    return x;
-}
-
 Matrix pinv(const Matrix& A) {
     XS_EXPECTS(!A.empty());
     if (A.rows() >= A.cols()) {

@@ -52,21 +52,9 @@ Vector Matrix::row(std::size_t i) const {
     return v;
 }
 
-Vector Matrix::col(std::size_t j) const {
-    XS_EXPECTS(j < cols_);
-    Vector v(rows_);
-    for (std::size_t i = 0; i < rows_; ++i) v[i] = (*this)(i, j);
-    return v;
-}
-
 void Matrix::set_row(std::size_t i, const Vector& v) {
     XS_EXPECTS(i < rows_ && v.size() == cols_);
     std::copy(v.begin(), v.end(), data_.begin() + static_cast<std::ptrdiff_t>(i * cols_));
-}
-
-void Matrix::set_col(std::size_t j, const Vector& v) {
-    XS_EXPECTS(j < cols_ && v.size() == rows_);
-    for (std::size_t i = 0; i < rows_; ++i) (*this)(i, j) = v[i];
 }
 
 Matrix Matrix::transposed() const {
@@ -74,13 +62,6 @@ Matrix Matrix::transposed() const {
     for (std::size_t i = 0; i < rows_; ++i)
         for (std::size_t j = 0; j < cols_; ++j) t(j, i) = (*this)(i, j);
     return t;
-}
-
-Matrix Matrix::reshaped(std::size_t rows, std::size_t cols) const {
-    XS_EXPECTS(rows * cols == data_.size());
-    Matrix out(rows, cols);
-    out.data_ = data_;
-    return out;
 }
 
 Matrix& Matrix::operator+=(const Matrix& rhs) {
@@ -109,10 +90,5 @@ Matrix& Matrix::operator/=(double s) {
 void Matrix::fill(double value) {
     std::fill(data_.begin(), data_.end(), value);
 }
-
-Matrix operator+(Matrix lhs, const Matrix& rhs) { return lhs += rhs; }
-Matrix operator-(Matrix lhs, const Matrix& rhs) { return lhs -= rhs; }
-Matrix operator*(Matrix lhs, double s) { return lhs *= s; }
-Matrix operator*(double s, Matrix rhs) { return rhs *= s; }
 
 }  // namespace xbarsec::tensor

@@ -63,27 +63,9 @@ double dot(const Vector& a, const Vector& b) {
     return dot_kernel(a.data(), b.data(), a.size());
 }
 
-void axpy(double alpha, const Vector& x, Vector& y) {
-    XS_EXPECTS(x.size() == y.size());
-    const double* __restrict px = x.data();
-    double* __restrict py = y.data();
-    for (std::size_t i = 0; i < x.size(); ++i) py[i] += alpha * px[i];
-}
-
 double sum(const Vector& v) {
     double acc = 0.0;
     for (double x : v) acc += x;
-    return acc;
-}
-
-double mean(const Vector& v) {
-    XS_EXPECTS(!v.empty());
-    return sum(v) / static_cast<double>(v.size());
-}
-
-double norm1(const Vector& v) {
-    double acc = 0.0;
-    for (double x : v) acc += std::abs(x);
     return acc;
 }
 
@@ -104,19 +86,9 @@ std::size_t argmax(const Vector& v) {
     return static_cast<std::size_t>(std::max_element(v.begin(), v.end()) - v.begin());
 }
 
-std::size_t argmin(const Vector& v) {
-    XS_EXPECTS(!v.empty());
-    return static_cast<std::size_t>(std::min_element(v.begin(), v.end()) - v.begin());
-}
-
 double max(const Vector& v) {
     XS_EXPECTS(!v.empty());
     return *std::max_element(v.begin(), v.end());
-}
-
-double min(const Vector& v) {
-    XS_EXPECTS(!v.empty());
-    return *std::min_element(v.begin(), v.end());
 }
 
 Vector hadamard(const Vector& a, const Vector& b) {
@@ -137,13 +109,6 @@ Vector sign(const Vector& v) {
     for (std::size_t i = 0; i < v.size(); ++i) {
         out[i] = v[i] > 0.0 ? 1.0 : (v[i] < 0.0 ? -1.0 : 0.0);
     }
-    return out;
-}
-
-Vector clamp(const Vector& v, double lo, double hi) {
-    XS_EXPECTS(lo <= hi);
-    Vector out(v.size());
-    for (std::size_t i = 0; i < v.size(); ++i) out[i] = std::clamp(v[i], lo, hi);
     return out;
 }
 
@@ -272,17 +237,6 @@ Vector column_abs_sums(const Matrix& W) {
     for (; i < W.rows(); ++i) {
         const double* __restrict row = base + i * n;
         for (std::size_t j = 0; j < n; ++j) po[j] += std::abs(row[j]);
-    }
-    return out;
-}
-
-Vector row_abs_sums(const Matrix& W) {
-    Vector out(W.rows(), 0.0);
-    for (std::size_t i = 0; i < W.rows(); ++i) {
-        const auto row = W.row_span(i);
-        double acc = 0.0;
-        for (double x : row) acc += std::abs(x);
-        out[i] = acc;
     }
     return out;
 }

@@ -30,9 +30,6 @@ void Vector::fill(double value) {
 }
 
 Vector operator+(Vector lhs, const Vector& rhs) { return lhs += rhs; }
-Vector operator-(Vector lhs, const Vector& rhs) { return lhs -= rhs; }
-Vector operator*(Vector lhs, double s) { return lhs *= s; }
 Vector operator*(double s, Vector rhs) { return rhs *= s; }
-Vector operator/(Vector lhs, double s) { return lhs /= s; }
 
 }  // namespace xbarsec::tensor

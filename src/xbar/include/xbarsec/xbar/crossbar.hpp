@@ -60,12 +60,6 @@ struct NonIdealityConfig {
     }
 };
 
-/// Joint current/power reading of one inference.
-struct PowerReading {
-    double total_current = 0.0;  ///< amperes (Eq. 5)
-    double power = 0.0;          ///< watts (Σ v²G, outputs at virtual ground)
-};
-
 /// Simulated M×N crossbar.
 ///
 /// Measurement methods are const but advance an internal measurement
@@ -206,10 +200,6 @@ public:
 
     /// Static power with outputs at virtual ground: Σ_j v_j²·G_j, watts.
     double static_power(const tensor::Vector& v) const;
-
-    /// total_current + static_power in one measurement (shares the noise
-    /// draw pattern of separate calls).
-    PowerReading read_power(const tensor::Vector& v) const;
 
     /// Ground-truth per-column conductance sums G_j (no noise, no IR
     /// drop) — for tests and for computing probe estimation error.

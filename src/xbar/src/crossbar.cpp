@@ -207,13 +207,6 @@ double Crossbar::static_power(const tensor::Vector& v) const {
     return acc * noise_factor(meas, 0);
 }
 
-PowerReading Crossbar::read_power(const tensor::Vector& v) const {
-    PowerReading r;
-    r.total_current = total_current(v);
-    r.power = static_power(v);
-    return r;
-}
-
 // ---- reference implementations ----------------------------------------------
 
 tensor::Vector Crossbar::output_currents_reference(const tensor::Vector& v) const {

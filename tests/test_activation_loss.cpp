@@ -12,14 +12,6 @@
 namespace xbarsec::nn {
 namespace {
 
-TEST(Activation, NamesRoundTrip) {
-    for (const Activation a : {Activation::Linear, Activation::Softmax, Activation::Sigmoid,
-                               Activation::Relu, Activation::Tanh}) {
-        EXPECT_EQ(activation_from_string(to_string(a)), a);
-    }
-    EXPECT_THROW(activation_from_string("bogus"), ConfigError);
-}
-
 TEST(Activation, SoftmaxIsADistribution) {
     const tensor::Vector s{1.0, 2.0, 3.0};
     const tensor::Vector y = softmax(s);
@@ -78,12 +70,6 @@ TEST(Activation, RowwiseMatchesPerRow) {
         const tensor::Vector expect = softmax(S.row(r));
         for (std::size_t c = 0; c < S.cols(); ++c) EXPECT_NEAR(Y(r, c), expect[c], 1e-12);
     }
-}
-
-TEST(Loss, NamesRoundTrip) {
-    EXPECT_EQ(loss_from_string(to_string(Loss::Mse)), Loss::Mse);
-    EXPECT_EQ(loss_from_string("crossentropy"), Loss::CategoricalCrossentropy);
-    EXPECT_THROW(loss_from_string("l7"), ConfigError);
 }
 
 TEST(Loss, MseKnownValue) {

@@ -1,7 +1,6 @@
 // Correlation coefficient tests (the Table-I metric).
 #include <gtest/gtest.h>
 
-#include <cmath>
 #include <vector>
 
 #include "xbarsec/common/contracts.hpp"
@@ -67,29 +66,6 @@ TEST(Pearson, UncorrelatedIsNearZero) {
         y[i] = rng.normal();
     }
     EXPECT_NEAR(pearson(x, y), 0.0, 0.05);
-}
-
-TEST(Spearman, MonotoneNonlinearIsOne) {
-    std::vector<double> x(20), y(20);
-    for (std::size_t i = 0; i < 20; ++i) {
-        x[i] = static_cast<double>(i);
-        y[i] = std::exp(0.3 * static_cast<double>(i));  // monotone but nonlinear
-    }
-    EXPECT_NEAR(spearman(x, y), 1.0, 1e-12);
-    // Pearson is strictly below 1 for a convex transform.
-    EXPECT_LT(pearson(x, y), 0.999);
-}
-
-TEST(Spearman, HandlesTiesWithAverageRanks) {
-    const std::vector<double> x{1, 2, 2, 3};
-    const std::vector<double> y{10, 20, 20, 30};
-    EXPECT_NEAR(spearman(x, y), 1.0, 1e-12);
-}
-
-TEST(Spearman, ReversedOrderIsMinusOne) {
-    const std::vector<double> x{1, 2, 3, 4};
-    const std::vector<double> y{9, 7, 5, 3};
-    EXPECT_NEAR(spearman(x, y), -1.0, 1e-12);
 }
 
 }  // namespace

@@ -92,16 +92,6 @@ TEST(Crossbar, StaticPowerIsVSquaredG) {
     EXPECT_LE(xbar.static_power(u), xbar.total_current(u) + 1e-18);
 }
 
-TEST(Crossbar, ReadPowerCombinesBoth) {
-    Rng rng(5);
-    const tensor::Matrix W = tensor::Matrix::random_normal(rng, 3, 3);
-    const Crossbar xbar = make_ideal(W);
-    const tensor::Vector u{1, 1, 1};
-    const PowerReading r = xbar.read_power(u);
-    EXPECT_GT(r.total_current, 0.0);
-    EXPECT_GT(r.power, 0.0);
-}
-
 TEST(Crossbar, MeasurementCounterAdvances) {
     const tensor::Matrix W{{1.0, -1.0}};
     const Crossbar xbar = make_ideal(W);

@@ -1,4 +1,5 @@
-// IDX and CIFAR-10 binary IO tests: round trips and malformed input.
+// IDX and CIFAR-10 binary readers: fixed byte streams decode to known
+// values, and malformed input is rejected.
 #include <gtest/gtest.h>
 
 #include <filesystem>
@@ -8,12 +9,26 @@
 #include "xbarsec/data/cifar_io.hpp"
 #include "xbarsec/data/idx_io.hpp"
 #include "xbarsec/data/loaders.hpp"
-#include "xbarsec/data/synthetic_cifar10.hpp"
 
 namespace xbarsec::data {
 namespace {
 
 namespace fs = std::filesystem;
+
+using Bytes = std::vector<unsigned char>;
+
+Bytes concat(Bytes a, const Bytes& b) {
+    a.insert(a.end(), b.begin(), b.end());
+    return a;
+}
+
+/// A CIFAR-10 record: the label byte, then pixel p holds byte (p·step + shift) mod 256.
+Bytes cifar_record(unsigned char label, std::size_t step, std::size_t shift) {
+    Bytes record{label};
+    for (std::size_t p = 0; p < cifar::kPixelsPerImage; ++p)
+        record.push_back(static_cast<unsigned char>((p * step + shift) % 256));
+    return record;
+}
 
 class DataIoTest : public ::testing::Test {
 protected:
@@ -25,28 +40,36 @@ protected:
 
     std::string path(const char* name) const { return (dir_ / name).string(); }
 
+    void write(const char* name, const Bytes& bytes) const {
+        std::ofstream out(path(name), std::ios::binary);
+        out.write(reinterpret_cast<const char*>(bytes.data()),
+                  static_cast<std::streamsize>(bytes.size()));
+        ASSERT_TRUE(out.good());
+    }
+
     fs::path dir_;
 };
 
-TEST_F(DataIoTest, IdxImageRoundTrip) {
-    Rng rng(1);
-    const tensor::Matrix pixels = tensor::Matrix::random_uniform(rng, 5, 12, 0.0, 1.0);
-    idx::write_images(path("imgs"), pixels, 3, 4);
-    const idx::Images back = idx::read_images(path("imgs"));
-    EXPECT_EQ(back.rows, 3u);
-    EXPECT_EQ(back.cols, 4u);
-    ASSERT_EQ(back.pixels.rows(), 5u);
-    ASSERT_EQ(back.pixels.cols(), 12u);
-    // Quantisation to bytes: within 1/255 per pixel.
-    for (std::size_t i = 0; i < pixels.rows(); ++i)
-        for (std::size_t j = 0; j < pixels.cols(); ++j)
-            EXPECT_NEAR(back.pixels(i, j), pixels(i, j), 0.5 / 255.0 + 1e-9);
+TEST_F(DataIoTest, IdxImagesDecodeFixedBytes) {
+    // Two 1×3 images; bytes are rescaled by 1/255.
+    write("imgs", {0, 0, 0x08, 3,  0, 0, 0, 2,  0, 0, 0, 1,  0, 0, 0, 3,
+                   0, 51, 255, 102, 204, 153});
+    const idx::Images images = idx::read_images(path("imgs"));
+    EXPECT_EQ(images.rows, 1u);
+    EXPECT_EQ(images.cols, 3u);
+    EXPECT_EQ(images.pixels, (tensor::Matrix{{0.0, 0.2, 1.0}, {0.4, 0.8, 0.6}}));
 }
 
-TEST_F(DataIoTest, IdxLabelRoundTrip) {
-    const std::vector<int> labels{0, 3, 9, 1, 7};
-    idx::write_labels(path("labels"), labels);
-    EXPECT_EQ(idx::read_labels(path("labels")), labels);
+TEST_F(DataIoTest, IdxLabelsDecodeFixedBytes) {
+    // A count of 258 spans two bytes of the big-endian extent.
+    Bytes payload;
+    std::vector<int> expected;
+    for (int i = 0; i < 258; ++i) {
+        payload.push_back(static_cast<unsigned char>(i % 10));
+        expected.push_back(i % 10);
+    }
+    write("labels", concat({0, 0, 0x08, 1,  0, 0, 1, 2}, payload));
+    EXPECT_EQ(idx::read_labels(path("labels")), expected);
 }
 
 TEST_F(DataIoTest, IdxMissingFileThrowsIoError) {
@@ -62,8 +85,7 @@ TEST_F(DataIoTest, IdxBadMagicThrowsParseError) {
 }
 
 TEST_F(DataIoTest, IdxWrongRankThrowsParseError) {
-    const std::vector<int> labels{1, 2};
-    idx::write_labels(path("labels"), labels);
+    write("labels", {0, 0, 0x08, 1,  0, 0, 0, 2,  1, 2});
     // A label file (rank 1) read as images (rank 3) must fail cleanly.
     EXPECT_THROW(idx::read_images(path("labels")), ParseError);
 }
@@ -78,19 +100,16 @@ TEST_F(DataIoTest, IdxTruncatedDataThrowsParseError) {
     EXPECT_THROW(idx::read_images(path("trunc")), ParseError);
 }
 
-TEST_F(DataIoTest, CifarRoundTrip) {
-    SyntheticCifar10Config config;
-    config.train_count = 12;
-    config.test_count = 10;
-    const DataSplit split = make_synthetic_cifar10(config);
-    cifar::write_batch(path("batch.bin"), split.train);
-    const Dataset back = cifar::read_batch(path("batch.bin"));
-    ASSERT_EQ(back.size(), split.train.size());
-    EXPECT_EQ(back.labels(), split.train.labels());
-    for (std::size_t i = 0; i < back.size(); ++i) {
-        const auto a = back.inputs().row_span(i);
-        const auto b = split.train.inputs().row_span(i);
-        for (std::size_t p = 0; p < a.size(); ++p) EXPECT_NEAR(a[p], b[p], 0.5 / 255.0 + 1e-9);
+TEST_F(DataIoTest, CifarDecodesFixedRecords) {
+    write("batch.bin", concat(cifar_record(3, 1, 0), cifar_record(9, 7, 200)));
+    const Dataset batch = cifar::read_batch(path("batch.bin"));
+    ASSERT_EQ(batch.size(), 2u);
+    EXPECT_EQ(batch.labels(), (std::vector<int>{3, 9}));
+    EXPECT_EQ(batch.num_classes(), 10u);
+    EXPECT_EQ(batch.name(), "batch.bin");
+    for (std::size_t p = 0; p < cifar::kPixelsPerImage; ++p) {
+        EXPECT_EQ(batch.inputs()(0, p), static_cast<double>(p % 256) / 255.0);
+        EXPECT_EQ(batch.inputs()(1, p), static_cast<double>((p * 7 + 200) % 256) / 255.0);
     }
 }
 
@@ -112,17 +131,14 @@ TEST_F(DataIoTest, CifarBadLabelThrows) {
 }
 
 TEST_F(DataIoTest, CifarReadBatchesConcatenates) {
-    SyntheticCifar10Config config;
-    config.train_count = 10;
-    config.test_count = 10;
-    const DataSplit split = make_synthetic_cifar10(config);
-    cifar::write_batch(path("b1.bin"), split.train);
-    cifar::write_batch(path("b2.bin"), split.test);
+    write("b1.bin", concat(cifar_record(2, 1, 0), cifar_record(4, 3, 1)));
+    write("b2.bin", cifar_record(5, 5, 9));
     const Dataset all = cifar::read_batches({path("b1.bin"), path("b2.bin")}, "joined");
-    EXPECT_EQ(all.size(), 20u);
+    ASSERT_EQ(all.size(), 3u);
     EXPECT_EQ(all.name(), "joined");
-    EXPECT_EQ(all.label(0), split.train.label(0));
-    EXPECT_EQ(all.label(10), split.test.label(0));
+    EXPECT_EQ(all.labels(), (std::vector<int>{2, 4, 5}));
+    for (std::size_t p = 0; p < cifar::kPixelsPerImage; ++p)
+        EXPECT_EQ(all.inputs()(2, p), static_cast<double>((p * 5 + 9) % 256) / 255.0);
 }
 
 TEST_F(DataIoTest, LoaderFallsBackToSyntheticWhenFilesAbsent) {
@@ -141,16 +157,20 @@ TEST_F(DataIoTest, LoaderFallsBackToSyntheticWhenFilesAbsent) {
 }
 
 TEST_F(DataIoTest, LoaderUsesRealMnistFilesWhenPresent) {
-    // Write tiny IDX files in the MNIST naming scheme and confirm the
-    // loader picks them up (and truncates to the requested counts).
-    Rng rng(2);
-    const tensor::Matrix imgs = tensor::Matrix::random_uniform(rng, 20, 784, 0.0, 1.0);
-    std::vector<int> labels(20);
-    for (std::size_t i = 0; i < labels.size(); ++i) labels[i] = static_cast<int>(i % 10);
-    idx::write_images((dir_ / "train-images-idx3-ubyte").string(), imgs, 28, 28);
-    idx::write_labels((dir_ / "train-labels-idx1-ubyte").string(), labels);
-    idx::write_images((dir_ / "t10k-images-idx3-ubyte").string(), imgs, 28, 28);
-    idx::write_labels((dir_ / "t10k-labels-idx1-ubyte").string(), labels);
+    // Tiny IDX files in the MNIST naming scheme: the loader must pick them
+    // up (and truncate to the requested counts).
+    Bytes pixels;
+    Bytes labels;
+    for (std::size_t i = 0; i < 20; ++i) {
+        for (std::size_t p = 0; p < 784; ++p) pixels.push_back(static_cast<unsigned char>(i + p));
+        labels.push_back(static_cast<unsigned char>(i % 10));
+    }
+    const Bytes images = concat({0, 0, 0x08, 3,  0, 0, 0, 20,  0, 0, 0, 28,  0, 0, 0, 28}, pixels);
+    const Bytes label_file = concat({0, 0, 0x08, 1,  0, 0, 0, 20}, labels);
+    write("train-images-idx3-ubyte", images);
+    write("train-labels-idx1-ubyte", label_file);
+    write("t10k-images-idx3-ubyte", images);
+    write("t10k-labels-idx1-ubyte", label_file);
 
     LoadOptions options;
     options.data_dir = dir_.string();

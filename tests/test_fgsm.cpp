@@ -15,33 +15,6 @@ nn::SingleLayerNet make_net(Rng& rng, std::size_t in = 10, std::size_t out = 4) 
                               nn::Loss::CategoricalCrossentropy);
 }
 
-TEST(Perturbation, LinfProjection) {
-    const tensor::Vector r{0.5, -2.0, 0.05};
-    const tensor::Vector p = project_linf(r, 0.1);
-    EXPECT_DOUBLE_EQ(p[0], 0.1);
-    EXPECT_DOUBLE_EQ(p[1], -0.1);
-    EXPECT_DOUBLE_EQ(p[2], 0.05);
-    EXPECT_EQ(project_linf(r, 0.0), r);  // 0 = unconstrained
-}
-
-TEST(Perturbation, BoxClamping) {
-    PerturbationBudget budget;
-    budget.clip_to_box = true;
-    const tensor::Vector u{0.9, 0.1};
-    const tensor::Vector r{0.5, -0.5};
-    const tensor::Vector adv = apply_perturbation(u, r, budget);
-    EXPECT_DOUBLE_EQ(adv[0], 1.0);
-    EXPECT_DOUBLE_EQ(adv[1], 0.0);
-}
-
-TEST(Perturbation, DefaultIsUnclamped) {
-    // The paper's Figure-4 sweep runs strengths up to 10 with no clamp.
-    const tensor::Vector u{0.5};
-    const tensor::Vector r{10.0};
-    const tensor::Vector adv = apply_perturbation(u, r, {});
-    EXPECT_DOUBLE_EQ(adv[0], 10.5);
-}
-
 TEST(Fgsm, PerturbationIsSignedEpsilon) {
     Rng rng(1);
     const nn::SingleLayerNet net = make_net(rng);
@@ -87,20 +60,6 @@ TEST(Fgsm, ZeroEpsilonIsIdentity) {
     EXPECT_DOUBLE_EQ(tensor::norm_inf(r), 0.0);
 }
 
-TEST(Fgv, PreservesGradientShape) {
-    Rng rng(4);
-    const nn::SingleLayerNet net = make_net(rng);
-    const tensor::Vector u = tensor::Vector::random_uniform(rng, 10);
-    tensor::Vector t(4, 0.0);
-    t[2] = 1.0;
-    const tensor::Vector r = fgv_perturbation(net, u, t, 0.5);
-    const tensor::Vector g = net.input_gradient(u, t);
-    EXPECT_NEAR(tensor::norm_inf(r), 0.5, 1e-12);
-    // Proportionality: r = 0.5·g/‖g‖∞.
-    const double scale = 0.5 / tensor::norm_inf(g);
-    for (std::size_t j = 0; j < r.size(); ++j) EXPECT_NEAR(r[j], g[j] * scale, 1e-12);
-}
-
 TEST(FgsmBatch, MatchesPerSampleAttack) {
     Rng rng(5);
     const nn::SingleLayerNet net = make_net(rng, 8, 3);
@@ -127,6 +86,41 @@ TEST(FgsmBatch, RespectsBoxBudget) {
             EXPECT_GE(adv(i, j), 0.0);
             EXPECT_LE(adv(i, j), 1.0);
         }
+}
+
+/// Inputs on a 1/8 grid, so x ± ε is exact for the steps below.
+tensor::Matrix dyadic_inputs(std::size_t rows, std::size_t cols) {
+    tensor::Matrix X(rows, cols);
+    for (std::size_t k = 0; k < X.size(); ++k) X.data()[k] = static_cast<double>(k % 8) / 8.0;
+    return X;
+}
+
+TEST(FgsmBatch, LinfBudgetCapsTheStep) {
+    Rng rng(8);
+    const nn::SingleLayerNet net = make_net(rng, 6, 3);
+    const tensor::Matrix X = dyadic_inputs(5, 6);
+    const std::vector<int> labels{0, 1, 2, 0, 1};
+    PerturbationBudget capped;
+    capped.linf = 0.1;
+    EXPECT_EQ(fgsm_attack_batch(net, X, labels, 3, 0.5, capped),
+              fgsm_attack_batch(net, X, labels, 3, 0.1));
+    // linf = 0 is unconstrained: every pixel takes the full ε = 0.5 step.
+    PerturbationBudget unconstrained;
+    unconstrained.linf = 0.0;
+    const tensor::Matrix adv = fgsm_attack_batch(net, X, labels, 3, 0.5, unconstrained);
+    for (std::size_t i = 0; i < X.rows(); ++i)
+        for (std::size_t j = 0; j < X.cols(); ++j) EXPECT_EQ(std::abs(adv(i, j) - X(i, j)), 0.5);
+}
+
+TEST(FgsmBatch, DefaultBudgetIsUnclamped) {
+    // The paper's Figure-4 sweep runs strengths up to 10 on [0, 1] images
+    // with no clamp.
+    Rng rng(9);
+    const nn::SingleLayerNet net = make_net(rng, 6, 3);
+    const tensor::Matrix X = dyadic_inputs(4, 6);
+    const tensor::Matrix adv = fgsm_attack_batch(net, X, {2, 1, 0, 2}, 3, 10.0);
+    for (std::size_t i = 0; i < X.rows(); ++i)
+        for (std::size_t j = 0; j < X.cols(); ++j) EXPECT_EQ(std::abs(adv(i, j) - X(i, j)), 10.0);
 }
 
 TEST(FgsmBatch, ValidatesShapes) {

@@ -39,18 +39,21 @@ TEST(Qr, RequiresTallMatrix) {
 
 TEST(Lstsq, ExactSolveSquareSystem) {
     const Matrix A{{2, 0}, {0, 4}};
-    const Vector b{6, 8};
-    const Vector x = lstsq(A, b);
-    EXPECT_NEAR(x[0], 3.0, 1e-12);
-    EXPECT_NEAR(x[1], 2.0, 1e-12);
+    const Matrix b{{6}, {8}};
+    const Matrix x = lstsq(A, b);
+    ASSERT_EQ(x.rows(), 2u);
+    ASSERT_EQ(x.cols(), 1u);
+    EXPECT_NEAR(x(0, 0), 3.0, 1e-12);
+    EXPECT_NEAR(x(1, 0), 2.0, 1e-12);
 }
 
 TEST(Lstsq, OverdeterminedProjects) {
     // Fit y = c over observations {1, 2, 3}: least squares gives the mean.
     const Matrix A{{1}, {1}, {1}};
-    const Vector b{1, 2, 3};
-    const Vector x = lstsq(A, b);
-    EXPECT_NEAR(x[0], 2.0, 1e-12);
+    const Matrix b{{1}, {2}, {3}};
+    const Matrix x = lstsq(A, b);
+    ASSERT_EQ(x.rows(), 1u);
+    EXPECT_NEAR(x(0, 0), 2.0, 1e-12);
 }
 
 TEST(Lstsq, RankDeficientThrows) {

@@ -9,36 +9,29 @@
 namespace xbarsec::tensor {
 namespace {
 
-TEST(Ops, DotAndAxpy) {
+TEST(Ops, Dot) {
     const Vector a{1, 2, 3};
     const Vector b{4, 5, 6};
     EXPECT_DOUBLE_EQ(dot(a, b), 32.0);
-    Vector y{1, 1, 1};
-    axpy(2.0, a, y);
-    EXPECT_DOUBLE_EQ(y[2], 7.0);
     EXPECT_THROW(dot(a, Vector{1, 2}), ContractViolation);
 }
 
-TEST(Ops, SumsAndMeans) {
+TEST(Ops, Sum) {
     const Vector v{1, 2, 3, 4};
     EXPECT_DOUBLE_EQ(sum(v), 10.0);
-    EXPECT_DOUBLE_EQ(mean(v), 2.5);
-    EXPECT_THROW(mean(Vector{}), ContractViolation);
+    EXPECT_DOUBLE_EQ(sum(Vector{}), 0.0);
 }
 
 TEST(Ops, Norms) {
     const Vector v{3, -4, 0};
-    EXPECT_DOUBLE_EQ(norm1(v), 7.0);
     EXPECT_DOUBLE_EQ(norm2(v), 5.0);
     EXPECT_DOUBLE_EQ(norm_inf(v), 4.0);
 }
 
-TEST(Ops, ArgmaxArgminMaxMin) {
+TEST(Ops, ArgmaxAndMax) {
     const Vector v{1, 9, -3, 9};
     EXPECT_EQ(argmax(v), 1u);  // first of ties
-    EXPECT_EQ(argmin(v), 2u);
     EXPECT_DOUBLE_EQ(max(v), 9.0);
-    EXPECT_DOUBLE_EQ(min(v), -3.0);
     EXPECT_THROW(argmax(Vector{}), ContractViolation);
 }
 
@@ -50,9 +43,6 @@ TEST(Ops, ElementwiseHelpers) {
     EXPECT_DOUBLE_EQ(s[0], -1.0);
     EXPECT_DOUBLE_EQ(s[1], 0.0);
     EXPECT_DOUBLE_EQ(s[2], 1.0);
-    const Vector c = clamp(v, -1.0, 1.0);
-    EXPECT_DOUBLE_EQ(c[0], -1.0);
-    EXPECT_DOUBLE_EQ(c[2], 1.0);
     const Vector h = hadamard(Vector{1, 2}, Vector{3, 4});
     EXPECT_DOUBLE_EQ(h[1], 8.0);
 }
@@ -107,11 +97,8 @@ TEST(Ops, ColumnAbsSumsIsThePowerLeak) {
     EXPECT_DOUBLE_EQ(l1[2], 0.5);
 }
 
-TEST(Ops, RowAbsAndColumnSums) {
+TEST(Ops, ColumnSums) {
     const Matrix W{{1, -2}, {-3, 4}};
-    const Vector rows = row_abs_sums(W);
-    EXPECT_DOUBLE_EQ(rows[0], 3.0);
-    EXPECT_DOUBLE_EQ(rows[1], 7.0);
     const Vector cols = column_sums(W);
     EXPECT_DOUBLE_EQ(cols[0], -2.0);
     EXPECT_DOUBLE_EQ(cols[1], 2.0);

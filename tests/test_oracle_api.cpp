@@ -269,18 +269,5 @@ TEST(PowerObfuscation, ConcurrentReadsUseEachDitherOrdinalOnce) {
     EXPECT_EQ(concurrent.counters().power, kReads);
 }
 
-// ---- oracle-driven sidechannel entry points ---------------------------------
-
-TEST(OracleBridges, FindArgmaxLocatesTheTopColumnThroughTheOracle) {
-    Rng rng(20);
-    const nn::SingleLayerNet net = make_net(rng, 16, 3);
-    CrossbarOracle oracle = make_oracle(net);
-    const tensor::Vector l1 = tensor::column_abs_sums(net.weights());
-    const auto result = find_argmax(oracle, data::ImageShape{4, 4, 1},
-                                    sidechannel::SearchStrategy::FullScan);
-    EXPECT_EQ(result.best_index, tensor::argmax(l1));
-    EXPECT_EQ(oracle.counters().power, 16u);
-}
-
 }  // namespace
 }  // namespace xbarsec::core

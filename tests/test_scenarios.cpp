@@ -194,6 +194,23 @@ TEST(ScenarioRunner, RejectsUnsupportedDefenseCombinations) {
     fig5_twice.load.train_count = 0;
     fig5_twice.defenses = {defense, defense};
     EXPECT_THROW(runner.run(fig5_twice), ConfigError);
+
+    // Two obfuscation entries of one kind would draw one seeded stream
+    // twice: one layer at twice the magnitude, not two sources.
+    ScenarioSpec dummies_twice = tiny("probe/mnist/defended");
+    dummies_twice.load.train_count = 0;
+    DefenseSpec dummies;
+    dummies.kind = DefenseSpec::Kind::RandomDummy;
+    dummies_twice.defenses.push_back(dummies);
+    EXPECT_THROW(runner.deploy(dummies_twice), ConfigError);
+
+    ScenarioSpec dither_twice = tiny("probe/mnist/defended");
+    dither_twice.load.train_count = 0;
+    DefenseSpec dither;
+    dither.kind = DefenseSpec::Kind::DitherPower;
+    dither_twice.defenses.push_back(dither);
+    dither_twice.defenses.push_back(dither);
+    EXPECT_THROW(runner.deploy(dither_twice), ConfigError);
 }
 
 TEST(ScenarioSmoke, ShrinksSweeps) {

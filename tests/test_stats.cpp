@@ -34,16 +34,7 @@ TEST(Descriptive, SingleElementSummary) {
 TEST(Descriptive, EmptySampleThrows) {
     const std::vector<double> xs;
     EXPECT_THROW(summarize(xs), ContractViolation);
-    EXPECT_THROW(mean(xs), ContractViolation);
-}
-
-TEST(Descriptive, MeanAndVariance) {
-    const std::vector<double> xs{1.0, 2.0, 3.0};
-    EXPECT_DOUBLE_EQ(mean(xs), 2.0);
-    EXPECT_DOUBLE_EQ(sample_variance(xs), 1.0);
-    EXPECT_DOUBLE_EQ(sample_stddev(xs), 1.0);
-    const std::vector<double> one{1.0};
-    EXPECT_THROW(sample_variance(one), ContractViolation);
+    EXPECT_THROW(quantile(xs, 0.5), ContractViolation);
 }
 
 TEST(Descriptive, WelfordMatchesTwoPass) {
@@ -63,33 +54,13 @@ TEST(Descriptive, WelfordMatchesTwoPass) {
 
 TEST(Descriptive, MedianAndQuantiles) {
     const std::vector<double> odd{5.0, 1.0, 3.0};
-    EXPECT_DOUBLE_EQ(median(odd), 3.0);
+    EXPECT_DOUBLE_EQ(quantile(odd, 0.5), 3.0);
     const std::vector<double> even{4.0, 1.0, 3.0, 2.0};
-    EXPECT_DOUBLE_EQ(median(even), 2.5);
+    EXPECT_DOUBLE_EQ(quantile(even, 0.5), 2.5);
     EXPECT_DOUBLE_EQ(quantile(even, 0.0), 1.0);
     EXPECT_DOUBLE_EQ(quantile(even, 1.0), 4.0);
     EXPECT_DOUBLE_EQ(quantile(even, 0.25), 1.75);
     EXPECT_THROW(quantile(even, 1.5), ContractViolation);
-}
-
-TEST(RunningStats, MatchesBatchSummary) {
-    const std::vector<double> xs{1.0, 4.0, 9.0, 16.0, 25.0};
-    RunningStats rs;
-    for (const double x : xs) rs.push(x);
-    const Summary s = summarize(xs);
-    EXPECT_EQ(rs.count(), s.count);
-    EXPECT_NEAR(rs.mean(), s.mean, 1e-12);
-    EXPECT_NEAR(rs.variance(), s.variance, 1e-12);
-    EXPECT_NEAR(rs.stddev(), s.stddev, 1e-12);
-}
-
-TEST(RunningStats, ZeroAndOneElements) {
-    RunningStats rs;
-    EXPECT_EQ(rs.count(), 0u);
-    EXPECT_DOUBLE_EQ(rs.variance(), 0.0);
-    rs.push(7.0);
-    EXPECT_DOUBLE_EQ(rs.mean(), 7.0);
-    EXPECT_DOUBLE_EQ(rs.variance(), 0.0);
 }
 
 }  // namespace
